@@ -4,7 +4,7 @@ The count is rebuilt from a chain of easier instances: repeatedly pin the
 element that may sit in the highest free slot and measure what fraction of
 uniform extensions agrees.  The product of those fractions estimates
 1/count with a closed-form variance bound, so the mean estimator can
-certify the result; exact enumeration cross-checks it.
+certify the result; the exact dynamic program over downsets cross-checks it.
 """
 
 from relmean import Poset, linext_approx_count, linext_count_exact, linext_uniform_sample

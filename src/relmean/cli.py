@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .counting import (
@@ -72,24 +73,6 @@ def _plan_payload(plan) -> dict:
     }
 
 
-def _report_payload(report) -> dict:
-    return {
-        "estimator": report.estimator,
-        "distribution": report.distribution,
-        "epsilon": report.epsilon,
-        "delta": report.delta,
-        "c": report.c,
-        "mode": report.mode,
-        "R": report.R,
-        "seed": report.seed,
-        "samples_per_run": report.samples_per_run,
-        "failures": report.failures,
-        "failure_rate": report.failure_rate,
-        "binomial_3sigma": report.binomial_3sigma,
-        "mean_abs_rel_error": report.mean_abs_rel_error,
-    }
-
-
 def _cmd_samplesize(args) -> dict:
     spec = _spec_from(args)
     payload = _common_payload(args, spec)
@@ -138,7 +121,7 @@ def _cmd_coverage(args) -> dict:
         write_csv([report], args.out)
     payload = _common_payload(args, spec)
     payload["rng"] = RNG_ALGORITHM
-    payload["report"] = _report_payload(report)
+    payload["report"] = asdict(report)
     return payload
 
 
@@ -152,7 +135,7 @@ def _cmd_compare(args) -> dict:
         write_csv(rows, args.out)
     payload = _common_payload(args, spec)
     payload["rng"] = RNG_ALGORITHM
-    payload["rows"] = [_report_payload(row) for row in rows]
+    payload["rows"] = [asdict(row) for row in rows]
     return payload
 
 

@@ -199,19 +199,22 @@ def median_of_means(source, k: int, m: int) -> float:
     return float(np.sort(group_means)[m // 2])
 
 
-def stage1_estimate(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> float:
-    """Bias-corrected stage-1 estimate: median_of_means / (1 - epsilon1^2).
-
-    The correction turns a bound on |estimate/mean - 1| into one on
-    |mean/estimate - 1|, which is what stage 2's truncation scale needs.
-    """
-    plan = build_plan(spec, mode)
+def _stage1(source, plan: StagePlan) -> float:
     mu1 = median_of_means(source, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
     if not mu1 > 0.0:
         raise NonpositiveEstimateError(
             f"stage-1 estimate {mu1!r} is not positive; the method requires a positive mean"
         )
     return mu1
+
+
+def stage1_estimate(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> float:
+    """Bias-corrected stage-1 estimate: median_of_means / (1 - epsilon1^2).
+
+    The correction turns a bound on |estimate/mean - 1| into one on
+    |mean/estimate - 1|, which is what stage 2's truncation scale needs.
+    """
+    return _stage1(source, build_plan(spec, mode))
 
 
 def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, TruncationScale]:
@@ -237,11 +240,7 @@ def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> Estimat
     P(|mu_hat - mean| > epsilon * mean) <= delta.
     """
     plan = build_plan(spec, mode)
-    mu1 = median_of_means(source, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
-    if not mu1 > 0.0:
-        raise NonpositiveEstimateError(
-            f"stage-1 estimate {mu1!r} is not positive; the method requires a positive mean"
-        )
+    mu1 = _stage1(source, plan)
     mu_hat, alpha = stage2_estimate(source, mu1, spec)
     stage1_draws = plan.k * plan.m
     return EstimateReport(
@@ -260,10 +259,15 @@ def lower_bound_samples(spec: ApproxSpec) -> float:
     relative variance c^2; may be fractional (it is a bound, not a plan).
 
     Returns 2 c^2 / epsilon^2 * (L - ln((2L + 1) / sqrt(2L))) with
-    L = ln(1 / (sqrt(2 pi) delta)); valid for delta <= 1/sqrt(2 pi).
+    L = ln(1 / (sqrt(2 pi) delta)); valid for delta <= 1/sqrt(2 pi).  Where
+    the bracket is not positive (delta above about 0.1965, up to L = 0 at
+    delta = 1/sqrt(2 pi)) no draw count is ruled out, so the bound is the
+    vacuous 0.0.
     """
     if spec.delta > 1.0 / math.sqrt(2.0 * math.pi):
         raise ValueError("the lower bound requires delta <= 1/sqrt(2*pi)")
     big_l = math.log(1.0 / (math.sqrt(2.0 * math.pi) * spec.delta))
-    correction = math.log((2.0 * big_l + 1.0) / math.sqrt(2.0 * big_l))
-    return 2.0 * spec.c * spec.c / (spec.epsilon * spec.epsilon) * (big_l - correction)
+    if big_l <= 0.0:
+        return 0.0
+    bracket = big_l - math.log((2.0 * big_l + 1.0) / math.sqrt(2.0 * big_l))
+    return 2.0 * spec.c * spec.c / (spec.epsilon * spec.epsilon) * max(bracket, 0.0)

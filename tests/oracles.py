@@ -51,14 +51,22 @@ TWO_E = 5.4365636569180905
 LOGNORMAL_SHAPE_RELVAR_2E = 1.3645493043705863  # sqrt(ln(1 + 2e))
 
 
+def linear_extensions_lex(p: Poset, elements=None) -> list[tuple[int, ...]]:
+    """Linear extensions of the subposet induced on `elements` (default: all
+    of 1..n), in lexicographic order, by checking every permutation."""
+    keep = sorted(range(1, p.n + 1) if elements is None else elements)
+    pairs = [(i, j) for i, j in p.relation if i in keep and j in keep]
+    extensions = []
+    for perm in itertools.permutations(keep):  # lexicographic, since `keep` is sorted
+        position = {e: idx for idx, e in enumerate(perm)}
+        if all(position[i] < position[j] for i, j in pairs):
+            extensions.append(perm)
+    return extensions
+
+
 def count_extensions_bruteforce(p: Poset) -> int:
     """Count linear extensions by checking every permutation."""
-    total = 0
-    for perm in itertools.permutations(range(1, p.n + 1)):
-        position = {e: idx for idx, e in enumerate(perm)}
-        if all(position[i] < position[j] for i, j in p.relation):
-            total += 1
-    return total
+    return len(linear_extensions_lex(p))
 
 
 def poset_family(seed: int = 2024, count: int = 60, max_n: int = 7) -> list[Poset]:

@@ -139,6 +139,12 @@ def test_gibbs_synthetic_run(capsys):
     assert abs(payload["eps_prime"] - 0.09901951359278482) < 1e-12
 
 
+def test_lowerbound_at_top_of_domain_is_zero(capsys):
+    code, out, err = run_cli(capsys, "lowerbound", "--epsilon", "0.1", "--delta", "0.3989422804014327", "--c", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["lower_bound"] == 0.0
+
+
 def test_argument_errors_exit_2(capsys):
     cases = [
         ["samplesize", "--epsilon", "2", "--delta", "0.05", "--c", "1"],

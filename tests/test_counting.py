@@ -198,11 +198,7 @@ def test_uniform_sample_chain_is_identity():
 
 
 def _frequencies_are_uniform(p: Poset, draws: int, seed0: int):
-    valid = []
-    for perm in itertools.permutations(range(1, p.n + 1)):
-        position = {v: i for i, v in enumerate(perm)}
-        if all(position[i] < position[j] for i, j in p.relation):
-            valid.append(perm)
+    valid = oracles.linear_extensions_lex(p)
     counts = {e: 0 for e in valid}
     for s in range(draws):
         counts[linext_uniform_sample(p, seed0 + s)] += 1
@@ -228,19 +224,43 @@ def test_reduction_ratios_at_least_one_over_n():
             live_pairs = [(i, j) for i, j in p.relation if i in remaining and j in remaining]
             blocked = {i for i, _ in live_pairs}
             pinned = min(e for e in remaining if e not in blocked)
-            before = _count_restricted(p, remaining)
-            after = _count_restricted(p, remaining - {pinned})
+            before = len(oracles.linear_extensions_lex(p, remaining))
+            after = len(oracles.linear_extensions_lex(p, remaining - {pinned}))
             assert Fraction(after, before) >= Fraction(1, p.n)
             remaining.remove(pinned)
 
 
-def _count_restricted(p: Poset, keep: set) -> int:
-    if not keep:
-        return 1
-    labels = sorted(keep)
-    relabel = {e: i + 1 for i, e in enumerate(labels)}
-    sub = Poset.from_pairs(len(labels), [(relabel[i], relabel[j]) for i, j in p.relation if i in keep and j in keep])
-    return oracles.count_extensions_bruteforce(sub)
+def test_uniform_sample_unranks_lexicographic_order():
+    # seeded contract: a uniform rank into the lexicographic list of extensions
+    for p in oracles.poset_family():
+        lex = oracles.linear_extensions_lex(p)
+        for seed in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+            assert linext_uniform_sample(p, seed) == lex[int(rng.integers(0, len(lex)))]
+
+
+def test_chain_levels_index_lexicographic_pinned_last_flags():
+    # seeded contract: each level indexes "pinned element is last" flags of the
+    # remaining subposet's extensions, in lexicographic order
+    for p in oracles.poset_family():
+        remaining = set(range(1, p.n + 1))
+        for level, sampler in enumerate(linext_chain(p).samplers):
+            blocked = {i for i, j in p.relation if i in remaining and j in remaining}
+            pinned = min(remaining - blocked)
+            flags = np.array([ext[-1] == pinned for ext in oracles.linear_extensions_lex(p, remaining)])
+            drawn = sampler(np.random.default_rng(level), (4, 25))
+            expected = flags[np.random.default_rng(level).integers(0, len(flags), size=(4, 25))]
+            assert np.array_equal(drawn, expected), (p, level)
+            remaining.remove(pinned)
+        assert not remaining
+
+
+def test_antichain_at_the_size_cap():
+    p = Poset.antichain(10)
+    assert linext_count_exact(p) == math.factorial(10)
+    assert sorted(linext_uniform_sample(p, seed=0)) == list(range(1, 11))
+    estimate = linext_approx_count(p, 0.2, 0.1, 100, seed=0)
+    assert abs(estimate - math.factorial(10)) <= 0.2 * math.factorial(10)
 
 
 def test_chain_levels_count():

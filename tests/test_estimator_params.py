@@ -153,8 +153,16 @@ def test_lower_bound_domain():
     with pytest.raises(ValueError):
         lower_bound_samples(ApproxSpec(0.1, 0.5, 1.0))  # 0.5 > 1/sqrt(2 pi)
     # just inside the domain the formula still evaluates; near the edge the
-    # bound degenerates and may be nonpositive (vacuously true)
+    # bound degenerates to the vacuous 0.0
     assert math.isfinite(lower_bound_samples(ApproxSpec(0.1, 0.39, 1.0)))
+
+
+def test_lower_bound_vacuous_at_top_of_domain():
+    # the bracket L - ln((2L+1)/sqrt(2L)) is negative above delta ~ 0.1965 and
+    # L = 0 at delta = 1/sqrt(2 pi); the bound is then 0, never negative
+    for delta in [0.2, 0.39, 1.0 / math.sqrt(2.0 * math.pi)]:
+        assert lower_bound_samples(ApproxSpec(0.1, delta, 1.0)) == 0.0, delta
+    assert lower_bound_samples(ApproxSpec(0.1, 0.19, 1.0)) > 0.0
 
 
 def test_lower_bound_scales_as_c_and_eps_squared():
