@@ -5,7 +5,7 @@ information lower bound that no estimator can beat; both scale as
 c^2 ln(1/delta) / epsilon^2.  The table prints the two side by side.
 """
 
-from relmean import ApproxSpec, lower_bound_samples, stage1_params, stage2_params, theorem1_total
+from relmean import ApproxSpec, build_plan, lower_bound_samples, theorem1_total
 
 print(f"{'epsilon':>8} {'delta':>8} {'c':>5} | {'total':>9} {'lower bnd':>10} {'ratio':>6}")
 print("-" * 55)
@@ -19,8 +19,8 @@ for eps in [0.2, 0.1, 0.05, 0.01]:
 
 print()
 spec = ApproxSpec(0.1, 0.05, 1.0)
-eps1, k, m = stage1_params(spec)
+plan = build_plan(spec)
 print(f"Anatomy at (0.1, 0.05, c=1), strict budgeting:")
-print(f"  stage 1: {m} groups of {k} draws, each located to within {eps1:.4f}")
-print(f"  stage 2: {stage2_params(spec)} truncated draws")
+print(f"  stage 1: {plan.m} groups of {plan.k} draws, each located to within {plan.epsilon1:.4f}")
+print(f"  stage 2: {plan.n} truncated draws")
 print(f"  headline total (full-delta stage 1): {theorem1_total(spec)}")

@@ -22,6 +22,7 @@ from .estimator import (
     EstimateReport,
     Mode,
     NonpositiveEstimateError,
+    SourceContractError,
     StagePlan,
     build_plan,
     estimate_mean,
@@ -73,6 +74,7 @@ __all__ = [
     "EstimateReport",
     "Mode",
     "NonpositiveEstimateError",
+    "SourceContractError",
     "StagePlan",
     "build_plan",
     "estimate_mean",

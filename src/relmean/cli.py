@@ -128,9 +128,8 @@ def _cmd_coverage(args) -> dict:
 def _cmd_compare(args) -> dict:
     spec = _spec_from(args)
     dist = _checked(lambda: parse_distribution(args.dist))
-    if args.reps < 100:
-        raise _ArgumentError("coverage needs at least 100 replications")
-    rows = compare_estimators(spec, dist, args.reps, args.seed, args.mode)
+    config = _checked(lambda: CoverageConfig(spec, dist, args.reps, args.seed, args.mode))
+    rows = compare_estimators(config.spec, config.dist, config.replications, config.seed, config.mode)
     if args.out:
         write_csv(rows, args.out)
     payload = _common_payload(args, spec)

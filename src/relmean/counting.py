@@ -240,20 +240,20 @@ def _check_desk_scale(p: Poset) -> None:
         )
 
 
-def _predecessor_masks(p: Poset) -> list[int]:
+def _predecessor_masks(p: Poset) -> tuple[int, ...]:
     """Bit mask of predecessors for each element; entry e-1 and bit e-1 stand for element e."""
     masks = [0] * p.n
     for i, j in p.relation:
         masks[j - 1] |= 1 << (i - 1)
-    return masks
+    return tuple(masks)
 
 
-def _minimal_bits(preds: list[int], rest: int) -> list[int]:
+def _minimal_bits(preds: tuple[int, ...], rest: int) -> list[int]:
     """Bits of the elements of `rest` with no predecessor in `rest`, in ascending label order."""
     return [1 << e for e, mask in enumerate(preds) if rest >> e & 1 and not mask & rest]
 
 
-def _completion_counts(preds: list[int]) -> Callable[[int], int]:
+def _completion_counts(preds: tuple[int, ...]) -> Callable[[int], int]:
     """Memoised table: count(rest) is the number of linear extensions of the
     subposet induced on the elements of bit mask `rest`, i.e. the number of
     ways to complete any prefix that has placed every other element."""
@@ -267,6 +267,12 @@ def _completion_counts(preds: list[int]) -> Callable[[int], int]:
     return count
 
 
+# Repeated samples of one poset share its table instead of rebuilding it.
+# Only the sampler caches: counts and chains build a table once per poset,
+# and long-lived tables would pin allocator memory there for nothing.
+_sampler_counts = lru_cache(maxsize=8)(_completion_counts)
+
+
 def linext_count_exact(p: Poset) -> int:
     """Exact number of linear extensions via dynamic programming over downsets."""
     _check_desk_scale(p)
@@ -278,7 +284,7 @@ def linext_uniform_sample(p: Poset, seed: int) -> tuple[int, ...]:
     extensions, unranked in lexicographic order through the completion counts."""
     _check_desk_scale(p)
     preds = _predecessor_masks(p)
-    count = _completion_counts(preds)
+    count = _sampler_counts(preds)
     rest = (1 << p.n) - 1
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
     rank = int(rng.integers(0, count(rest)))
@@ -294,7 +300,7 @@ def linext_uniform_sample(p: Poset, seed: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _level_sampler(preds: list[int], count: Callable[[int], int], rest: int, pinned: int) -> Sampler:
+def _level_sampler(preds: tuple[int, ...], count: Callable[[int], int], rest: int, pinned: int) -> Sampler:
     """Sampler for one chain level: a uniform rank into the lexicographic list
     of extensions of the subposet on `rest`, reporting whether the element
     with bit `pinned` comes last."""

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psi import TruncationScale, scaled_psi
+from .psi import TruncationScale, _psi, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
 
 __all__ = [
     "Mode",
     "NonpositiveEstimateError",
+    "SourceContractError",
     "ApproxSpec",
     "StagePlan",
     "EstimateReport",
@@ -52,6 +53,10 @@ class Mode(enum.Enum):
 
 class NonpositiveEstimateError(RuntimeError):
     """Stage 1 returned a nonpositive estimate; stage 2 needs a positive centre."""
+
+
+class SourceContractError(ValueError):
+    """A source's take(n) returned other than n finite draws."""
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,93 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
     return q / (math.sqrt(math.pi * r) * (1.0 - 2.0 * nu_sq)) * (4.0 * q) ** r
 
 
+# The take contract: take(n) returns exactly n draws, all finite.  Every
+# estimator draw passes _take_draws and then _check_finite, whether it
+# fills a row of a batch or stands alone as a single run's row.
+
+
+def _take_draws(source, width: int, stage: str) -> np.ndarray:
+    draws = np.asarray(source.take(width), dtype=float)
+    if draws.shape != (width,):
+        raise SourceContractError(
+            f"{stage}: take({width}) returned {draws.size} draws in shape {draws.shape}"
+        )
+    return draws
+
+
+def _check_finite(rows: np.ndarray, stage: str) -> np.ndarray:
+    if not np.isfinite(rows).all():
+        raise SourceContractError(f"{stage}: take({rows.shape[1]}) returned a non-finite draw")
+    return rows
+
+
+def _fill_rows(out: np.ndarray, sources, stage: str) -> np.ndarray:
+    """Fill row i of `out` with the next out.shape[1] draws of sources[i]."""
+    for row, source in zip(out, sources):
+        row[:] = _take_draws(source, out.shape[1], stage)
+    return _check_finite(out, stage)
+
+
+def _take_row(source, width: int, stage: str) -> np.ndarray:
+    """The next `width` draws of one source as a 1 x width matrix, uncopied."""
+    return _check_finite(_take_draws(source, width, stage)[None, :], stage)
+
+
+def _median_rows(draws: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Per row of a rows x k*m matrix: the median of m group means, each over
+    k consecutive draws."""
+    group_means = np.add.reduce(draws.reshape(len(draws), m, k), axis=2) / k
+    group_means.sort(axis=1)
+    return group_means[:, m // 2]
+
+
+def _stage1_rows(draws: np.ndarray, plan: StagePlan) -> np.ndarray:
+    """Per row: the bias-corrected stage-1 estimate, median of means / (1 - epsilon1^2)."""
+    return _median_rows(draws, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
+
+
+def _positive_centre(mu1: float) -> float:
+    """A stage-1 estimate, which must be positive to centre stage 2."""
+    if not mu1 > 0.0:
+        raise NonpositiveEstimateError(
+            f"stage-1 estimate {mu1!r} is not positive; the method requires a positive mean"
+        )
+    return mu1
+
+
+def _truncation_scale(mu1: float, spec: ApproxSpec) -> TruncationScale:
+    """alpha = epsilon / (c^2 mu1) for a positive, finite centre mu1."""
+    if not (math.isfinite(mu1) and mu1 > 0.0):
+        raise ValueError(f"mu1 must be positive and finite, got {mu1!r}")
+    return TruncationScale(spec.epsilon / (spec.c * spec.c * mu1))
+
+
+def _truncated_mean_rows(draws: np.ndarray, mu1: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Per row: the mean of mu1 + psi(alpha (x - mu1)) / alpha over its draws."""
+    mu1, alpha = mu1[:, None], alpha[:, None]
+    w = draws - mu1
+    w *= alpha
+    w = _psi(w)
+    w /= alpha
+    w += mu1
+    return np.add.reduce(w, axis=1) / w.shape[1]
+
+
+def _two_stage_rows(stage1: np.ndarray, stage2: np.ndarray, spec: ApproxSpec, plan: StagePlan):
+    """The two-stage estimator on matrices of draws, one row per run.
+
+    `stage1` is rows x k*m, `stage2` is rows x n.  Returns the arrays
+    (mu1, alpha, mu_hat), one entry per row.  Each row gets exactly the
+    arithmetic of a single run, so results do not depend on how runs are
+    grouped into rows.
+    """
+    mu1 = _stage1_rows(stage1, plan)
+    # per-row checks in Python: cheaper than array tests at a few rows, and
+    # they raise exactly what a single run raises
+    alpha = np.array([_truncation_scale(_positive_centre(v), spec).alpha for v in mu1.tolist()])
+    return mu1, alpha, _truncated_mean_rows(stage2, mu1, alpha)
+
+
 def median_of_means(source, k: int, m: int) -> float:
     """Median of m group means, each over k consecutive draws (k*m draws).
 
@@ -194,18 +286,7 @@ def median_of_means(source, k: int, m: int) -> float:
         raise ValueError(f"group size k must be >= 1, got {k}")
     if m < 1 or m % 2 == 0:
         raise ValueError(f"group count m must be odd and >= 1, got {m}")
-    draws = np.asarray(source.take(k * m), dtype=float)
-    group_means = draws.reshape(m, k).mean(axis=1)
-    return float(np.sort(group_means)[m // 2])
-
-
-def _stage1(source, plan: StagePlan) -> float:
-    mu1 = median_of_means(source, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
-    if not mu1 > 0.0:
-        raise NonpositiveEstimateError(
-            f"stage-1 estimate {mu1!r} is not positive; the method requires a positive mean"
-        )
-    return mu1
+    return float(_median_rows(_take_row(source, k * m, "median of means"), k, m)[0])
 
 
 def stage1_estimate(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> float:
@@ -214,7 +295,9 @@ def stage1_estimate(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> float
     The correction turns a bound on |estimate/mean - 1| into one on
     |mean/estimate - 1|, which is what stage 2's truncation scale needs.
     """
-    return _stage1(source, build_plan(spec, mode))
+    plan = build_plan(spec, mode)
+    draws = _take_row(source, plan.k * plan.m, "stage 1")
+    return _positive_centre(float(_stage1_rows(draws, plan)[0]))
 
 
 def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, TruncationScale]:
@@ -223,12 +306,10 @@ def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, Trunca
     Each draw x contributes mu1 + psi(alpha (x - mu1)) / alpha with
     alpha = epsilon / (c^2 mu1).
     """
-    if not (math.isfinite(mu1) and mu1 > 0.0):
-        raise ValueError(f"mu1 must be positive and finite, got {mu1!r}")
-    alpha = TruncationScale(spec.epsilon / (spec.c * spec.c * mu1))
-    draws = np.asarray(source.take(stage2_params(spec)), dtype=float)
-    w = mu1 + scaled_psi(alpha, draws - mu1)
-    return float(np.mean(w)), alpha
+    alpha = _truncation_scale(mu1, spec)
+    draws = _take_row(source, stage2_params(spec), "stage 2")
+    mu_hat = _truncated_mean_rows(draws, np.array([mu1], dtype=float), np.array([alpha.alpha]))
+    return float(mu_hat[0]), alpha
 
 
 def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> EstimateReport:
@@ -240,13 +321,14 @@ def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> Estimat
     P(|mu_hat - mean| > epsilon * mean) <= delta.
     """
     plan = build_plan(spec, mode)
-    mu1 = _stage1(source, plan)
-    mu_hat, alpha = stage2_estimate(source, mu1, spec)
     stage1_draws = plan.k * plan.m
+    stage1 = _take_row(source, stage1_draws, "stage 1")
+    stage2 = _take_row(source, plan.n, "stage 2")
+    mu1, alpha, mu_hat = _two_stage_rows(stage1, stage2, spec, plan)
     return EstimateReport(
-        mu1=mu1,
-        alpha=alpha,
-        mu_hat=mu_hat,
+        mu1=float(mu1[0]),
+        alpha=TruncationScale(float(alpha[0])),
+        mu_hat=float(mu_hat[0]),
         samples_stage1=stage1_draws,
         samples_stage2=plan.n,
         total_samples=stage1_draws + plan.n,

@@ -5,6 +5,14 @@ of one distribution and counts how often the estimate misses the target
 window |estimate - mean| <= epsilon * mean, judged against the exact mean
 from the source's facts.  Baseline estimators run on the same total draw
 budget so sample-efficiency differences are visible at equal cost.
+
+Replicates run in chunks of a few rows.  The plan is built once per run;
+each replicate r keeps its own stream (seed, r), and fills one row of a
+stage-1 matrix and one row of a stage-2 matrix with two separate takes,
+as a single estimate_mean call would.  The estimator's batched kernel
+then reduces every row at once (group means, median, truncated average
+along the rows), with the same arithmetic per row as a single run, so a
+coverage report is bit-identical to one replicate-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -16,8 +24,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimator import ApproxSpec, Mode, build_plan, estimate_mean, median_of_means
-from .sources import SampleSource
+from .estimator import ApproxSpec, Mode, _fill_rows, _median_rows, _two_stage_rows, build_plan
+from .estimator import estimate_mean, median_of_means  # noqa: F401 - bench/tracing.py wraps them here
+from .sources import Recorded, SampleSource, Scaled
 
 __all__ = [
     "EstimatorKind",
@@ -48,6 +57,18 @@ class CoverageConfig:
     def __post_init__(self) -> None:
         if self.replications < 100:
             raise ValueError("coverage needs at least 100 replications")
+        if _replays(self.dist):
+            raise ValueError(
+                f"coverage needs independent replicate streams, but {self.dist.spec_string} "
+                "replays one fixed sequence in every replicate"
+            )
+
+
+def _replays(dist) -> bool:
+    """True for a recorded sequence, also behind any number of Scaled wrappers."""
+    while isinstance(dist, Scaled):
+        dist = dist.inner
+    return isinstance(dist, Recorded)
 
 
 @dataclass(frozen=True)
@@ -92,6 +113,11 @@ def _mom_baseline_params(spec: ApproxSpec, budget: int) -> tuple[int, int]:
     return k, _largest_odd_at_most(budget // k)
 
 
+# Replicate rows per chunk.  Smaller chunks pay the kernel's per-call cost
+# more often; bigger ones run no faster and only hold more draws at once.
+_CHUNK_ROWS = 8
+
+
 def run_coverage(config: CoverageConfig) -> CoverageReport:
     """Replicate the configured estimator and tabulate its failure frequency.
 
@@ -108,24 +134,29 @@ def run_coverage(config: CoverageConfig) -> CoverageReport:
     plan = build_plan(spec, config.mode)
     budget = plan.k * plan.m + plan.n
     kind = config.estimator
-    mom_k, mom_m = _mom_baseline_params(spec, budget)
+    if kind is EstimatorKind.TWO_STAGE:
+        stages = (("stage 1", plan.k * plan.m), ("stage 2", plan.n))
+        estimate = lambda stage1, stage2: _two_stage_rows(stage1, stage2, spec, plan)[2]
+    elif kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
+        mom_k, mom_m = _mom_baseline_params(spec, budget)
+        stages = (("median of means", mom_k * mom_m),)
+        estimate = lambda draws: _median_rows(draws, mom_k, mom_m)
+    else:
+        stages = (("naive mean", budget),)
+        estimate = lambda draws: draws.mean(axis=1)
+
+    buffers = [(stage, np.empty((_CHUNK_ROWS, width))) for stage, width in stages]
+    values = np.empty(config.replications)
+    for start in range(0, config.replications, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, config.replications)
+        sources = [SampleSource(config.dist, config.seed, replicate_index=r) for r in range(start, stop)]
+        values[start:stop] = estimate(
+            *(_fill_rows(buffer[: stop - start], sources, stage) for stage, buffer in buffers)
+        )
 
     mu = facts.true_mean
-    failures = 0
-    abs_rel_errors = np.empty(config.replications)
-    for r in range(config.replications):
-        source = SampleSource(config.dist, config.seed, replicate_index=r)
-        if kind is EstimatorKind.TWO_STAGE:
-            value = estimate_mean(source, spec, config.mode).mu_hat
-        elif kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
-            value = median_of_means(source, mom_k, mom_m)
-        else:
-            value = float(np.mean(source.take(budget)))
-        rel_err = abs(value - mu) / mu
-        abs_rel_errors[r] = rel_err
-        if rel_err > spec.epsilon:
-            failures += 1
-
+    abs_rel_errors = np.abs(values - mu) / mu
+    failures = int(np.count_nonzero(abs_rel_errors > spec.epsilon))
     return CoverageReport(
         estimator=kind.value,
         distribution=config.dist.spec_string,

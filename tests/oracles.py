@@ -9,10 +9,11 @@ sides stay independent.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from relmean import Poset
+from relmean import Poset, SampleSource, build_plan, scaled_psi
 
 # psi values
 PSI_ONE = 0.91629073187415507  # ln(2.5)
@@ -107,6 +108,37 @@ def median_of_means_reference(draws, k: int, m: int) -> float:
         block = draws[g * k : (g + 1) * k]
         means.append(sum(block) / k)
     return sorted(means)[m // 2]
+
+
+def coverage_reference(config) -> tuple[int, float]:
+    """(failures, mean_abs_rel_error) of a coverage run, computed one
+    replicate at a time on one-dimensional arrays, with the baselines'
+    parameters re-derived here."""
+    spec = config.spec
+    plan = build_plan(spec, config.mode)
+    budget = plan.k * plan.m + plan.n
+    # baseline groups sized for failure 1/8, as many as an odd count allows
+    mom_k = math.ceil(8.0 * spec.c * spec.c / (spec.epsilon * spec.epsilon))
+    groups = budget // mom_k
+    mom_k, mom_m = (budget, 1) if groups == 0 else (mom_k, groups - (groups % 2 == 0))
+
+    def median_of_means(draws, k, m):
+        return np.sort(draws.reshape(m, k).mean(axis=1))[m // 2]
+
+    mu = config.dist.facts().true_mean
+    errors = np.empty(config.replications)
+    for r in range(config.replications):
+        source = SampleSource(config.dist, config.seed, replicate_index=r)
+        if config.estimator.value == "twostage":
+            mu1 = median_of_means(source.take(plan.k * plan.m), plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
+            alpha = spec.epsilon / (spec.c * spec.c * mu1)
+            value = np.mean(mu1 + scaled_psi(alpha, source.take(plan.n) - mu1))
+        elif config.estimator.value == "mom":
+            value = median_of_means(source.take(mom_k * mom_m), mom_k, mom_m)
+        else:
+            value = np.mean(source.take(budget))
+        errors[r] = abs(float(value) - mu) / mu
+    return int(np.sum(errors > spec.epsilon)), float(errors.mean())
 
 
 def relvar_with_se(samples: np.ndarray) -> tuple[float, float]:

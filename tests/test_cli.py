@@ -160,6 +160,19 @@ def test_argument_errors_exit_2(capsys):
         assert err != ""
 
 
+def test_coverage_commands_reject_bad_configs_with_exit_2(capsys, tmp_path):
+    values = tmp_path / "values.txt"
+    values.write_text("".join(f"{v}.0\n" for v in range(1, 5000)), encoding="ascii")
+    flags = ["--epsilon", "0.2", "--delta", "0.1", "--c", "1"]
+    for command in ("coverage", "compare"):
+        code, out, err = run_cli(capsys, command, "--dist", f"recorded:{values}", *flags, "--reps", "100")
+        assert (code, out) == (2, ""), command
+        assert "recorded:4999values" in err and "replays" in err
+        code, out, err = run_cli(capsys, command, "--dist", "constant:2", *flags, "--reps", "99")
+        assert (code, out) == (2, ""), command
+        assert "at least 100 replications" in err
+
+
 def test_unknown_flag_and_subcommand_exit_2(capsys):
     code, _, _ = run_cli(capsys, "samplesize", "--epsilon", "0.1", "--delta", "0.05", "--c", "1", "--bogus", "1")
     assert code == 2

@@ -17,6 +17,7 @@ from relmean import (
     Recorded,
     SampleSource,
     Scaled,
+    SourceContractError,
     build_plan,
     estimate_mean,
     median_of_means,
@@ -182,3 +183,42 @@ def test_estimate_mean_propagates_exhaustion():
     spec = ApproxSpec(0.2, 0.1, 1.0)
     with pytest.raises(InsufficientSamplesError):
         estimate_mean(SampleSource(Recorded((1.0, 2.0, 3.0)), seed=0), spec)
+
+
+class _ScriptedSource:
+    """Replays one prepared array per take call, whatever count is asked for."""
+
+    def __init__(self, *takes):
+        self._takes = list(takes)
+
+    def take(self, n):
+        return self._takes.pop(0)
+
+
+def test_estimate_mean_names_the_stage_of_a_short_take():
+    spec = ApproxSpec(0.2, 0.1, 1.0)
+    plan = build_plan(spec)
+    short_first = _ScriptedSource(np.ones(plan.k * plan.m - 1), np.ones(plan.n))
+    with pytest.raises(SourceContractError, match=f"stage 1: take\\({plan.k * plan.m}\\) returned {plan.k * plan.m - 1} draws"):
+        estimate_mean(short_first, spec)
+    short_second = _ScriptedSource(np.ones(plan.k * plan.m), np.ones(plan.n + 1))
+    with pytest.raises(SourceContractError, match="stage 2: take"):
+        estimate_mean(short_second, spec)
+    scalar = _ScriptedSource(1.0)
+    with pytest.raises(SourceContractError, match="stage 1"):
+        estimate_mean(scalar, spec)
+
+
+def test_estimate_mean_names_the_stage_of_a_nan_draw():
+    spec = ApproxSpec(0.2, 0.1, 1.0)
+    plan = build_plan(spec)
+    bad = np.ones(plan.k * plan.m)
+    bad[7] = math.nan
+    with pytest.raises(SourceContractError, match="stage 1: .*non-finite"):
+        estimate_mean(_ScriptedSource(bad, np.ones(plan.n)), spec)
+    tail = np.ones(plan.n)
+    tail[-1] = math.inf
+    with pytest.raises(SourceContractError, match="stage 2: .*non-finite"):
+        estimate_mean(_ScriptedSource(np.ones(plan.k * plan.m), tail), spec)
+    with pytest.raises(SourceContractError, match="non-finite"):
+        median_of_means(_ScriptedSource(np.array([1.0, math.nan, 2.0])), 1, 3)

@@ -6,6 +6,7 @@ import csv
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +16,13 @@ from relmean import (
     CoverageConfig,
     CoverageReport,
     EstimatorKind,
+    LogNormal,
     Mode,
     Normal,
+    ParetoShape,
+    Recorded,
+    Scaled,
+    SourceContractError,
     build_plan,
     compare_estimators,
     run_coverage,
@@ -24,6 +30,8 @@ from relmean import (
     write_csv,
 )
 from relmean.harness import CSV_HEADER
+
+import oracles
 
 SPEC = ApproxSpec(0.2, 0.1, 0.5)
 DIST = Normal(100.0, 50.0)
@@ -84,6 +92,55 @@ def test_coverage_rejects_void_guarantee():
 def test_coverage_rejects_too_few_replications():
     with pytest.raises(ValueError):
         CoverageConfig(SPEC, DIST, 99, seed=0)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Recorded(tuple(range(1, 200))), Scaled(Recorded((1.0, 2.0, 3.0)), 2.0), Scaled(Scaled(Recorded((4.0, 5.0)), 2.0), 3.0)],
+    ids=["recorded", "scaled", "scaled-twice"],
+)
+def test_coverage_rejects_replay_sources(dist):
+    # every replicate would replay the same prefix of one fixed sequence
+    with pytest.raises(ValueError, match=dist.spec_string):
+        CoverageConfig(SPEC, dist, 100, seed=0)
+
+
+@pytest.mark.parametrize("replications", [101, 1000])
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize(
+    "dist", [LogNormal(1.0), ParetoShape(2.5), Normal(100.0, 50.0)], ids=lambda d: d.spec_string
+)
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_batched_coverage_matches_reference_loop(kind, dist, mode, replications):
+    # 101 leaves a partial chunk of replicate rows; 1000 is the benchmark's R
+    spec = ApproxSpec(0.2, 0.1, dist.facts().c_bound)
+    config = CoverageConfig(spec, dist, replications, seed=2024, mode=mode, estimator=kind)
+    report = run_coverage(config)
+    assert (report.failures, report.mean_abs_rel_error) == oracles.coverage_reference(config)
+
+
+class _Misbehaving:
+    """A distribution whose draws break the take contract."""
+
+    def __init__(self, sample):
+        self.sample = sample
+        self.spec_string = "misbehaving"
+
+    def facts(self):
+        return Normal(100.0, 50.0).facts()
+
+
+@pytest.mark.parametrize(
+    "sample, problem",
+    [
+        (lambda rng, n: rng.normal(100.0, 50.0, max(n - 1, 0)), "returned"),
+        (lambda rng, n: np.full(n, np.nan), "non-finite"),
+    ],
+    ids=["short", "nan"],
+)
+def test_coverage_names_a_broken_take(sample, problem):
+    with pytest.raises(SourceContractError, match=f"stage 1: take.*{problem}"):
+        run_coverage(CoverageConfig(SPEC, _Misbehaving(sample), 100, seed=0))
 
 
 def test_budget_matches_two_stage_plan():

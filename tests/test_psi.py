@@ -84,6 +84,14 @@ def test_scaled_psi_shrinks(u, alpha):
     assert _at_most(abs(scaled_psi(TruncationScale(alpha), u)), abs(u))
 
 
+@settings(max_examples=200, derandomize=True)
+@given(finite_values, st.floats(min_value=1e-6, max_value=1e4))
+def test_scaled_psi_is_psi_of_scaled_argument_exactly(u, alpha):
+    assert scaled_psi(alpha, u) == psi(alpha * u) / alpha
+    grid = np.linspace(-3.0, 3.0, 61) * u
+    assert np.array_equal(scaled_psi(TruncationScale(alpha), grid), psi(alpha * grid) / alpha)
+
+
 def test_envelope_on_dense_grid():
     grid = np.linspace(-100.0, 100.0, 100_001)
     low, mid, high = psi_lower(grid), psi(grid), psi_upper(grid)
