@@ -91,7 +91,8 @@ def _cmd_lowerbound(args) -> dict:
 def _cmd_estimate(args) -> dict:
     spec = _spec_from(args)
     dist = _checked(lambda: parse_distribution(args.dist))
-    report = estimate_mean(SampleSource(dist, args.seed), spec, args.mode)
+    source = _checked(lambda: SampleSource(dist, args.seed))
+    report = estimate_mean(source, spec, args.mode)
     payload = _common_payload(args, spec)
     payload.update(
         {
@@ -174,7 +175,7 @@ def _cmd_gibbs(args) -> dict:
     true_v = math.exp(0.5 * shape * shape)
     stream_eps = eps_prime(spec_check.epsilon)
     stream_spec = ApproxSpec(stream_eps, spec_check.delta / 2.0, math.sqrt(relvar))
-    w_source = SampleSource(Scaled(LogNormal(shape), 2.0), args.seed, replicate_index=0)
+    w_source = _checked(lambda: SampleSource(Scaled(LogNormal(shape), 2.0), args.seed, replicate_index=0))
     v_source = SampleSource(LogNormal(shape), args.seed, replicate_index=1)
     w_report = estimate_mean(w_source, stream_spec, args.mode)
     v_report = estimate_mean(v_source, stream_spec, args.mode)

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .estimator import ApproxSpec, Mode, estimate_mean
+from .sources import _replicate_rng
 
 DESK_SCALE_LIMIT = 10
 
@@ -124,8 +125,7 @@ class ProductEstimateSource:
         self.m_per_level = int(m_per_level)
         self.seed = int(seed)
         self.replicate_index = int(replicate_index)
-        sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.replicate_index,))
-        self._rng = np.random.Generator(np.random.PCG64(sequence))
+        self._rng = _replicate_rng(self.seed, self.replicate_index)
 
     def take(self, n: int) -> np.ndarray:
         n = int(n)

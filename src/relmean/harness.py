@@ -6,13 +6,16 @@ window |estimate - mean| <= epsilon * mean, judged against the exact mean
 from the source's facts.  Baseline estimators run on the same total draw
 budget so sample-efficiency differences are visible at equal cost.
 
-Replicates run in chunks of a few rows.  The plan is built once per run;
-each replicate r keeps its own stream (seed, r), and fills one row of a
-stage-1 matrix and one row of a stage-2 matrix with two separate takes,
-as a single estimate_mean call would.  The estimator's batched kernel
-then reduces every row at once (group means, median, truncated average
-along the rows), with the same arithmetic per row as a single run, so a
-coverage report is bit-identical to one replicate-at-a-time loop.
+Replicates run in chunks of a few rows.  The plan is built once per run,
+and so are the PCG64 seeds of all R replicate streams, in one vectorised
+pass that matches numpy's SeedSequence bit for bit (sources.py states the
+derivation).  Each replicate r keeps its own stream (seed, r), and fills
+one row of a stage-1 matrix and one row of a stage-2 matrix with two
+separate takes, as a single estimate_mean call would.  The estimator's
+batched kernel then reduces every row at once (group means, median,
+truncated average along the rows), with the same arithmetic per row as a
+single run, so a coverage report is bit-identical to one
+replicate-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .estimator import ApproxSpec, Mode, _fill_rows, _median_rows, _two_stage_rows, build_plan
 from .estimator import estimate_mean, median_of_means  # noqa: F401 - bench/tracing.py wraps them here
-from .sources import Recorded, SampleSource, Scaled
+from .sources import SampleSource, _nonnegative_int, _replays, _replicate_seed_words
 
 __all__ = [
     "EstimatorKind",
@@ -57,18 +60,15 @@ class CoverageConfig:
     def __post_init__(self) -> None:
         if self.replications < 100:
             raise ValueError("coverage needs at least 100 replications")
+        if self.replications >= 2**32:
+            # replicate indices must fit one 32-bit spawn-key word
+            raise ValueError(f"replications must be below 2**32, got {self.replications}")
+        _nonnegative_int("seed", self.seed)
         if _replays(self.dist):
             raise ValueError(
                 f"coverage needs independent replicate streams, but {self.dist.spec_string} "
                 "replays one fixed sequence in every replicate"
             )
-
-
-def _replays(dist) -> bool:
-    """True for a recorded sequence, also behind any number of Scaled wrappers."""
-    while isinstance(dist, Scaled):
-        dist = dist.inner
-    return isinstance(dist, Recorded)
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,10 @@ def run_coverage(config: CoverageConfig) -> CoverageReport:
 
     buffers = [(stage, np.empty((_CHUNK_ROWS, width))) for stage, width in stages]
     values = np.empty(config.replications)
+    seed_words = _replicate_seed_words(config.seed, np.arange(config.replications))
     for start in range(0, config.replications, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, config.replications)
-        sources = [SampleSource(config.dist, config.seed, replicate_index=r) for r in range(start, stop)]
+        sources = [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
         values[start:stop] = estimate(
             *(_fill_rows(buffer[: stop - start], sources, stage) for stage, buffer in buffers)
         )

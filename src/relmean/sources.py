@@ -1,10 +1,13 @@
 """Seeded sample sources with exact distribution facts.
 
 Every source is a deterministic stream: the same (distribution, seed,
-replicate index) always yields the same draw sequence, and distinct
-replicate indices yield statistically independent streams derived from the
-same base seed.  Draws come from numpy's PCG64 generator; the algorithm
-name is exposed so experiment reports can record it.
+replicate index) always yields the same draw sequence.  Replicate r of
+base seed s draws from ``Generator(PCG64(SeedSequence(entropy=s,
+spawn_key=(r,))))``, so distinct replicate indices give statistically
+independent streams of one base seed.  A coverage run seeds all of its
+replicate streams at once with ``_replicate_seed_words``, which computes
+the same PCG64 seeds as numpy's SeedSequence in one vectorised pass.  The
+algorithm name is exposed so experiment reports can record it.
 """
 
 from __future__ import annotations
@@ -193,6 +196,17 @@ class Recorded:
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("recorded values must be finite")
 
+    def sample(self, cursor: "_ReplayCursor", n: int) -> np.ndarray:
+        """The n values after `cursor.position`, which moves past them."""
+        end = cursor.position + n
+        if end > len(self.values):
+            raise InsufficientSamplesError(
+                f"recorded source holds {len(self.values)} values, needed {end}"
+            )
+        out = np.asarray(self.values[cursor.position : end], dtype=float)
+        cursor.position = end
+        return out
+
     def facts(self) -> SourceFacts:
         arr = np.asarray(self.values)
         mean = _positive("recorded mean", float(arr.mean()))
@@ -230,39 +244,170 @@ class Scaled:
         return f"scaled:{self.factor:g}:{self.inner.spec_string}"
 
 
+def _replays(dist) -> bool:
+    """True for a recorded sequence, also behind any number of Scaled wrappers."""
+    while isinstance(dist, Scaled):
+        dist = dist.inner
+    return isinstance(dist, Recorded)
+
+
+class _ReplayCursor:
+    """Read position in a recorded sequence: what a replaying stream passes
+    to ``sample`` in place of a generator."""
+
+    __slots__ = ("position",)
+
+    def __init__(self):
+        self.position = 0
+
+
+# --- replicate streams ----------------------------------------------------
+#
+# _replicate_rng defines a replicate stream.  PCG64 seeds itself from
+# SeedSequence.generate_state(4, uint64); _replicate_seed_words computes
+# those four words for many replicates at once with SeedSequence's published
+# hash (numpy/random/bit_generator.pyx).  The pool mixed from the seed's
+# 32-bit words is the same for every replicate, so it is mixed once in
+# Python ints; only the spawn-key word r and the output hash run as uint32
+# array operations.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _nonnegative_int(name: str, value) -> int:
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value}")
+    return value
+
+
+def _replicate_seed_words(seed: int, replicates) -> np.ndarray:
+    """PCG64 seed words of the streams (seed, r) for every r in `replicates`.
+
+    Row i equals ``SeedSequence(entropy=seed, spawn_key=(replicates[i],))
+    .generate_state(4, np.uint64)``, bit for bit.  Each r must fit one
+    32-bit spawn-key word.
+    """
+    seed = _nonnegative_int("seed", seed)
+    replicates = np.asarray(replicates)
+    if replicates.size and not (0 <= replicates.min() and replicates.max() <= _MASK32):
+        raise ValueError("replicate indices must lie in [0, 2**32)")
+    # the seed's 32-bit words, least significant first, padded to the pool
+    # size because a spawn key follows
+    entropy = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # the spawn-key word r, mixed into every pool word: hashmix and mix as
+    # above, with uint32 arithmetic wrapping modulo 2**32
+    u32 = np.uint32
+    key = replicates.astype(u32)
+    columns = []
+    for word in pool:
+        mixed = key ^ u32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        mixed *= u32(hash_const)
+        mixed ^= mixed >> u32(_XSHIFT)
+        column = u32((_MIX_MULT_L * word) & _MASK32) - u32(_MIX_MULT_R) * mixed
+        column ^= column >> u32(_XSHIFT)
+        columns.append(column)
+
+    # generate_state(4, uint64): 8 output words cycling over the pool,
+    # paired little-endian into uint64
+    state = np.empty((len(key), 2 * _POOL_SIZE), dtype=u32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        out = columns[i % _POOL_SIZE] ^ u32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        out *= u32(hash_const)
+        out ^= out >> u32(_XSHIFT)
+        state[:, i] = out
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _PresetSeed(np.random.bit_generator.ISeedSequence):
+    """Seed words computed ahead, handed to PCG64 as its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _replicate_rng(seed: int, replicate_index: int, seed_words=None) -> np.random.Generator:
+    """The generator of replicate stream (seed, replicate_index):
+    ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(replicate_index,))))``.
+
+    Every SampleSource and ProductEstimateSource draws from one.
+    `seed_words` are the stream's row of _replicate_seed_words, if already
+    computed; otherwise numpy's SeedSequence derives them.
+    """
+    seed = _nonnegative_int("seed", seed)
+    replicate_index = _nonnegative_int("replicate_index", replicate_index)
+    if seed_words is None:
+        sequence = np.random.SeedSequence(entropy=seed, spawn_key=(replicate_index,))
+    else:
+        sequence = _PresetSeed(seed_words)
+    return np.random.Generator(np.random.PCG64(sequence))
+
+
 class SampleSource:
     """Deterministic stream of iid draws from one distribution.
 
     ``take(n)`` returns the next n draws and advances the stream;
     ``sibling(i)`` opens the independent stream for replicate i of the same
-    base seed.  A source instance is single-consumer.
+    base seed.  A source instance is single-consumer.  A recorded sequence,
+    also behind Scaled, replays from its start whatever the seed.
     """
 
     algorithm = RNG_ALGORITHM
 
-    def __init__(self, dist, seed: int, replicate_index: int = 0):
+    def __init__(self, dist, seed: int, replicate_index: int = 0, _seed_words=None):
         self.dist = dist
-        self.seed = int(seed)
-        self.replicate_index = int(replicate_index)
-        sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.replicate_index,))
-        self._rng = np.random.Generator(np.random.PCG64(sequence))
-        self._position = 0
+        self.seed = _nonnegative_int("seed", seed)
+        self.replicate_index = _nonnegative_int("replicate_index", replicate_index)
+        if _replays(dist):
+            self._rng = _ReplayCursor()
+        else:
+            self._rng = _replicate_rng(self.seed, self.replicate_index, _seed_words)
 
     def take(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("draw count must be nonnegative")
-        n = int(n)
-        if isinstance(self.dist, Recorded):
-            end = self._position + n
-            if end > len(self.dist.values):
-                raise InsufficientSamplesError(
-                    f"recorded source holds {len(self.dist.values)} values, "
-                    f"needed {end}"
-                )
-            out = np.asarray(self.dist.values[self._position : end], dtype=float)
-            self._position = end
-            return out
-        return self.dist.sample(self._rng, n)
+        return self.dist.sample(self._rng, int(n))
 
     def next(self) -> float:
         return float(self.take(1)[0])

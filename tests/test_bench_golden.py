@@ -3,7 +3,9 @@
 bench/workloads.py builds the six seeded coverage operations (run_coverage
 and compare_estimators at R = 1000 on three distributions) and
 bench/golden.json holds their recorded outputs, exact to the last bit.
-Both files are only read.  The pass runs in a child interpreter: Hypothesis
+Both files are only read, as is bench/tracing.py, whose tracer replays one
+operation with its span wrappers installed, as ``bench/run.py --trace 1``
+does.  Each pass runs in a child interpreter: Hypothesis
 draws example values from the numeric constants of every module loaded in
 its process, so importing the workload module here would change the
 examples other tests of this session see.
@@ -27,15 +29,45 @@ coverage = workloads.Coverage(seed=0)
 print(json.dumps([coverage.golden_value(op.call()) for op in coverage.golden]))
 """
 
+# compare_estimators on lognormal:1 (all three estimator kinds) under the tracer
+TRACED = """
+import json
+import tracing
+import workloads
+op = workloads.Coverage(seed=0).golden[1]
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    value = workloads.Coverage.golden_value(op.call())
+finally:
+    tracer.uninstall()
+setup = tracer.summary()["spans"]["sources.setup"]
+print(json.dumps({"value": value, "setup_calls": setup["calls"], "replicates": op.replicates}))
+"""
 
-def test_coverage_golden_pass_is_bit_identical():
-    golden = json.loads((BENCH / "golden.json").read_text(encoding="ascii"))["coverage"]
+
+def _golden():
+    return json.loads((BENCH / "golden.json").read_text(encoding="ascii"))["coverage"]
+
+
+def _run_child(script: str):
     path = os.pathsep.join([str(ROOT / "src"), str(BENCH)])
     # -B: write no bytecode cache under bench/
     out = subprocess.run(
-        [sys.executable, "-B", "-c", REPLAY],
+        [sys.executable, "-B", "-c", script],
         capture_output=True, text=True, timeout=300, cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == golden
+    return json.loads(out.stdout)
+
+
+def test_coverage_golden_pass_is_bit_identical():
+    assert _run_child(REPLAY) == _golden()
+
+
+def test_traced_coverage_operation_matches_golden():
+    traced = _run_child(TRACED)
+    assert traced["value"] == _golden()[1]
+    # every replicate stream is opened through the name the tracer wraps
+    assert traced["setup_calls"] == traced["replicates"] == 3000

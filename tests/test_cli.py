@@ -173,6 +173,19 @@ def test_coverage_commands_reject_bad_configs_with_exit_2(capsys, tmp_path):
         assert "at least 100 replications" in err
 
 
+def test_negative_seed_exits_2_naming_seed(capsys):
+    flags = ["--epsilon", "0.2", "--delta", "0.1", "--c", "1", "--seed", "-1"]
+    for argv in (
+        ["estimate", "--dist", "lognormal:1", *flags],
+        ["coverage", "--dist", "lognormal:1", *flags, "--reps", "100"],
+        ["compare", "--dist", "lognormal:1", *flags, "--reps", "100"],
+        ["gibbs", "--epsilon", "0.2", "--delta", "0.1", "--seed", "-1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "seed must be a nonnegative integer" in err, argv
+
+
 def test_unknown_flag_and_subcommand_exit_2(capsys):
     code, _, _ = run_cli(capsys, "samplesize", "--epsilon", "0.1", "--delta", "0.05", "--c", "1", "--bogus", "1")
     assert code == 2

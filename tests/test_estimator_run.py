@@ -222,3 +222,14 @@ def test_estimate_mean_names_the_stage_of_a_nan_draw():
         estimate_mean(_ScriptedSource(np.ones(plan.k * plan.m), tail), spec)
     with pytest.raises(SourceContractError, match="non-finite"):
         median_of_means(_ScriptedSource(np.array([1.0, math.nan, 2.0])), 1, 3)
+
+
+def test_estimate_mean_on_scaled_recorded_source():
+    # the replay of a scaled recording estimates exactly as the recording of
+    # the scaled values does
+    spec = ApproxSpec(0.2, 0.1, 1.0)
+    plan = build_plan(spec)
+    draws = SampleSource(LogNormal(1.0), seed=4243).take(plan.k * plan.m + plan.n)
+    scaled = estimate_mean(SampleSource(Scaled(Recorded(tuple(draws)), 2.5), seed=0), spec)
+    recorded = estimate_mean(SampleSource(Recorded(tuple(2.5 * draws)), seed=0), spec)
+    assert scaled == recorded

@@ -94,6 +94,17 @@ def test_coverage_rejects_too_few_replications():
         CoverageConfig(SPEC, DIST, 99, seed=0)
 
 
+def test_coverage_rejects_replications_beyond_one_spawn_key_word():
+    CoverageConfig(SPEC, DIST, 2**32 - 1, seed=0)
+    with pytest.raises(ValueError, match="replications"):
+        CoverageConfig(SPEC, DIST, 2**32, seed=0)
+
+
+def test_coverage_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        CoverageConfig(SPEC, DIST, 100, seed=-1)
+
+
 @pytest.mark.parametrize(
     "dist",
     [Recorded(tuple(range(1, 200))), Scaled(Recorded((1.0, 2.0, 3.0)), 2.0), Scaled(Scaled(Recorded((4.0, 5.0)), 2.0), 3.0)],
@@ -115,6 +126,21 @@ def test_batched_coverage_matches_reference_loop(kind, dist, mode, replications)
     # 101 leaves a partial chunk of replicate rows; 1000 is the benchmark's R
     spec = ApproxSpec(0.2, 0.1, dist.facts().c_bound)
     config = CoverageConfig(spec, dist, replications, seed=2024, mode=mode, estimator=kind)
+    report = run_coverage(config)
+    assert (report.failures, report.mean_abs_rel_error) == oracles.coverage_reference(config)
+
+
+@pytest.mark.parametrize("replications", [101, 1000])
+@pytest.mark.parametrize(
+    "dist", [LogNormal(1.0), ParetoShape(2.5), Normal(100.0, 50.0)], ids=lambda d: d.spec_string
+)
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
+def test_batched_coverage_matches_reference_loop_across_seed_widths(seed, kind, dist, replications):
+    # seeds of one, two and three 32-bit words: the run seeds its streams in
+    # one batch, the reference opens each SampleSource(dist, seed, r) alone
+    spec = ApproxSpec(0.2, 0.1, dist.facts().c_bound)
+    config = CoverageConfig(spec, dist, replications, seed=seed, estimator=kind)
     report = run_coverage(config)
     assert (report.failures, report.mean_abs_rel_error) == oracles.coverage_reference(config)
 

@@ -21,6 +21,7 @@ from relmean import (
     load_recorded,
     parse_distribution,
 )
+from relmean.sources import _replicate_seed_words
 
 import oracles
 
@@ -183,3 +184,50 @@ def test_distribution_validation():
         ParetoShape(0.0)
     with pytest.raises(ValueError):
         Scaled(LogNormal(1.0), 0.0)
+
+
+# seeds of 1 to 4 32-bit entropy words, which fill the pool, and of 6,
+# whose last words are mixed in after it; replicate indices up to the
+# largest one spawn-key word holds
+SEEDER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**62 - 1, 2**64 + 5, 2**127 + 3, 2**160 + 9]
+SEEDER_REPLICATES = [0, 1, 7, 999, 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDER_SEEDS)
+def test_batched_seeder_matches_seed_sequence(seed):
+    words = _replicate_seed_words(seed, np.array(SEEDER_REPLICATES))
+    assert words.shape == (len(SEEDER_REPLICATES), 4) and words.dtype == np.uint64
+    dist = LogNormal(1.0)
+    for row, r in zip(words, SEEDER_REPLICATES):
+        sequence = np.random.SeedSequence(entropy=seed, spawn_key=(r,))
+        assert np.array_equal(row, sequence.generate_state(4, np.uint64)), r
+        reference = SampleSource(dist, seed, r)
+        batched = SampleSource(dist, seed, r, row)
+        assert batched._rng.bit_generator.state == reference._rng.bit_generator.state
+        assert np.array_equal(batched.take(50), reference.take(50)), r
+
+
+def test_stream_seed_and_index_must_be_nonnegative():
+    with pytest.raises(ValueError, match="seed"):
+        SampleSource(LogNormal(1.0), seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        SampleSource(Recorded((1.0, 2.0)), seed=-1)
+    with pytest.raises(ValueError, match="replicate_index"):
+        SampleSource(LogNormal(1.0), seed=0, replicate_index=-1)
+    with pytest.raises(ValueError, match="seed"):
+        _replicate_seed_words(-1, np.arange(3))
+    with pytest.raises(ValueError, match="replicate indices"):
+        _replicate_seed_words(0, np.array([0, 2**32]))
+    with pytest.raises(ValueError, match="replicate indices"):
+        _replicate_seed_words(0, np.array([-1, 0]))
+
+
+def test_scaled_recorded_replays_scaled_prefix():
+    values = (0.1, 0.7, 1.3, 2.9)
+    src = SampleSource(Scaled(Scaled(Recorded(values), 0.1), 3.0), seed=0)
+    # the same multiplication order as Scaled.sample: outer factor last
+    expected = 3.0 * (0.1 * np.asarray(values))
+    assert np.array_equal(src.take(3), expected[:3])
+    assert np.array_equal(src.take(1), expected[3:])
+    with pytest.raises(InsufficientSamplesError, match="holds 4 values, needed 5"):
+        src.take(1)
