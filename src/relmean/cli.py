@@ -32,7 +32,7 @@ from .estimator import (
     theorem1_total,
 )
 from .harness import CoverageConfig, EstimatorKind, compare_estimators, run_coverage, write_csv
-from .sources import RNG_ALGORITHM, LogNormal, SampleSource, Scaled, parse_distribution
+from .sources import RNG_ALGORITHM, LogNormal, SampleSource, Scaled, _nonnegative_int, parse_distribution
 
 
 class _ArgumentError(Exception):
@@ -143,6 +143,7 @@ def _cmd_linext(args) -> dict:
     _checked(lambda: ApproxSpec(args.epsilon, args.delta, 1.0))  # validates eps/delta early
     if args.m_per_level < 1:
         raise _ArgumentError("--m-per-level must be at least 1")
+    _checked(lambda: _nonnegative_int("seed", args.seed))
     poset = _checked(lambda: Poset.from_file(args.poset))
     estimate = linext_approx_count(
         poset, args.epsilon, args.delta, args.m_per_level, args.seed, args.mode

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .estimator import ApproxSpec, Mode, estimate_mean
-from .sources import _replicate_rng
+from .sources import _nonnegative_int, _replicate_rng
 
 DESK_SCALE_LIMIT = 10
 
@@ -91,11 +91,16 @@ def product_estimate(chain: NestedChain, m_per_level: int, seed: int) -> float:
     m_per_level = int(m_per_level)
     if m_per_level < 1:
         raise ValueError("m_per_level must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-    estimate = 1.0
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=_nonnegative_int("seed", seed)))
+    return float(_product_draws(chain, rng, 1, m_per_level)[0])
+
+
+def _product_draws(chain: NestedChain, rng: np.random.Generator, n: int, m_per_level: int) -> np.ndarray:
+    """n independent product estimates, all levels' indicators drawn as (n, m_per_level) blocks."""
+    out = np.ones(n)
     for sampler in chain.samplers:
-        estimate *= float(np.mean(sampler(rng, (m_per_level,))))
-    return estimate
+        out *= sampler(rng, (n, m_per_level)).mean(axis=1)
+    return out
 
 
 def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
@@ -131,10 +136,7 @@ class ProductEstimateSource:
         n = int(n)
         if n < 0:
             raise ValueError("draw count must be nonnegative")
-        out = np.ones(n)
-        for sampler in self.chain.samplers:
-            out *= sampler(self._rng, (n, self.m_per_level)).mean(axis=1)
-        return out
+        return _product_draws(self.chain, self._rng, n, self.m_per_level)
 
     def sibling(self, replicate_index: int) -> "ProductEstimateSource":
         return ProductEstimateSource(self.chain, self.m_per_level, self.seed, replicate_index)
@@ -142,62 +144,59 @@ class ProductEstimateSource:
 
 @dataclass(frozen=True)
 class Poset:
-    """Partial order on elements 1..n, stored as its full transitive closure.
+    """Partial order on elements 1..n, stored as closed predecessor bit masks.
 
-    `relation` holds ordered pairs (i, j) meaning i comes before j; storage
-    is irreflexive, antisymmetric, and transitively closed (validated).
-    Build instances with from_pairs / from_text / from_file / chain /
-    antichain rather than passing a raw closure.
+    Bit i-1 of `preds[j-1]` is set when element i comes before element j.
+    The masks are irreflexive and transitively closed (validated), which
+    makes the order antisymmetric.  Build instances with from_pairs /
+    from_text / from_file / chain / antichain rather than passing raw masks.
     """
 
-    n: int
-    relation: frozenset
+    preds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        preds = tuple(int(mask) for mask in self.preds)
+        object.__setattr__(self, "preds", preds)
+        n = len(preds)
+        if n < 1:
             raise ValueError("a poset needs at least one element")
-        rel = frozenset((int(i), int(j)) for i, j in self.relation)
-        object.__setattr__(self, "relation", rel)
-        for i, j in rel:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"pair ({i}, {j}) is outside 1..{self.n}")
-            if i == j:
-                raise ValueError(f"reflexive pair ({i}, {j}) is not stored")
-            if (j, i) in rel:
-                raise ValueError(f"antisymmetry violated by ({i}, {j}) and ({j}, {i})")
-        for i, j in rel:
-            for a, b in rel:
-                if j == a and (i, b) not in rel:
-                    raise ValueError(f"relation is not transitively closed: ({i}, {b}) missing")
+        for j, mask in enumerate(preds):
+            if not 0 <= mask < 1 << n:
+                raise ValueError(f"predecessor mask {mask:#x} of element {j + 1} has bits outside 1..{n}")
+            if mask >> j & 1:
+                raise ValueError(f"order contains a cycle through element {j + 1}")
+            for i in range(n):
+                if mask >> i & 1 and preds[i] & ~mask:
+                    raise ValueError(f"masks are not transitively closed: {j + 1} lacks a predecessor of {i + 1}")
+
+    @property
+    def n(self) -> int:
+        return len(self.preds)
+
+    @property
+    def relation(self) -> frozenset:
+        """The ordered pairs (i, j) with i before j: the full transitive closure."""
+        n = self.n
+        return frozenset((i + 1, j + 1) for j, mask in enumerate(self.preds) for i in range(n) if mask >> i & 1)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Poset":
-        """Build from covering (or any) pairs; computes the transitive closure
-        and rejects cycles."""
+        """Build from covering (or any) pairs; computes the transitive closure,
+        in which a cycle shows as an element preceding itself, rejected by
+        validation."""
         n = int(n)
-        if n < 1:
-            raise ValueError("a poset needs at least one element")
-        closer = [[False] * (n + 1) for _ in range(n + 1)]
+        preds = [0] * n
         for i, j in pairs:
             i, j = int(i), int(j)
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i}, {j}) is outside 1..{n}")
-            closer[i][j] = True
-        for mid in range(1, n + 1):
-            for a in range(1, n + 1):
-                if closer[a][mid]:
-                    row_mid = closer[mid]
-                    row_a = closer[a]
-                    for b in range(1, n + 1):
-                        if row_mid[b]:
-                            row_a[b] = True
-        for a in range(1, n + 1):
-            if closer[a][a]:
-                raise ValueError(f"order contains a cycle through element {a}")
-        rel = frozenset(
-            (a, b) for a in range(1, n + 1) for b in range(1, n + 1) if closer[a][b]
-        )
-        return cls(n, rel)
+            preds[j - 1] |= 1 << (i - 1)
+        # Warshall's closure: whatever precedes k also precedes everything after k
+        for k in range(n):
+            for j in range(n):
+                if preds[j] >> k & 1:
+                    preds[j] |= preds[k]
+        return cls(tuple(preds))
 
     @classmethod
     def chain(cls, n: int) -> "Poset":
@@ -240,14 +239,6 @@ def _check_desk_scale(p: Poset) -> None:
         )
 
 
-def _predecessor_masks(p: Poset) -> tuple[int, ...]:
-    """Bit mask of predecessors for each element; entry e-1 and bit e-1 stand for element e."""
-    masks = [0] * p.n
-    for i, j in p.relation:
-        masks[j - 1] |= 1 << (i - 1)
-    return tuple(masks)
-
-
 def _minimal_bits(preds: tuple[int, ...], rest: int) -> list[int]:
     """Bits of the elements of `rest` with no predecessor in `rest`, in ascending label order."""
     return [1 << e for e, mask in enumerate(preds) if rest >> e & 1 and not mask & rest]
@@ -276,21 +267,20 @@ _sampler_counts = lru_cache(maxsize=8)(_completion_counts)
 def linext_count_exact(p: Poset) -> int:
     """Exact number of linear extensions via dynamic programming over downsets."""
     _check_desk_scale(p)
-    return _completion_counts(_predecessor_masks(p))((1 << p.n) - 1)
+    return _completion_counts(p.preds)((1 << p.n) - 1)
 
 
 def linext_uniform_sample(p: Poset, seed: int) -> tuple[int, ...]:
     """One uniformly random linear extension: a uniform rank among all
     extensions, unranked in lexicographic order through the completion counts."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=_nonnegative_int("seed", seed)))
     _check_desk_scale(p)
-    preds = _predecessor_masks(p)
-    count = _sampler_counts(preds)
+    count = _sampler_counts(p.preds)
     rest = (1 << p.n) - 1
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
     rank = int(rng.integers(0, count(rest)))
     order = []
     while rest:
-        for bit in _minimal_bits(preds, rest):
+        for bit in _minimal_bits(p.preds, rest):
             below = count(rest & ~bit)
             if rank < below:
                 break
@@ -335,18 +325,17 @@ def linext_chain(p: Poset) -> NestedChain:
     1/n, and the terminal set holds exactly one extension.
     """
     _check_desk_scale(p)
-    preds = _predecessor_masks(p)
-    count = _completion_counts(preds)
+    count = _completion_counts(p.preds)
     samplers: list[Sampler] = []
     rest = (1 << p.n) - 1
     while rest:
         blocked = 0
-        for e, mask in enumerate(preds):
+        for e, mask in enumerate(p.preds):
             if rest >> e & 1:
                 blocked |= mask
         free = rest & ~blocked
         pinned = free & -free
-        samplers.append(_level_sampler(preds, count, rest, pinned))
+        samplers.append(_level_sampler(p.preds, count, rest, pinned))
         rest &= ~pinned
     return NestedChain(
         samplers=tuple(samplers),

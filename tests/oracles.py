@@ -70,33 +70,59 @@ def count_extensions_bruteforce(p: Poset) -> int:
     return len(linear_extensions_lex(p))
 
 
-def poset_family(seed: int = 2024, count: int = 60, max_n: int = 7) -> list[Poset]:
-    """Deterministic family of small posets: named shapes plus random orders.
-
-    Random orders are generated over a hidden shuffled total order, which
-    guarantees acyclicity before the transitive closure is taken.
-    """
-    family = [
-        Poset.chain(1),
-        Poset.chain(4),
-        Poset.antichain(4),
-        Poset.from_pairs(4, [(1, 2), (3, 4)]),
-        Poset.from_pairs(2, [(1, 2)]),
-        Poset.antichain(3),
-        Poset.from_pairs(5, [(1, 2), (1, 3), (2, 4), (3, 4)]),  # diamond plus isolated 5
-        Poset.from_pairs(6, [(1, 4), (2, 4), (3, 4)]),  # three below one
+def poset_inputs(seed: int = 2024, count: int = 60, max_n: int = 7) -> list[tuple[int, list]]:
+    """(n, pairs) inputs of poset_family: named shapes plus random orders."""
+    inputs = [
+        (1, []),  # chain(1)
+        (4, [(1, 2), (2, 3), (3, 4)]),  # chain(4)
+        (4, []),  # antichain(4)
+        (4, [(1, 2), (3, 4)]),
+        (2, [(1, 2)]),
+        (3, []),  # antichain(3)
+        (5, [(1, 2), (1, 3), (2, 4), (3, 4)]),  # diamond plus isolated 5
+        (6, [(1, 4), (2, 4), (3, 4)]),  # three below one
     ]
     rng = np.random.default_rng(seed)
-    while len(family) < count:
+    while len(inputs) < count:
         n = int(rng.integers(2, max_n + 1))
-        hidden = [int(v) for v in rng.permutation(n) + 1]
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.35:
-                    pairs.append((hidden[i], hidden[j]))
-        family.append(Poset.from_pairs(n, pairs))
-    return family
+        inputs.append((n, random_order_pairs(rng, n, 0.35)))
+    return inputs
+
+
+def random_order_pairs(rng, n: int, density: float) -> list[tuple[int, int]]:
+    """Pairs of a random order on 1..n: each pair of a hidden shuffled total
+    order is kept with probability `density`, so the pairs have no cycle."""
+    hidden = [int(v) for v in rng.permutation(n) + 1]
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                pairs.append((hidden[i], hidden[j]))
+    return pairs
+
+
+def poset_family(seed: int = 2024, count: int = 60, max_n: int = 7) -> list[Poset]:
+    """Deterministic family of small posets, built from poset_inputs."""
+    return [Poset.from_pairs(n, pairs) for n, pairs in poset_inputs(seed, count, max_n)]
+
+
+def closure_reference(n: int, pairs) -> frozenset:
+    """Transitive closure of `pairs` on 1..n: (i, j) for every j reachable
+    from i along one or more pairs, found by a graph search from each i."""
+    after = {i: set() for i in range(1, n + 1)}
+    for i, j in pairs:
+        after[i].add(j)
+    closure = set()
+    for start in range(1, n + 1):
+        stack = list(after[start])
+        seen = set()
+        while stack:
+            j = stack.pop()
+            if j not in seen:
+                seen.add(j)
+                stack.extend(after[j])
+        closure.update((start, j) for j in seen)
+    return frozenset(closure)
 
 
 def median_of_means_reference(draws, k: int, m: int) -> float:

@@ -1,8 +1,10 @@
-"""The benchmark's coverage golden pass, replayed in the test suite.
+"""The benchmark's golden passes, replayed in the test suite.
 
-bench/workloads.py builds the six seeded coverage operations (run_coverage
-and compare_estimators at R = 1000 on three distributions) and
-bench/golden.json holds their recorded outputs, exact to the last bit.
+bench/workloads.py builds the seeded operations of each workload's golden
+pass (coverage: run_coverage and compare_estimators at R = 1000 on three
+distributions; estimate: 504 estimate_mean calls; linext: 104 certified
+linear-extension counts) and bench/golden.json holds their recorded
+outputs, exact to the last bit.
 Both files are only read, as is bench/tracing.py, whose tracer replays one
 operation with its span wrappers installed, as ``bench/run.py --trace 1``
 does.  Each pass runs in a child interpreter: Hypothesis
@@ -19,14 +21,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 
 REPLAY = """
 import json
 import workloads
-coverage = workloads.Coverage(seed=0)
-print(json.dumps([coverage.golden_value(op.call()) for op in coverage.golden]))
+golden = {}
+for name, workload in workloads.WORKLOADS.items():
+    passes = workload(seed=0)
+    golden[name] = [passes.golden_value(op.call()) for op in passes.golden]
+print(json.dumps(golden))
 """
 
 # compare_estimators on lognormal:1 (all three estimator kinds) under the tracer
@@ -46,8 +53,8 @@ print(json.dumps({"value": value, "setup_calls": setup["calls"], "replicates": o
 """
 
 
-def _golden():
-    return json.loads((BENCH / "golden.json").read_text(encoding="ascii"))["coverage"]
+def _golden(workload: str = "coverage"):
+    return json.loads((BENCH / "golden.json").read_text(encoding="ascii"))[workload]
 
 
 def _run_child(script: str):
@@ -62,8 +69,21 @@ def _run_child(script: str):
     return json.loads(out.stdout)
 
 
-def test_coverage_golden_pass_is_bit_identical():
-    assert _run_child(REPLAY) == _golden()
+@pytest.fixture(scope="module")
+def replayed():
+    return _run_child(REPLAY)
+
+
+def test_coverage_golden_pass_is_bit_identical(replayed):
+    assert replayed["coverage"] == _golden()
+
+
+def test_estimate_golden_pass_is_bit_identical(replayed):
+    assert replayed["estimate"] == _golden("estimate")
+
+
+def test_linext_golden_pass_is_bit_identical(replayed):
+    assert replayed["linext"] == _golden("linext")
 
 
 def test_traced_coverage_operation_matches_golden():

@@ -173,13 +173,16 @@ def test_coverage_commands_reject_bad_configs_with_exit_2(capsys, tmp_path):
         assert "at least 100 replications" in err
 
 
-def test_negative_seed_exits_2_naming_seed(capsys):
+def test_negative_seed_exits_2_naming_seed(capsys, tmp_path):
     flags = ["--epsilon", "0.2", "--delta", "0.1", "--c", "1", "--seed", "-1"]
+    poset = tmp_path / "poset.txt"
+    poset.write_text("3\n1 2\n", encoding="ascii")
     for argv in (
         ["estimate", "--dist", "lognormal:1", *flags],
         ["coverage", "--dist", "lognormal:1", *flags, "--reps", "100"],
         ["compare", "--dist", "lognormal:1", *flags, "--reps", "100"],
         ["gibbs", "--epsilon", "0.2", "--delta", "0.1", "--seed", "-1"],
+        ["linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1", "--seed", "-1"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -54,10 +54,20 @@ def test_product_estimate_validation():
     chain = bernoulli_chain([0.5])
     with pytest.raises(ValueError):
         product_estimate(chain, 0, seed=1)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        product_estimate(chain, 5, seed=-1)
     with pytest.raises(ValueError):
         NestedChain(samplers=(), known_terminal=1.0, max_inverse_ratio=2.0)
     with pytest.raises(ValueError):
         NestedChain(samplers=(bernoulli_sampler(0.5),), known_terminal=0.0, max_inverse_ratio=2.0)
+
+
+def test_product_estimate_seeded_values():
+    # recorded before product_estimate and ProductEstimateSource.take shared one draw loop
+    chain = linext_chain(Poset.from_pairs(5, [(1, 2), (1, 3), (2, 4), (3, 4)]))
+    recorded = {0: "0x1.70a3d70a3d70bp-4", 7: "0x1.5532617c1bda5p-4", 2**40 + 3: "0x1.7a786c226809dp-4"}
+    for seed, value in recorded.items():
+        assert product_estimate(chain, 20, seed).hex() == value
 
 
 def test_fair_coin_law():
@@ -142,12 +152,22 @@ def test_cycle_rejected():
 
 
 def test_raw_relation_validated():
+    # bit i-1 of preds[j-1]: element i comes before element j
+    assert Poset((0b000, 0b001, 0b011)) == Poset.chain(3)
+    with pytest.raises(ValueError, match="transitively closed"):
+        Poset((0b000, 0b001, 0b010))  # 1 < 2 < 3 without 1 < 3
     with pytest.raises(ValueError):
-        Poset(3, frozenset({(1, 2), (2, 3)}))  # missing (1, 3)
-    with pytest.raises(ValueError):
-        Poset(2, frozenset({(1, 2), (2, 1)}))
-    with pytest.raises(ValueError):
-        Poset(2, frozenset({(1, 3)}))
+        Poset((0b10, 0b01))  # 1 < 2 and 2 < 1
+    with pytest.raises(ValueError, match="outside"):
+        Poset((0b000, 0b100))  # 3 < 2 in a 2-element poset
+
+
+def test_closure_matches_reachability():
+    cases = oracles.poset_inputs()
+    rng = np.random.default_rng(77)
+    cases += [(10, oracles.random_order_pairs(rng, 10, 0.2)) for _ in range(200)]
+    for n, pairs in cases:
+        assert Poset.from_pairs(n, pairs).relation == oracles.closure_reference(n, pairs), (n, pairs)
 
 
 def test_poset_text_format():
@@ -155,6 +175,8 @@ def test_poset_text_format():
     assert p == Poset.from_pairs(4, [(1, 2), (3, 4)])
     with pytest.raises(ValueError):
         Poset.from_text("")
+    with pytest.raises(ValueError, match="at least one element"):
+        Poset.from_text("0\n")
     with pytest.raises(ValueError):
         Poset.from_text("three\n1 2\n")
     with pytest.raises(ValueError):
@@ -195,6 +217,11 @@ def test_uniform_sample_chain_is_identity():
     chain = Poset.chain(4)
     for seed in range(10):
         assert linext_uniform_sample(chain, seed) == (1, 2, 3, 4)
+
+
+def test_uniform_sample_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        linext_uniform_sample(Poset.chain(4), -1)
 
 
 def _frequencies_are_uniform(p: Poset, draws: int, seed0: int):
