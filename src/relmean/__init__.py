@@ -3,120 +3,22 @@ bound on the relative variance is known, plus the tools that certify and
 apply it: sample-size calculators, seeded sources, a Monte Carlo coverage
 harness, and desk-scale approximate counting."""
 
-from .counting import (
-    NestedChain,
-    Poset,
-    PosetSizeError,
-    ProductEstimateSource,
-    eps_prime,
-    gibbs_combine,
-    linext_approx_count,
-    linext_chain,
-    linext_count_exact,
-    linext_uniform_sample,
-    product_estimate,
-    product_variance_bound,
-)
-from .estimator import (
-    ApproxSpec,
-    EstimateReport,
-    Mode,
-    NonpositiveEstimateError,
-    SourceContractError,
-    StagePlan,
-    build_plan,
-    estimate_mean,
-    lower_bound_samples,
-    median_of_means,
-    mom_failure_bound,
-    stage1_estimate,
-    stage1_params,
-    stage2_estimate,
-    stage2_params,
-    theorem1_total,
-)
-from .harness import (
-    CoverageConfig,
-    CoverageReport,
-    EstimatorKind,
-    compare_estimators,
-    run_coverage,
-    write_csv,
-)
-from .psi import TruncationScale, psi, psi_lower, psi_upper, scaled_psi
-from .sources import (
-    Constant,
-    InsufficientSamplesError,
-    LogNormal,
-    Normal,
-    ParetoShape,
-    Recorded,
-    SampleSource,
-    Scaled,
-    ScaledBernoulli,
-    SourceFacts,
-    load_recorded,
-    parse_distribution,
-)
+# The modules are bound before the star imports: `from .psi import *`
+# rebinds `relmean.psi` from the module to the function, which it must stay,
+# and after that `from . import psi` would find the function.
+from . import counting as _counting
+from . import estimator as _estimator
+from . import harness as _harness
+from . import psi as _psi
+from . import sources as _sources
+from .psi import *  # noqa: F401,F403
+from .estimator import *  # noqa: F401,F403
+from .sources import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .counting import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # psi
-    "TruncationScale",
-    "psi",
-    "psi_lower",
-    "psi_upper",
-    "scaled_psi",
-    # estimator
-    "ApproxSpec",
-    "EstimateReport",
-    "Mode",
-    "NonpositiveEstimateError",
-    "SourceContractError",
-    "StagePlan",
-    "build_plan",
-    "estimate_mean",
-    "lower_bound_samples",
-    "median_of_means",
-    "mom_failure_bound",
-    "stage1_estimate",
-    "stage1_params",
-    "stage2_estimate",
-    "stage2_params",
-    "theorem1_total",
-    # sources
-    "Constant",
-    "InsufficientSamplesError",
-    "LogNormal",
-    "Normal",
-    "ParetoShape",
-    "Recorded",
-    "SampleSource",
-    "Scaled",
-    "ScaledBernoulli",
-    "SourceFacts",
-    "load_recorded",
-    "parse_distribution",
-    # harness
-    "CoverageConfig",
-    "CoverageReport",
-    "EstimatorKind",
-    "compare_estimators",
-    "run_coverage",
-    "write_csv",
-    # counting
-    "NestedChain",
-    "Poset",
-    "PosetSizeError",
-    "ProductEstimateSource",
-    "eps_prime",
-    "gibbs_combine",
-    "linext_approx_count",
-    "linext_chain",
-    "linext_count_exact",
-    "linext_uniform_sample",
-    "product_estimate",
-    "product_variance_bound",
-]
+__all__ = ["__version__"]
+for _module in (_psi, _estimator, _sources, _harness, _counting):
+    __all__ += _module.__all__

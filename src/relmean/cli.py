@@ -13,10 +13,13 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 from . import __version__
 from .counting import (
     Poset,
+    _check_desk_scale,
+    _poset_lines,
     eps_prime,
     gibbs_combine,
     linext_approx_count,
@@ -67,9 +70,9 @@ def _plan_payload(plan) -> dict:
         "k": plan.k,
         "m": plan.m,
         "n": plan.n,
-        "samples_stage1": plan.k * plan.m,
+        "samples_stage1": plan.samples_stage1,
         "samples_stage2": plan.n,
-        "total_samples": plan.k * plan.m + plan.n,
+        "total_samples": plan.total_samples,
     }
 
 
@@ -144,7 +147,9 @@ def _cmd_linext(args) -> dict:
     if args.m_per_level < 1:
         raise _ArgumentError("--m-per-level must be at least 1")
     _checked(lambda: _nonnegative_int("seed", args.seed))
-    poset = _checked(lambda: Poset.from_file(args.poset))
+    text = _checked(lambda: Path(args.poset).read_text(encoding="ascii"))
+    _checked(lambda: _check_desk_scale(_poset_lines(text)[0]))  # before the pairs are parsed and closed
+    poset = _checked(lambda: Poset.from_text(text))
     estimate = linext_approx_count(
         poset, args.epsilon, args.delta, args.m_per_level, args.seed, args.mode
     )

@@ -119,8 +119,8 @@ class ProductEstimateSource:
     """Stream of independent product estimates for one chain.
 
     Each draw costs k * m_per_level membership indicators; take(n) vectorises
-    the whole batch.  Mirrors the SampleSource protocol (take / sibling) so
-    the stream can drive estimate_mean directly.
+    the whole batch.  Follows the SampleSource protocol (take), so the stream
+    can drive estimate_mean directly.
     """
 
     def __init__(self, chain: NestedChain, m_per_level: int, seed: int, replicate_index: int = 0):
@@ -128,18 +128,13 @@ class ProductEstimateSource:
             raise ValueError("m_per_level must be >= 1")
         self.chain = chain
         self.m_per_level = int(m_per_level)
-        self.seed = int(seed)
-        self.replicate_index = int(replicate_index)
-        self._rng = _replicate_rng(self.seed, self.replicate_index)
+        self._rng = _replicate_rng(seed, replicate_index)
 
     def take(self, n: int) -> np.ndarray:
         n = int(n)
         if n < 0:
             raise ValueError("draw count must be nonnegative")
         return _product_draws(self.chain, self._rng, n, self.m_per_level)
-
-    def sibling(self, replicate_index: int) -> "ProductEstimateSource":
-        return ProductEstimateSource(self.chain, self.m_per_level, self.seed, replicate_index)
 
 
 @dataclass(frozen=True)
@@ -209,16 +204,9 @@ class Poset:
     @classmethod
     def from_text(cls, text: str) -> "Poset":
         """Parse the plain-text format: first line n, then one `i j` pair per line."""
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
-        if not lines:
-            raise ValueError("empty poset description")
-        try:
-            n = int(lines[0])
-        except ValueError:
-            raise ValueError(f"first line must be the element count, got {lines[0]!r}") from None
+        n, lines = _poset_lines(text)
         pairs = []
-        for ln in lines[1:]:
+        for ln in lines:
             parts = ln.split()
             if len(parts) != 2:
                 raise ValueError(f"expected `i j` pair, got {ln!r}")
@@ -231,10 +219,23 @@ class Poset:
             return cls.from_text(fh.read())
 
 
-def _check_desk_scale(p: Poset) -> None:
-    if p.n > DESK_SCALE_LIMIT:
+def _poset_lines(text: str) -> tuple[int, list[str]]:
+    """The declared element count of a plain-text poset and its pair lines, unparsed."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ValueError("empty poset description")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ValueError(f"first line must be the element count, got {lines[0]!r}") from None
+    return n, lines[1:]
+
+
+def _check_desk_scale(n: int) -> None:
+    if n > DESK_SCALE_LIMIT:
         raise PosetSizeError(
-            f"linear-extension operations are capped at {DESK_SCALE_LIMIT} elements, got {p.n}: "
+            f"linear-extension operations are capped at {DESK_SCALE_LIMIT} elements, got {n}: "
             "each chain level keeps one flag per extension, in lexicographic order"
         )
 
@@ -266,7 +267,7 @@ _sampler_counts = lru_cache(maxsize=8)(_completion_counts)
 
 def linext_count_exact(p: Poset) -> int:
     """Exact number of linear extensions via dynamic programming over downsets."""
-    _check_desk_scale(p)
+    _check_desk_scale(p.n)
     return _completion_counts(p.preds)((1 << p.n) - 1)
 
 
@@ -274,7 +275,7 @@ def linext_uniform_sample(p: Poset, seed: int) -> tuple[int, ...]:
     """One uniformly random linear extension: a uniform rank among all
     extensions, unranked in lexicographic order through the completion counts."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=_nonnegative_int("seed", seed)))
-    _check_desk_scale(p)
+    _check_desk_scale(p.n)
     count = _sampler_counts(p.preds)
     rest = (1 << p.n) - 1
     rank = int(rng.integers(0, count(rest)))
@@ -324,7 +325,7 @@ def linext_chain(p: Poset) -> NestedChain:
     element indeed comes last.  Every level's survival ratio is at least
     1/n, and the terminal set holds exactly one extension.
     """
-    _check_desk_scale(p)
+    _check_desk_scale(p.n)
     count = _completion_counts(p.preds)
     samplers: list[Sampler] = []
     rest = (1 << p.n) - 1
@@ -358,7 +359,7 @@ def linext_approx_count(
     the two-stage mean estimator, with the honest closed-form variance bound
     (k = M = n) as c^2, and inverts the estimated ratio.
     """
-    _check_desk_scale(p)
+    _check_desk_scale(p.n)
     if p.n == 1:
         return 1.0
     chain = linext_chain(p)

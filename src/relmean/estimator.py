@@ -25,7 +25,6 @@ __all__ = [
     "ApproxSpec",
     "StagePlan",
     "EstimateReport",
-    "stage1_params",
     "stage2_params",
     "stage2_count_real",
     "build_plan",
@@ -93,20 +92,37 @@ class StagePlan:
     n: int
     mode: Mode
 
+    @property
+    def samples_stage1(self) -> int:
+        """Stage-1 draws: m groups of k."""
+        return self.k * self.m
+
+    @property
+    def total_samples(self) -> int:
+        """Draws of one run: stage 1 plus the n stage-2 draws."""
+        return self.samples_stage1 + self.n
+
 
 @dataclass(frozen=True)
 class EstimateReport:
+    """Result of one two-stage run; its draw counts are those of its plan."""
+
     mu1: float
     alpha: TruncationScale
     mu_hat: float
-    samples_stage1: int
-    samples_stage2: int
-    total_samples: int
     plan: StagePlan
 
-    def __post_init__(self) -> None:
-        if self.total_samples != self.samples_stage1 + self.samples_stage2:
-            raise ValueError("total_samples must equal the sum of the stage counts")
+    @property
+    def samples_stage1(self) -> int:
+        return self.plan.samples_stage1
+
+    @property
+    def samples_stage2(self) -> int:
+        return self.plan.n
+
+    @property
+    def total_samples(self) -> int:
+        return self.plan.total_samples
 
 
 def _group_rounds(d: float) -> int:
@@ -117,17 +133,6 @@ def _group_rounds(d: float) -> int:
     """
     raw = math.log(7.0 / (48.0 * math.sqrt(math.pi) * d)) / math.log(16.0 / 7.0)
     return max(1, math.ceil(raw))
-
-
-def stage1_params(spec: ApproxSpec, mode: Mode = Mode.STRICT) -> tuple[float, int, int]:
-    """(epsilon1, k, m) for the median-of-means stage.
-
-    epsilon1 = sqrt(epsilon c^2 / (1 + c^2)), k = ceil(8 c^2 / epsilon1^2)
-    draws per group, and m groups sized from the stage budget (delta in
-    PAPER_EXACT mode, delta / 2 in STRICT mode).
-    """
-    plan = build_plan(spec, mode)
-    return plan.epsilon1, plan.k, plan.m
 
 
 def stage2_count_real(spec: ApproxSpec) -> float:
@@ -144,7 +149,12 @@ def stage2_params(spec: ApproxSpec) -> int:
 
 
 def build_plan(spec: ApproxSpec, mode: Mode = Mode.STRICT) -> StagePlan:
-    """Derive every stage parameter for the given spec and budget mode."""
+    """Derive every stage parameter for the given spec and budget mode.
+
+    epsilon1 = sqrt(epsilon c^2 / (1 + c^2)), k = ceil(8 c^2 / epsilon1^2)
+    draws per group, m groups sized from the stage-1 budget (delta in
+    PAPER_EXACT mode, delta / 2 in STRICT mode), and n = stage2_params.
+    """
     mode = Mode(mode)
     epsilon1_sq = spec.epsilon * spec.c * spec.c / (1.0 + spec.c * spec.c)
     k = math.ceil(8.0 * spec.c * spec.c / epsilon1_sq)
@@ -167,8 +177,7 @@ def theorem1_total(spec: ApproxSpec) -> int:
     full delta budget (PAPER_EXACT), so the value matches the closed-form
     total regardless of which mode a run actually uses.
     """
-    plan = build_plan(spec, Mode.PAPER_EXACT)
-    return plan.n + plan.k * plan.m
+    return build_plan(spec, Mode.PAPER_EXACT).total_samples
 
 
 def mom_failure_bound(nu_sq: float, r: int) -> float:
@@ -296,7 +305,7 @@ def stage1_estimate(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> float
     |mean/estimate - 1|, which is what stage 2's truncation scale needs.
     """
     plan = build_plan(spec, mode)
-    draws = _take_row(source, plan.k * plan.m, "stage 1")
+    draws = _take_row(source, plan.samples_stage1, "stage 1")
     return _positive_centre(float(_stage1_rows(draws, plan)[0]))
 
 
@@ -321,17 +330,13 @@ def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> Estimat
     P(|mu_hat - mean| > epsilon * mean) <= delta.
     """
     plan = build_plan(spec, mode)
-    stage1_draws = plan.k * plan.m
-    stage1 = _take_row(source, stage1_draws, "stage 1")
+    stage1 = _take_row(source, plan.samples_stage1, "stage 1")
     stage2 = _take_row(source, plan.n, "stage 2")
     mu1, alpha, mu_hat = _two_stage_rows(stage1, stage2, spec, plan)
     return EstimateReport(
         mu1=float(mu1[0]),
         alpha=TruncationScale(float(alpha[0])),
         mu_hat=float(mu_hat[0]),
-        samples_stage1=stage1_draws,
-        samples_stage2=plan.n,
-        total_samples=stage1_draws + plan.n,
         plan=plan,
     )
 

@@ -58,6 +58,7 @@ class CoverageConfig:
     estimator: EstimatorKind = EstimatorKind.TWO_STAGE
 
     def __post_init__(self) -> None:
+        _nonnegative_int("replications", self.replications)
         if self.replications < 100:
             raise ValueError("coverage needs at least 100 replications")
         if self.replications >= 2**32:
@@ -132,10 +133,10 @@ def run_coverage(config: CoverageConfig) -> CoverageReport:
             "the guarantee would be void"
         )
     plan = build_plan(spec, config.mode)
-    budget = plan.k * plan.m + plan.n
+    budget = plan.total_samples
     kind = config.estimator
     if kind is EstimatorKind.TWO_STAGE:
-        stages = (("stage 1", plan.k * plan.m), ("stage 2", plan.n))
+        stages = (("stage 1", plan.samples_stage1), ("stage 2", plan.n))
         estimate = lambda stage1, stage2: _two_stage_rows(stage1, stage2, spec, plan)[2]
     elif kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
         mom_k, mom_m = _mom_baseline_params(spec, budget)

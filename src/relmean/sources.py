@@ -13,6 +13,7 @@ algorithm name is exposed so experiment reports can record it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,8 +269,9 @@ class _ReplayCursor:
 # those four words for many replicates at once with SeedSequence's published
 # hash (numpy/random/bit_generator.pyx).  The pool mixed from the seed's
 # 32-bit words is the same for every replicate, so it is mixed once in
-# Python ints; only the spawn-key word r and the output hash run as uint32
-# array operations.
+# Python ints; only the spawn-key word r and the output hash run on arrays,
+# whose uint64 entries hold 32-bit words exactly as Python ints do: each
+# product of two words is exact, and every step masks to 32 bits.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -283,10 +285,33 @@ _XSHIFT = 16
 
 
 def _nonnegative_int(name: str, value) -> int:
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value}")
-    return value
+    """`value` as a Python int, if it is an integer (numpy integers too) and not negative."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = -1
+    if number < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return number
+
+
+def _hashmix(hash_const: int, multiplier: int):
+    """SeedSequence's hashmix with its running constant: each call advances
+    the constant and hashes one 32-bit word, a Python int or a uint64 array."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * multiplier) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
 
 
 def _replicate_seed_words(seed: int, replicates) -> np.ndarray:
@@ -301,59 +326,28 @@ def _replicate_seed_words(seed: int, replicates) -> np.ndarray:
     if replicates.size and not (0 <= replicates.min() and replicates.max() <= _MASK32):
         raise ValueError("replicate indices must lie in [0, 2**32)")
     # the seed's 32-bit words, least significant first, padded to the pool
-    # size because a spawn key follows
+    # size because a spawn key follows; then the spawn-key word r
     entropy = [seed & _MASK32]
     while seed > _MASK32:
         seed >>= 32
         entropy.append(seed & _MASK32)
     entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy.append(replicates.astype(np.uint64))
 
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> _XSHIFT)
-
+    hashmix = _hashmix(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # the spawn-key word r, mixed into every pool word: hashmix and mix as
-    # above, with uint32 arithmetic wrapping modulo 2**32
-    u32 = np.uint32
-    key = replicates.astype(u32)
-    columns = []
-    for word in pool:
-        mixed = key ^ u32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        mixed *= u32(hash_const)
-        mixed ^= mixed >> u32(_XSHIFT)
-        column = u32((_MIX_MULT_L * word) & _MASK32) - u32(_MIX_MULT_R) * mixed
-        column ^= column >> u32(_XSHIFT)
-        columns.append(column)
+            pool[dst] = _mix(pool[dst], hashmix(word))
 
     # generate_state(4, uint64): 8 output words cycling over the pool,
     # paired little-endian into uint64
-    state = np.empty((len(key), 2 * _POOL_SIZE), dtype=u32)
-    hash_const = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        out = columns[i % _POOL_SIZE] ^ u32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        out *= u32(hash_const)
-        out ^= out >> u32(_XSHIFT)
-        state[:, i] = out
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
@@ -387,13 +381,11 @@ def _replicate_rng(seed: int, replicate_index: int, seed_words=None) -> np.rando
 class SampleSource:
     """Deterministic stream of iid draws from one distribution.
 
-    ``take(n)`` returns the next n draws and advances the stream;
-    ``sibling(i)`` opens the independent stream for replicate i of the same
-    base seed.  A source instance is single-consumer.  A recorded sequence,
-    also behind Scaled, replays from its start whatever the seed.
+    ``take(n)`` returns the next n draws and advances the stream.  Distinct
+    replicate indices open independent streams of one base seed.  A source
+    instance is single-consumer.  A recorded sequence, also behind Scaled,
+    replays from its start whatever the seed.
     """
-
-    algorithm = RNG_ALGORITHM
 
     def __init__(self, dist, seed: int, replicate_index: int = 0, _seed_words=None):
         self.dist = dist
@@ -408,15 +400,6 @@ class SampleSource:
         if n < 0:
             raise ValueError("draw count must be nonnegative")
         return self.dist.sample(self._rng, int(n))
-
-    def next(self) -> float:
-        return float(self.take(1)[0])
-
-    def sibling(self, replicate_index: int) -> "SampleSource":
-        return SampleSource(self.dist, self.seed, replicate_index)
-
-    def facts(self) -> SourceFacts:
-        return self.dist.facts()
 
 
 def load_recorded(path) -> Recorded:

@@ -216,3 +216,83 @@ def test_cycle_in_poset_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1")
     assert code == 2
     assert "cycle" in err
+
+
+def test_poset_over_the_size_cap_exits_2_before_its_pairs_are_read(capsys, tmp_path):
+    # the second file would fail at its third line; the declared count is refused first
+    for i, text in enumerate(["11\n1 2\n", "2000\n1 2\nnot a pair\n"]):
+        poset = tmp_path / f"big{i}.txt"
+        poset.write_text(text, encoding="ascii")
+        code, out, err = run_cli(capsys, "linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1")
+        assert (code, out) == (2, ""), text
+        assert "capped at 10" in err, text
+
+
+# Exact stdout of one seeded invocation per subcommand, recorded before the
+# public surface was cut: payloads must stay byte-stable across refactors.
+PINNED_STDOUT = [
+    (
+        ["samplesize", "--epsilon", "0.1", "--delta", "0.05", "--c", "1"],
+        '{"mode": "strict", "plan": {"epsilon1": 0.22360679774997896, "k": 160, "m": 5, "n": 974, '
+        '"samples_stage1": 800, "samples_stage2": 974, "total_samples": 1774}, "seed": null, '
+        '"spec": {"c": 1.0, "delta": 0.05, "epsilon": 0.1}, "total": 1454, "version": "0.1.0"}',
+    ),
+    (
+        ["lowerbound", "--epsilon", "0.1", "--delta", "0.05", "--c", "1"],
+        '{"lower_bound": 229.81737539818795, "mode": "strict", "seed": null, '
+        '"spec": {"c": 1.0, "delta": 0.05, "epsilon": 0.1}, "version": "0.1.0"}',
+    ),
+    (
+        ["estimate", "--dist", "lognormal:1", "--epsilon", "0.2", "--delta", "0.1", "--c", "1.4", "--seed", "11"],
+        '{"alpha": 0.05794641437132777, "distribution": "lognormal:1", "mode": "strict", '
+        '"mu1": 1.760951345024396, "mu_hat": 1.6697243763918743, "rng": "pcg64", "samples_stage1": 357, '
+        '"samples_stage2": 452, "seed": 11, "spec": {"c": 1.4, "delta": 0.1, "epsilon": 0.2}, '
+        '"total_samples": 809, "version": "0.1.0"}',
+    ),
+    (
+        ["coverage", "--dist", "lognormal:0.5", "--epsilon", "0.2", "--delta", "0.1", "--c", "1",
+         "--reps", "100", "--seed", "3"],
+        '{"mode": "strict", "report": {"R": 100, "binomial_3sigma": 0.09000000000000001, "c": 1.0, '
+        '"delta": 0.1, "distribution": "lognormal:0.5", "epsilon": 0.2, "estimator": "twostage", '
+        '"failure_rate": 0.0, "failures": 0, "mean_abs_rel_error": 0.028919783890633634, "mode": "strict", '
+        '"samples_per_run": 471, "seed": 3}, "rng": "pcg64", "seed": 3, '
+        '"spec": {"c": 1.0, "delta": 0.1, "epsilon": 0.2}, "version": "0.1.0"}',
+    ),
+    (
+        ["compare", "--dist", "pareto:3", "--epsilon", "0.2", "--delta", "0.1", "--c", "1",
+         "--reps", "100", "--seed", "4"],
+        '{"mode": "strict", "rng": "pcg64", "rows": ['
+        '{"R": 100, "binomial_3sigma": 0.09000000000000001, "c": 1.0, "delta": 0.1, "distribution": "pareto:3", '
+        '"epsilon": 0.2, "estimator": "twostage", "failure_rate": 0.0, "failures": 0, '
+        '"mean_abs_rel_error": 0.025288421780528498, "mode": "strict", "samples_per_run": 471, "seed": 4}, '
+        '{"R": 100, "binomial_3sigma": 0.09000000000000001, "c": 1.0, "delta": 0.1, "distribution": "pareto:3", '
+        '"epsilon": 0.2, "estimator": "mom", "failure_rate": 0.0, "failures": 0, '
+        '"mean_abs_rel_error": 0.033528539141198035, "mode": "strict", "samples_per_run": 471, "seed": 4}, '
+        '{"R": 100, "binomial_3sigma": 0.09000000000000001, "c": 1.0, "delta": 0.1, "distribution": "pareto:3", '
+        '"epsilon": 0.2, "estimator": "naive", "failure_rate": 0.0, "failures": 0, '
+        '"mean_abs_rel_error": 0.021745135474539247, "mode": "strict", "samples_per_run": 471, "seed": 4}], '
+        '"seed": 4, "spec": {"c": 1.0, "delta": 0.1, "epsilon": 0.2}, "version": "0.1.0"}',
+    ),
+    (
+        ["linext", "--poset", "{poset}", "--epsilon", "0.2", "--delta", "0.1", "--seed", "3"],
+        '{"estimate": 5.8416965661293085, "exact": 6, "m_per_level": 100, "mode": "strict", '
+        '"poset_elements": 4, "rng": "pcg64", "seed": 3, '
+        '"spec": {"c": 0.3570670127292294, "delta": 0.1, "epsilon": 0.2}, "version": "0.1.0"}',
+    ),
+    (
+        ["gibbs", "--epsilon", "0.2", "--delta", "0.1", "--seed", "5"],
+        '{"eps_prime": 0.09901951359278482, "estimate": 1.9128183353009804, "mode": "strict", '
+        '"mu_v": 2.5302868635468743, "mu_w": 4.935829581541985, "rng": "pcg64", "samples_per_stream": 7999, '
+        '"seed": 5, "spec": {"c": 2.331643981597124, "delta": 0.1, "epsilon": 0.2}, '
+        '"stream_relvar": 5.43656365691809, "true_ratio": 2.0, "version": "0.1.0"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_STDOUT, ids=[argv[0] for argv, _ in PINNED_STDOUT])
+def test_stdout_pinned(capsys, tmp_path, argv, expected):
+    poset = tmp_path / "p.txt"
+    poset.write_text("4\n1 2\n3 4\n", encoding="ascii")
+    code, out, err = run_cli(capsys, *[arg.format(poset=poset) for arg in argv])
+    assert (code, err) == (0, "")
+    assert out == expected + "\n"

@@ -62,6 +62,20 @@ def test_product_estimate_validation():
         NestedChain(samplers=(bernoulli_sampler(0.5),), known_terminal=0.0, max_inverse_ratio=2.0)
 
 
+def test_product_seed_and_index_must_be_integers():
+    chain = bernoulli_chain([0.5])
+    for bad in (1.5, "7"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            product_estimate(chain, 5, seed=bad)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            ProductEstimateSource(chain, 5, seed=bad)
+        with pytest.raises(ValueError, match="replicate_index must be a nonnegative integer"):
+            ProductEstimateSource(chain, 5, seed=0, replicate_index=bad)
+    assert product_estimate(chain, 5, np.int64(4)) == product_estimate(chain, 5, 4)
+    assert np.array_equal(ProductEstimateSource(chain, 5, np.uint8(4), np.int16(1)).take(3),
+                          ProductEstimateSource(chain, 5, 4, 1).take(3))
+
+
 def test_product_estimate_seeded_values():
     # recorded before product_estimate and ProductEstimateSource.take shared one draw loop
     chain = linext_chain(Poset.from_pairs(5, [(1, 2), (1, 3), (2, 4), (3, 4)]))
@@ -222,6 +236,14 @@ def test_uniform_sample_chain_is_identity():
 def test_uniform_sample_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         linext_uniform_sample(Poset.chain(4), -1)
+
+
+def test_uniform_sample_rejects_non_integer_seed():
+    p = Poset.from_pairs(4, [(1, 2), (3, 4)])
+    for bad in (1.5, "7"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            linext_uniform_sample(p, bad)
+    assert linext_uniform_sample(p, np.int64(3)) == linext_uniform_sample(p, 3)
 
 
 def _frequencies_are_uniform(p: Poset, draws: int, seed0: int):

@@ -13,7 +13,6 @@ from relmean import (
     build_plan,
     lower_bound_samples,
     mom_failure_bound,
-    stage1_params,
     stage2_params,
     theorem1_total,
 )
@@ -32,13 +31,13 @@ def test_approx_spec_validation():
 
 
 def test_stage1_params_pinned():
-    eps1, k, m = stage1_params(BASE, Mode.PAPER_EXACT)
-    assert math.isclose(eps1, oracles.EPSILON1_BASE, rel_tol=1e-9)
-    assert k == oracles.K_BASE
-    assert m == oracles.M_BASE_PAPER
-    _, k_strict, m_strict = stage1_params(BASE, Mode.STRICT)
-    assert k_strict == oracles.K_BASE
-    assert m_strict == oracles.M_BASE_STRICT
+    plan = build_plan(BASE, Mode.PAPER_EXACT)
+    assert math.isclose(plan.epsilon1, oracles.EPSILON1_BASE, rel_tol=1e-9)
+    assert plan.k == oracles.K_BASE
+    assert plan.m == oracles.M_BASE_PAPER
+    strict = build_plan(BASE, Mode.STRICT)
+    assert strict.k == oracles.K_BASE
+    assert strict.m == oracles.M_BASE_STRICT
 
 
 def test_group_size_identity_on_random_specs():
@@ -50,8 +49,7 @@ def test_group_size_identity_on_random_specs():
             delta=float(rng.uniform(0.001, 0.5)),
             c=float(rng.uniform(0.05, 20.0)),
         )
-        _, k, _ = stage1_params(spec)
-        assert k == math.ceil(8.0 * (1.0 + spec.c**2) / spec.epsilon)
+        assert build_plan(spec).k == math.ceil(8.0 * (1.0 + spec.c**2) / spec.epsilon)
 
 
 def test_group_count_is_odd_and_at_least_three():
@@ -59,7 +57,7 @@ def test_group_count_is_odd_and_at_least_three():
     for _ in range(200):
         spec = ApproxSpec(float(rng.uniform(0.01, 0.9)), float(rng.uniform(0.001, 0.9)), float(rng.uniform(0.1, 5.0)))
         for mode in Mode:
-            _, _, m = stage1_params(spec, mode)
+            m = build_plan(spec, mode).m
             assert m >= 3 and m % 2 == 1
 
 
@@ -87,8 +85,8 @@ def test_theorem1_total_consistency_grid():
         for delta in [1e-4, 0.01, 0.2]:
             for c in [0.3, 1.0, 4.0]:
                 spec = ApproxSpec(eps, delta, c)
-                eps1, k, m = stage1_params(spec, Mode.PAPER_EXACT)
-                assert theorem1_total(spec) == stage2_params(spec) + k * m
+                plan = build_plan(spec, Mode.PAPER_EXACT)
+                assert theorem1_total(spec) == stage2_params(spec) + plan.k * plan.m
 
 
 def test_theorem1_total_monotonicity():

@@ -105,6 +105,14 @@ def test_coverage_rejects_negative_seed():
         CoverageConfig(SPEC, DIST, 100, seed=-1)
 
 
+def test_coverage_rejects_non_integer_replications_and_seed():
+    with pytest.raises(ValueError, match="replications must be a nonnegative integer"):
+        CoverageConfig(SPEC, DIST, 100.5, seed=0)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        CoverageConfig(SPEC, DIST, 100, seed=0.5)
+    CoverageConfig(SPEC, DIST, np.int64(100), seed=np.uint32(3))
+
+
 @pytest.mark.parametrize(
     "dist",
     [Recorded(tuple(range(1, 200))), Scaled(Recorded((1.0, 2.0, 3.0)), 2.0), Scaled(Scaled(Recorded((4.0, 5.0)), 2.0), 3.0)],

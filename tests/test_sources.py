@@ -39,7 +39,7 @@ def test_replicates_differ_and_are_uncorrelated():
     n = 100_000
     for dist in [Normal(10.0, 5.0), LogNormal(1.0), ParetoShape(2.5)]:
         base = SampleSource(dist, seed=55, replicate_index=0)
-        sibling = base.sibling(1)
+        sibling = SampleSource(dist, seed=55, replicate_index=1)
         x = base.take(n)
         y = sibling.take(n)
         assert not np.array_equal(x[:100], y[:100])
@@ -47,26 +47,19 @@ def test_replicates_differ_and_are_uncorrelated():
         assert abs(corr) < 5.0 / math.sqrt(n)
 
 
-def test_next_and_take_agree():
-    a = SampleSource(Normal(0.0, 1.0), seed=9)
-    b = SampleSource(Normal(0.0, 1.0), seed=9)
-    first_three = [a.next() for _ in range(3)]
-    assert np.allclose(first_three, b.take(3), rtol=0.0, atol=0.0)
-
-
 def test_constant_stream():
     src = SampleSource(Constant(5.0), seed=0)
     assert np.all(src.take(10) == 5.0)
-    facts = src.facts()
+    facts = src.dist.facts()
     assert (facts.true_mean, facts.true_relvar, facts.c_bound) == (5.0, 0.0, 0.0)
 
 
 def test_recorded_sequential_and_exhaustion():
     src = SampleSource(Recorded((1.0, 2.0, 3.0)), seed=0)
-    assert src.next() == 1.0
+    assert np.array_equal(src.take(1), [1.0])
     assert np.array_equal(src.take(2), [2.0, 3.0])
     with pytest.raises(InsufficientSamplesError):
-        src.next()
+        src.take(1)
 
 
 def test_recorded_validation():
@@ -220,6 +213,17 @@ def test_stream_seed_and_index_must_be_nonnegative():
         _replicate_seed_words(0, np.array([0, 2**32]))
     with pytest.raises(ValueError, match="replicate indices"):
         _replicate_seed_words(0, np.array([-1, 0]))
+
+
+def test_stream_seed_and_index_must_be_integers():
+    dist = LogNormal(1.0)
+    for bad in (1.5, 2.0, "7"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            SampleSource(dist, bad)
+        with pytest.raises(ValueError, match="replicate_index must be a nonnegative integer"):
+            SampleSource(dist, 0, bad)
+    # numpy integers name the same stream as Python ints
+    assert np.array_equal(SampleSource(dist, np.uint64(7), np.int32(2)).take(5), SampleSource(dist, 7, 2).take(5))
 
 
 def test_scaled_recorded_replays_scaled_prefix():
