@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Each subcommand prints exactly one JSON object (keys sorted) to standard
-output and exits 0; argument problems exit 2 and runtime failures exit 1,
-both with a message on standard error.  Identical invocations, including
---seed, produce byte-identical output.
+output and exits 0.  The library checks every argument it receives, so
+the exit code follows the exception type: a bad argument, spec or file
+(ValueError, OSError) exits 2, any other failure exits 1, both with a
+message on standard error and nothing on standard output.  Identical
+invocations, including --seed, produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from pathlib import Path
 from . import __version__
 from .counting import (
     Poset,
+    _chain_c,
     _check_desk_scale,
     _poset_lines,
     eps_prime,
     gibbs_combine,
     linext_approx_count,
     linext_count_exact,
-    product_variance_bound,
 )
 from .estimator import (
     ApproxSpec,
@@ -35,33 +37,16 @@ from .estimator import (
     theorem1_total,
 )
 from .harness import CoverageConfig, EstimatorKind, compare_estimators, run_coverage, write_csv
-from .sources import RNG_ALGORITHM, LogNormal, SampleSource, Scaled, _nonnegative_int, parse_distribution
+from .sources import RNG_ALGORITHM, LogNormal, SampleSource, Scaled, parse_distribution
 
 
-class _ArgumentError(Exception):
-    """Bad flag values, unparsable specs, unreadable files: exit code 2."""
-
-
-def _checked(build):
-    try:
-        return build()
-    except (ValueError, OSError) as exc:
-        raise _ArgumentError(str(exc)) from exc
-
-
-def _spec_from(args) -> ApproxSpec:
-    return _checked(lambda: ApproxSpec(args.epsilon, args.delta, args.c))
-
-
-def _common_payload(args, spec: ApproxSpec | None) -> dict:
-    payload = {
-        "mode": args.mode.value if hasattr(args, "mode") else None,
+def _common_payload(args, c: float) -> dict:
+    return {
+        "mode": args.mode,
         "seed": getattr(args, "seed", None),
+        "spec": {"epsilon": args.epsilon, "delta": args.delta, "c": c},
         "version": __version__,
     }
-    if spec is not None:
-        payload["spec"] = {"epsilon": spec.epsilon, "delta": spec.delta, "c": spec.c}
-    return payload
 
 
 def _plan_payload(plan) -> dict:
@@ -77,26 +62,24 @@ def _plan_payload(plan) -> dict:
 
 
 def _cmd_samplesize(args) -> dict:
-    spec = _spec_from(args)
-    payload = _common_payload(args, spec)
+    spec = ApproxSpec(args.epsilon, args.delta, args.c)
+    payload = _common_payload(args, args.c)
     payload["total"] = theorem1_total(spec)
     payload["plan"] = _plan_payload(build_plan(spec, args.mode))
     return payload
 
 
 def _cmd_lowerbound(args) -> dict:
-    spec = _spec_from(args)
-    payload = _common_payload(args, spec)
-    payload["lower_bound"] = _checked(lambda: lower_bound_samples(spec))
+    payload = _common_payload(args, args.c)
+    payload["lower_bound"] = lower_bound_samples(ApproxSpec(args.epsilon, args.delta, args.c))
     return payload
 
 
 def _cmd_estimate(args) -> dict:
-    spec = _spec_from(args)
-    dist = _checked(lambda: parse_distribution(args.dist))
-    source = _checked(lambda: SampleSource(dist, args.seed))
-    report = estimate_mean(source, spec, args.mode)
-    payload = _common_payload(args, spec)
+    spec = ApproxSpec(args.epsilon, args.delta, args.c)
+    dist = parse_distribution(args.dist)
+    report = estimate_mean(SampleSource(dist, args.seed), spec, args.mode)
+    payload = _common_payload(args, args.c)
     payload.update(
         {
             "distribution": dist.spec_string,
@@ -113,52 +96,36 @@ def _cmd_estimate(args) -> dict:
 
 
 def _cmd_coverage(args) -> dict:
-    spec = _spec_from(args)
-    dist = _checked(lambda: parse_distribution(args.dist))
-    config = _checked(
-        lambda: CoverageConfig(
-            spec, dist, args.reps, args.seed, args.mode, EstimatorKind(args.estimator)
-        )
-    )
-    report = run_coverage(config)
+    spec = ApproxSpec(args.epsilon, args.delta, args.c)
+    dist = parse_distribution(args.dist)
+    report = run_coverage(CoverageConfig(spec, dist, args.reps, args.seed, args.mode, args.estimator))
     if args.out:
         write_csv([report], args.out)
-    payload = _common_payload(args, spec)
+    payload = _common_payload(args, args.c)
     payload["rng"] = RNG_ALGORITHM
     payload["report"] = asdict(report)
     return payload
 
 
 def _cmd_compare(args) -> dict:
-    spec = _spec_from(args)
-    dist = _checked(lambda: parse_distribution(args.dist))
-    config = _checked(lambda: CoverageConfig(spec, dist, args.reps, args.seed, args.mode))
-    rows = compare_estimators(config.spec, config.dist, config.replications, config.seed, config.mode)
+    spec = ApproxSpec(args.epsilon, args.delta, args.c)
+    rows = compare_estimators(spec, parse_distribution(args.dist), args.reps, args.seed, args.mode)
     if args.out:
         write_csv(rows, args.out)
-    payload = _common_payload(args, spec)
+    payload = _common_payload(args, args.c)
     payload["rng"] = RNG_ALGORITHM
     payload["rows"] = [asdict(row) for row in rows]
     return payload
 
 
 def _cmd_linext(args) -> dict:
-    _checked(lambda: ApproxSpec(args.epsilon, args.delta, 1.0))  # validates eps/delta early
-    if args.m_per_level < 1:
-        raise _ArgumentError("--m-per-level must be at least 1")
-    _checked(lambda: _nonnegative_int("seed", args.seed))
-    text = _checked(lambda: Path(args.poset).read_text(encoding="ascii"))
-    _checked(lambda: _check_desk_scale(_poset_lines(text)[0]))  # before the pairs are parsed and closed
-    poset = _checked(lambda: Poset.from_text(text))
+    text = Path(args.poset).read_text(encoding="ascii")
+    _check_desk_scale(_poset_lines(text)[0])  # before the pairs are parsed and closed
+    poset = Poset.from_text(text)
     estimate = linext_approx_count(
         poset, args.epsilon, args.delta, args.m_per_level, args.seed, args.mode
     )
-    if poset.n > 1:
-        chain_c = math.sqrt(product_variance_bound(poset.n, float(poset.n), args.m_per_level))
-    else:
-        chain_c = 0.0  # single element: nothing is estimated
-    payload = _common_payload(args, None)
-    payload["spec"] = {"epsilon": args.epsilon, "delta": args.delta, "c": chain_c}
+    payload = _common_payload(args, _chain_c(poset.n, args.m_per_level))
     payload.update(
         {
             "rng": RNG_ALGORITHM,
@@ -174,19 +141,19 @@ def _cmd_linext(args) -> dict:
 def _cmd_gibbs(args) -> dict:
     """Exercise the quotient combiner on two synthetic streams with relative
     variance 2e and known means, at per-stream accuracy eps_prime(epsilon)."""
-    spec_check = _checked(lambda: ApproxSpec(args.epsilon, args.delta, 1.0))
     relvar = 2.0 * math.e
+    spec = ApproxSpec(args.epsilon, args.delta, math.sqrt(relvar))
     shape = math.sqrt(math.log1p(relvar))
     true_w = 2.0 * math.exp(0.5 * shape * shape)
     true_v = math.exp(0.5 * shape * shape)
-    stream_eps = eps_prime(spec_check.epsilon)
-    stream_spec = ApproxSpec(stream_eps, spec_check.delta / 2.0, math.sqrt(relvar))
-    w_source = _checked(lambda: SampleSource(Scaled(LogNormal(shape), 2.0), args.seed, replicate_index=0))
+    stream_eps = eps_prime(spec.epsilon)
+    stream_spec = ApproxSpec(stream_eps, spec.delta / 2.0, spec.c)
+    w_source = SampleSource(Scaled(LogNormal(shape), 2.0), args.seed, replicate_index=0)
     v_source = SampleSource(LogNormal(shape), args.seed, replicate_index=1)
     w_report = estimate_mean(w_source, stream_spec, args.mode)
     v_report = estimate_mean(v_source, stream_spec, args.mode)
-    combined = gibbs_combine(w_report.mu_hat, v_report.mu_hat, spec_check.epsilon)
-    payload = _common_payload(args, ApproxSpec(args.epsilon, args.delta, math.sqrt(relvar)))
+    combined = gibbs_combine(w_report.mu_hat, v_report.mu_hat, spec.epsilon)
+    payload = _common_payload(args, spec.c)
     payload.update(
         {
             "rng": RNG_ALGORITHM,
@@ -307,11 +274,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if hasattr(args, "mode"):
-        args.mode = Mode(args.mode)
     try:
         payload = args.handler(args)
-    except _ArgumentError as exc:
+    except (ValueError, OSError) as exc:  # a bad argument, spec or file
         print(f"relmean: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 1

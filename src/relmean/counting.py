@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .estimator import ApproxSpec, Mode, estimate_mean
-from .sources import _nonnegative_int, _replicate_rng
+from .estimator import ApproxSpec, Mode, _check_accuracy, estimate_mean
+from .sources import _integer, _replicate_rng
 
 DESK_SCALE_LIMIT = 10
 
@@ -29,7 +29,6 @@ __all__ = [
     "PosetSizeError",
     "NestedChain",
     "ProductEstimateSource",
-    "product_estimate",
     "product_variance_bound",
     "Poset",
     "linext_count_exact",
@@ -81,22 +80,13 @@ class NestedChain:
         return len(self.samplers)
 
 
-def product_estimate(chain: NestedChain, m_per_level: int, seed: int) -> float:
-    """One unbiased estimate of (terminal size / initial size).
-
-    Draws m_per_level membership indicators per level and multiplies the
-    level averages.  A zero average at any level makes the product 0, which
-    is a legal sample; resampling it away would bias the estimator.
-    """
-    m_per_level = int(m_per_level)
-    if m_per_level < 1:
-        raise ValueError("m_per_level must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=_nonnegative_int("seed", seed)))
-    return float(_product_draws(chain, rng, 1, m_per_level)[0])
-
-
 def _product_draws(chain: NestedChain, rng: np.random.Generator, n: int, m_per_level: int) -> np.ndarray:
-    """n independent product estimates, all levels' indicators drawn as (n, m_per_level) blocks."""
+    """n independent product estimates, all levels' indicators drawn as (n, m_per_level) blocks.
+
+    Each multiplies the level averages, an unbiased estimate of (terminal
+    size / initial size).  A zero average at any level makes the product 0,
+    which is a legal sample; resampling it away would bias the estimator.
+    """
     out = np.ones(n)
     for sampler in chain.samplers:
         out *= sampler(rng, (n, m_per_level)).mean(axis=1)
@@ -106,13 +96,17 @@ def _product_draws(chain: NestedChain, rng: np.random.Generator, n: int, m_per_l
 def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
     """Relative-variance bound exp(k (M - 1) / m) - 1 for the product estimate,
     valid whenever every level ratio is at least 1/M."""
-    if int(k) < 1:
-        raise ValueError("k must be >= 1")
+    k = _integer("k", k, 1)
+    m = _integer("m", m, 1)
     if not max_inverse_ratio >= 1.0:
         raise ValueError("max_inverse_ratio must be at least 1")
-    if int(m) < 1:
-        raise ValueError("m must be >= 1")
-    return math.expm1(int(k) * (max_inverse_ratio - 1.0) / int(m))
+    return math.expm1(k * (max_inverse_ratio - 1.0) / m)
+
+
+def _chain_c(n: int, m_per_level: int) -> float:
+    """The c of linext_chain on n elements: the root of the product bound with
+    k = M = n; 0.0 at n = 1, where nothing is estimated."""
+    return math.sqrt(product_variance_bound(n, float(n), m_per_level))
 
 
 class ProductEstimateSource:
@@ -124,17 +118,12 @@ class ProductEstimateSource:
     """
 
     def __init__(self, chain: NestedChain, m_per_level: int, seed: int, replicate_index: int = 0):
-        if int(m_per_level) < 1:
-            raise ValueError("m_per_level must be >= 1")
+        self.m_per_level = _integer("m_per_level", m_per_level, 1)
+        self._rng = _replicate_rng(_integer("seed", seed), _integer("replicate_index", replicate_index))
         self.chain = chain
-        self.m_per_level = int(m_per_level)
-        self._rng = _replicate_rng(seed, replicate_index)
 
     def take(self, n: int) -> np.ndarray:
-        n = int(n)
-        if n < 0:
-            raise ValueError("draw count must be nonnegative")
-        return _product_draws(self.chain, self._rng, n, self.m_per_level)
+        return _product_draws(self.chain, self._rng, _integer("draw count n", n), self.m_per_level)
 
 
 @dataclass(frozen=True)
@@ -144,13 +133,13 @@ class Poset:
     Bit i-1 of `preds[j-1]` is set when element i comes before element j.
     The masks are irreflexive and transitively closed (validated), which
     makes the order antisymmetric.  Build instances with from_pairs /
-    from_text / from_file / chain / antichain rather than passing raw masks.
+    from_text / chain / antichain rather than passing raw masks.
     """
 
     preds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        preds = tuple(int(mask) for mask in self.preds)
+        preds = tuple(_integer("predecessor mask", mask) for mask in self.preds)
         object.__setattr__(self, "preds", preds)
         n = len(preds)
         if n < 1:
@@ -179,11 +168,11 @@ class Poset:
         """Build from covering (or any) pairs; computes the transitive closure,
         in which a cycle shows as an element preceding itself, rejected by
         validation."""
-        n = int(n)
+        n = _integer("n", n)
         preds = [0] * n
         for i, j in pairs:
-            i, j = int(i), int(j)
-            if not (1 <= i <= n and 1 <= j <= n):
+            i, j = _integer("pair element", i, 1), _integer("pair element", j, 1)
+            if not (i <= n and j <= n):
                 raise ValueError(f"pair ({i}, {j}) is outside 1..{n}")
             preds[j - 1] |= 1 << (i - 1)
         # Warshall's closure: whatever precedes k also precedes everything after k
@@ -195,7 +184,7 @@ class Poset:
 
     @classmethod
     def chain(cls, n: int) -> "Poset":
-        return cls.from_pairs(n, [(i, i + 1) for i in range(1, n)])
+        return cls(tuple((1 << j) - 1 for j in range(_integer("n", n))))
 
     @classmethod
     def antichain(cls, n: int) -> "Poset":
@@ -207,16 +196,12 @@ class Poset:
         n, lines = _poset_lines(text)
         pairs = []
         for ln in lines:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ValueError(f"expected `i j` pair, got {ln!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
+            try:
+                i, j = (int(part) for part in ln.split())
+            except ValueError:
+                raise ValueError(f"expected an `i j` pair of integers, got {ln!r}") from None
+            pairs.append((i, j))
         return cls.from_pairs(n, pairs)
-
-    @classmethod
-    def from_file(cls, path) -> "Poset":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read())
 
 
 def _poset_lines(text: str) -> tuple[int, list[str]]:
@@ -274,7 +259,7 @@ def linext_count_exact(p: Poset) -> int:
 def linext_uniform_sample(p: Poset, seed: int) -> tuple[int, ...]:
     """One uniformly random linear extension: a uniform rank among all
     extensions, unranked in lexicographic order through the completion counts."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=_nonnegative_int("seed", seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=_integer("seed", seed)))
     _check_desk_scale(p.n)
     count = _sampler_counts(p.preds)
     rest = (1 << p.n) - 1
@@ -359,14 +344,15 @@ def linext_approx_count(
     the two-stage mean estimator, with the honest closed-form variance bound
     (k = M = n) as c^2, and inverts the estimated ratio.
     """
-    _check_desk_scale(p.n)
+    m_per_level = _integer("m_per_level", m_per_level, 1)
+    seed = _integer("seed", seed)
+    mode = Mode(mode)
+    _check_accuracy(epsilon, delta)
     if p.n == 1:
         return 1.0
     chain = linext_chain(p)
-    c_squared = product_variance_bound(p.n, float(p.n), m_per_level)
-    spec = ApproxSpec(epsilon, delta, math.sqrt(c_squared))
-    source = ProductEstimateSource(chain, m_per_level, seed)
-    report = estimate_mean(source, spec, mode)
+    spec = ApproxSpec(epsilon, delta, _chain_c(p.n, m_per_level))
+    report = estimate_mean(ProductEstimateSource(chain, m_per_level, seed), spec, mode)
     return chain.known_terminal / report.mu_hat
 
 

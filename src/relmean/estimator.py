@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psi import TruncationScale, _psi, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
+from .sources import _integer
 
 __all__ = [
     "Mode",
@@ -31,7 +32,6 @@ __all__ = [
     "theorem1_total",
     "mom_failure_bound",
     "median_of_means",
-    "stage1_estimate",
     "stage2_estimate",
     "estimate_mean",
     "lower_bound_samples",
@@ -58,6 +58,14 @@ class SourceContractError(ValueError):
     """A source's take(n) returned other than n finite draws."""
 
 
+def _check_accuracy(epsilon: float, delta: float) -> None:
+    """ApproxSpec's check of epsilon and delta, for callers that know no c yet."""
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+
+
 @dataclass(frozen=True)
 class ApproxSpec:
     """Request: P(|estimate - mean| > epsilon * mean) <= delta, assuming the
@@ -68,10 +76,7 @@ class ApproxSpec:
     c: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        _check_accuracy(self.epsilon, self.delta)
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"c must be positive and finite, got {self.c!r}")
 
@@ -188,9 +193,7 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
     """
     if not (0.0 < nu_sq < 0.5):
         raise ValueError(f"nu_sq must lie in (0, 1/2), got {nu_sq!r}")
-    r = int(r)
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r!r}")
+    r = _integer("r", r, 1)
     q = nu_sq * (1.0 - nu_sq)
     return q / (math.sqrt(math.pi * r) * (1.0 - 2.0 * nu_sq)) * (4.0 * q) ** r
 
@@ -235,11 +238,6 @@ def _median_rows(draws: np.ndarray, k: int, m: int) -> np.ndarray:
     return group_means[:, m // 2]
 
 
-def _stage1_rows(draws: np.ndarray, plan: StagePlan) -> np.ndarray:
-    """Per row: the bias-corrected stage-1 estimate, median of means / (1 - epsilon1^2)."""
-    return _median_rows(draws, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
-
-
 def _positive_centre(mu1: float) -> float:
     """A stage-1 estimate, which must be positive to centre stage 2."""
     if not mu1 > 0.0:
@@ -275,7 +273,10 @@ def _two_stage_rows(stage1: np.ndarray, stage2: np.ndarray, spec: ApproxSpec, pl
     arithmetic of a single run, so results do not depend on how runs are
     grouped into rows.
     """
-    mu1 = _stage1_rows(stage1, plan)
+    # stage 1: the median of means / (1 - epsilon1^2); the correction turns a
+    # bound on |estimate/mean - 1| into the one on |mean/estimate - 1| that
+    # stage 2's truncation scale needs
+    mu1 = _median_rows(stage1, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
     # per-row checks in Python: cheaper than array tests at a few rows, and
     # they raise exactly what a single run raises
     alpha = np.array([_truncation_scale(_positive_centre(v), spec).alpha for v in mu1.tolist()])
@@ -289,24 +290,11 @@ def median_of_means(source, k: int, m: int) -> float:
     function of the source's seed.  m must be odd: the median is the exact
     middle order statistic.
     """
-    k = int(k)
-    m = int(m)
-    if k < 1:
-        raise ValueError(f"group size k must be >= 1, got {k}")
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"group count m must be odd and >= 1, got {m}")
+    k = _integer("group size k", k, 1)
+    m = _integer("group count m", m, 1)
+    if m % 2 == 0:
+        raise ValueError(f"group count m must be odd, got {m}")
     return float(_median_rows(_take_row(source, k * m, "median of means"), k, m)[0])
-
-
-def stage1_estimate(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> float:
-    """Bias-corrected stage-1 estimate: median_of_means / (1 - epsilon1^2).
-
-    The correction turns a bound on |estimate/mean - 1| into one on
-    |mean/estimate - 1|, which is what stage 2's truncation scale needs.
-    """
-    plan = build_plan(spec, mode)
-    draws = _take_row(source, plan.samples_stage1, "stage 1")
-    return _positive_centre(float(_stage1_rows(draws, plan)[0]))
 
 
 def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, TruncationScale]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .estimator import ApproxSpec, Mode, _fill_rows, _median_rows, _two_stage_rows, build_plan
 from .estimator import estimate_mean, median_of_means  # noqa: F401 - bench/tracing.py wraps them here
-from .sources import SampleSource, _nonnegative_int, _replays, _replicate_seed_words
+from .sources import SampleSource, _integer, _replays, _replicate_seed_words
 
 __all__ = [
     "EstimatorKind",
@@ -50,6 +50,10 @@ class EstimatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CoverageConfig:
+    """One coverage run, checked whole on construction: counts become ints,
+    mode and estimator their enums (their string values are accepted), and
+    the distribution's c bound must fit the spec."""
+
     spec: ApproxSpec
     dist: object
     replications: int
@@ -58,17 +62,26 @@ class CoverageConfig:
     estimator: EstimatorKind = EstimatorKind.TWO_STAGE
 
     def __post_init__(self) -> None:
-        _nonnegative_int("replications", self.replications)
-        if self.replications < 100:
+        replications = _integer("replications", self.replications)
+        if replications < 100:
             raise ValueError("coverage needs at least 100 replications")
-        if self.replications >= 2**32:
+        if replications >= 2**32:
             # replicate indices must fit one 32-bit spawn-key word
-            raise ValueError(f"replications must be below 2**32, got {self.replications}")
-        _nonnegative_int("seed", self.seed)
+            raise ValueError(f"replications must be below 2**32, got {replications}")
+        object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if _replays(self.dist):
             raise ValueError(
                 f"coverage needs independent replicate streams, but {self.dist.spec_string} "
                 "replays one fixed sequence in every replicate"
+            )
+        object.__setattr__(self, "mode", Mode(self.mode))
+        object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
+        c_bound = self.dist.facts().c_bound
+        if c_bound > self.spec.c:
+            raise ValueError(
+                f"distribution c bound {c_bound:.6g} exceeds spec c {self.spec.c:.6g}; "
+                "the guarantee would be void"
             )
 
 
@@ -124,14 +137,10 @@ def run_coverage(config: CoverageConfig) -> CoverageReport:
 
     Failures are judged against the source's exact mean, never an estimate.
     Deterministic: replicate r always uses the stream (seed, replicate r).
+    The config checked every argument when it was built, so the only errors
+    left are those of the draws themselves.
     """
     spec = config.spec
-    facts = config.dist.facts()
-    if facts.c_bound > spec.c:
-        raise ValueError(
-            f"distribution c bound {facts.c_bound:.6g} exceeds spec c {spec.c:.6g}; "
-            "the guarantee would be void"
-        )
     plan = build_plan(spec, config.mode)
     budget = plan.total_samples
     kind = config.estimator
@@ -156,7 +165,7 @@ def run_coverage(config: CoverageConfig) -> CoverageReport:
             *(_fill_rows(buffer[: stop - start], sources, stage) for stage, buffer in buffers)
         )
 
-    mu = facts.true_mean
+    mu = config.dist.facts().true_mean
     abs_rel_errors = np.abs(values - mu) / mu
     failures = int(np.count_nonzero(abs_rel_errors > spec.epsilon))
     return CoverageReport(

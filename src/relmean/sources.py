@@ -284,14 +284,16 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
 
-def _nonnegative_int(name: str, value) -> int:
-    """`value` as a Python int, if it is an integer (numpy integers too) and not negative."""
+def _integer(name: str, value, low: int = 0) -> int:
+    """`value` as a Python int, if it is an integer (numpy integers too) of at
+    least `low`: the converter of every integer argument, which never truncates."""
     try:
         number = operator.index(value)
     except TypeError:
-        number = -1
-    if number < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        number = None
+    if number is None or number < low:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     return number
 
 
@@ -321,7 +323,7 @@ def _replicate_seed_words(seed: int, replicates) -> np.ndarray:
     .generate_state(4, np.uint64)``, bit for bit.  Each r must fit one
     32-bit spawn-key word.
     """
-    seed = _nonnegative_int("seed", seed)
+    seed = _integer("seed", seed)
     replicates = np.asarray(replicates)
     if replicates.size and not (0 <= replicates.min() and replicates.max() <= _MASK32):
         raise ValueError("replicate indices must lie in [0, 2**32)")
@@ -365,12 +367,11 @@ def _replicate_rng(seed: int, replicate_index: int, seed_words=None) -> np.rando
     """The generator of replicate stream (seed, replicate_index):
     ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(replicate_index,))))``.
 
-    Every SampleSource and ProductEstimateSource draws from one.
-    `seed_words` are the stream's row of _replicate_seed_words, if already
-    computed; otherwise numpy's SeedSequence derives them.
+    Every SampleSource and ProductEstimateSource, having checked seed and
+    index, draws from one.  `seed_words` are the stream's row of
+    _replicate_seed_words, if already computed; otherwise numpy's
+    SeedSequence derives them.
     """
-    seed = _nonnegative_int("seed", seed)
-    replicate_index = _nonnegative_int("replicate_index", replicate_index)
     if seed_words is None:
         sequence = np.random.SeedSequence(entropy=seed, spawn_key=(replicate_index,))
     else:
@@ -388,18 +389,16 @@ class SampleSource:
     """
 
     def __init__(self, dist, seed: int, replicate_index: int = 0, _seed_words=None):
+        seed = _integer("seed", seed)
+        replicate_index = _integer("replicate_index", replicate_index)
         self.dist = dist
-        self.seed = _nonnegative_int("seed", seed)
-        self.replicate_index = _nonnegative_int("replicate_index", replicate_index)
         if _replays(dist):
             self._rng = _ReplayCursor()
         else:
-            self._rng = _replicate_rng(self.seed, self.replicate_index, _seed_words)
+            self._rng = _replicate_rng(seed, replicate_index, _seed_words)
 
     def take(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("draw count must be nonnegative")
-        return self.dist.sample(self._rng, int(n))
+        return self.dist.sample(self._rng, _integer("draw count n", n))
 
 
 def load_recorded(path) -> Recorded:

@@ -210,6 +210,31 @@ def test_runtime_error_exits_1(capsys, tmp_path):
     assert "recorded source holds" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the spec's c must cover the distribution's c bound (lognormal:1 has 1.31)
+        (["coverage", "--dist", "lognormal:1", "--epsilon", "0.2", "--delta", "0.1", "--c", "0.5",
+          "--reps", "100"], "exceeds spec c"),
+        (["compare", "--dist", "pareto:1.5", "--epsilon", "0.2", "--delta", "0.1", "--c", "1",
+          "--reps", "100"], "Pareto shape must exceed 2"),
+        (["linext", "--poset", "{poset}", "--epsilon", "0.2", "--delta", "0.1", "--m-per-level", "0"],
+         "m_per_level must be a positive integer"),
+        (["coverage", "--dist", "constant:2", "--epsilon", "0.2", "--delta", "0.1", "--c", "1",
+          "--reps", "100", "--out", "{missing}/cov.csv"], "No such file or directory"),
+    ],
+    ids=["coverage-c-bound", "compare-pareto", "linext-m-per-level", "coverage-out-dir"],
+)
+def test_value_and_os_errors_exit_2(capsys, tmp_path, argv, message):
+    # a ValueError or OSError is a bad argument, spec or file, wherever the
+    # library raises it; test_runtime_error_exits_1 covers the other side
+    poset = tmp_path / "p.txt"
+    poset.write_text("3\n1 2\n", encoding="ascii")
+    got = run_cli(capsys, *[arg.format(poset=poset, missing=tmp_path / "missing") for arg in argv])
+    assert got[:2] == (2, ""), got
+    assert message in got[2]
+
+
 def test_cycle_in_poset_file_exits_2(capsys, tmp_path):
     poset = tmp_path / "cycle.txt"
     poset.write_text("3\n1 2\n2 3\n3 1\n", encoding="ascii")

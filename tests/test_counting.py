@@ -20,7 +20,6 @@ from relmean import (
     linext_chain,
     linext_count_exact,
     linext_uniform_sample,
-    product_estimate,
     product_variance_bound,
 )
 
@@ -47,15 +46,15 @@ def bernoulli_chain(rates) -> NestedChain:
 
 def test_product_estimate_sure_chain():
     chain = bernoulli_chain([1.0, 1.0, 1.0])
-    assert all(product_estimate(chain, 5, seed) == 1.0 for seed in range(20))
+    assert all((ProductEstimateSource(chain, 5, seed).take(4) == 1.0).all() for seed in range(20))
 
 
 def test_product_estimate_validation():
     chain = bernoulli_chain([0.5])
     with pytest.raises(ValueError):
-        product_estimate(chain, 0, seed=1)
+        ProductEstimateSource(chain, 0, seed=1)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-        product_estimate(chain, 5, seed=-1)
+        ProductEstimateSource(chain, 5, seed=-1)
     with pytest.raises(ValueError):
         NestedChain(samplers=(), known_terminal=1.0, max_inverse_ratio=2.0)
     with pytest.raises(ValueError):
@@ -66,22 +65,11 @@ def test_product_seed_and_index_must_be_integers():
     chain = bernoulli_chain([0.5])
     for bad in (1.5, "7"):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-            product_estimate(chain, 5, seed=bad)
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             ProductEstimateSource(chain, 5, seed=bad)
         with pytest.raises(ValueError, match="replicate_index must be a nonnegative integer"):
             ProductEstimateSource(chain, 5, seed=0, replicate_index=bad)
-    assert product_estimate(chain, 5, np.int64(4)) == product_estimate(chain, 5, 4)
     assert np.array_equal(ProductEstimateSource(chain, 5, np.uint8(4), np.int16(1)).take(3),
                           ProductEstimateSource(chain, 5, 4, 1).take(3))
-
-
-def test_product_estimate_seeded_values():
-    # recorded before product_estimate and ProductEstimateSource.take shared one draw loop
-    chain = linext_chain(Poset.from_pairs(5, [(1, 2), (1, 3), (2, 4), (3, 4)]))
-    recorded = {0: "0x1.70a3d70a3d70bp-4", 7: "0x1.5532617c1bda5p-4", 2**40 + 3: "0x1.7a786c226809dp-4"}
-    for seed, value in recorded.items():
-        assert product_estimate(chain, 20, seed).hex() == value
 
 
 def test_fair_coin_law():
@@ -91,10 +79,6 @@ def test_fair_coin_law():
     for value, prob in [(0.0, 0.25), (0.5, 0.5), (1.0, 0.25)]:
         freq = float(np.mean(draws == value))
         assert abs(freq - prob) < 3.0 * math.sqrt(prob * (1 - prob) / len(draws))
-    # the per-call path follows the same law
-    single = np.array([product_estimate(chain, 2, seed) for seed in range(2000)])
-    freq_half = float(np.mean(single == 0.5))
-    assert abs(freq_half - 0.5) < 3.0 * math.sqrt(0.25 / 2000)
 
 
 def test_product_estimator_exactly_unbiased_by_enumeration():
@@ -197,10 +181,16 @@ def test_poset_text_format():
         Poset.from_text("3\n1 2 3\n")
 
 
+def test_poset_text_names_a_bad_pair_line():
+    for line in ["1.5 2", "x 2", "1 2 3", "1"]:
+        with pytest.raises(ValueError, match=f"expected an `i j` pair of integers, got '{line}'"):
+            Poset.from_text(f"3\n{line}\n")
+
+
 def test_poset_file_round_trip(tmp_path):
     path = tmp_path / "poset.txt"
     path.write_text("4\n1 2\n2 3\n", encoding="ascii")
-    p = Poset.from_file(path)
+    p = Poset.from_text(path.read_text(encoding="ascii"))
     assert linext_count_exact(p) == 4  # element 4 floats freely in a 3-chain
 
 

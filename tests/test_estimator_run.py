@@ -21,7 +21,6 @@ from relmean import (
     build_plan,
     estimate_mean,
     median_of_means,
-    stage1_estimate,
     stage2_estimate,
     stage2_params,
     theorem1_total,
@@ -59,7 +58,7 @@ def test_median_of_means_validation():
 
 def test_stage1_estimate_constant():
     src = SampleSource(Constant(5.0), seed=3)
-    mu1 = stage1_estimate(src, ApproxSpec(0.1, 0.05, 1.0))
+    mu1 = estimate_mean(src, ApproxSpec(0.1, 0.05, 1.0)).mu1
     assert math.isclose(mu1, 5.0 / (1.0 - 0.05), rel_tol=1e-12)
 
 
@@ -68,22 +67,22 @@ def test_stage1_estimate_bias_correction_grid():
         for c in [0.5, 1.0, 3.0]:
             spec = ApproxSpec(eps, 0.1, c)
             plan = build_plan(spec)
-            mu1 = stage1_estimate(SampleSource(Constant(1.0), seed=0), spec)
+            mu1 = estimate_mean(SampleSource(Constant(1.0), seed=0), spec).mu1
             assert math.isclose(mu1, 1.0 / (1.0 - plan.epsilon1_sq), rel_tol=1e-12)
 
 
 def test_stage1_estimate_matches_reference_recompute():
     spec = ApproxSpec(0.2, 0.1, 1.5)
     plan = build_plan(spec)
-    draws = SampleSource(LogNormal(1.0), seed=2718).take(plan.k * plan.m)
-    mu1 = stage1_estimate(SampleSource(Recorded(tuple(draws)), seed=0), spec)
-    reference = oracles.median_of_means_reference(draws, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
-    assert math.isclose(mu1, reference, rel_tol=1e-12)
+    draws = SampleSource(LogNormal(1.0), seed=2718).take(plan.total_samples)
+    mu1 = estimate_mean(SampleSource(Recorded(tuple(draws)), seed=0), spec).mu1
+    reference = oracles.median_of_means_reference(draws[: plan.samples_stage1], plan.k, plan.m)
+    assert math.isclose(mu1, reference / (1.0 - plan.epsilon1_sq), rel_tol=1e-12)
 
 
 def test_stage1_estimate_rejects_nonpositive():
     with pytest.raises(NonpositiveEstimateError):
-        stage1_estimate(SampleSource(Constant(-3.0), seed=1), ApproxSpec(0.1, 0.05, 1.0))
+        estimate_mean(SampleSource(Constant(-3.0), seed=1), ApproxSpec(0.1, 0.05, 1.0))
 
 
 def test_stage2_estimate_fixed_point():
