@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Each subcommand prints exactly one JSON object (keys sorted) to standard
-output and exits 0.  The library checks every argument it receives, so
-the exit code follows the exception type: a bad argument, spec or file
-(ValueError, OSError) exits 2, any other failure exits 1, both with a
-message on standard error and nothing on standard output.  Identical
-invocations, including --seed, produce byte-identical output.
+output and exits 0.  Every payload carries mode, seed, spec and version;
+a seeded subcommand's payload also carries rng.  The library checks every
+argument it receives, so the exit code follows the exception type: a bad
+argument, spec or file (ValueError, OSError) exits 2, any other failure
+exits 1, both with a message on standard error and nothing on standard
+output.  Identical invocations, including --seed, produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -40,13 +42,19 @@ from .harness import CoverageConfig, EstimatorKind, compare_estimators, run_cove
 from .sources import RNG_ALGORITHM, LogNormal, SampleSource, Scaled, parse_distribution
 
 
-def _common_payload(args, c: float) -> dict:
-    return {
+def _payload(args, c: float, **fields) -> dict:
+    """The subcommand's own fields plus those every payload carries: mode,
+    seed, spec and version, and rng for a seeded subcommand."""
+    payload = {
         "mode": args.mode,
         "seed": getattr(args, "seed", None),
         "spec": {"epsilon": args.epsilon, "delta": args.delta, "c": c},
         "version": __version__,
+        **fields,
     }
+    if "seed" in args:
+        payload["rng"] = RNG_ALGORITHM
+    return payload
 
 
 def _plan_payload(plan) -> dict:
@@ -63,36 +71,30 @@ def _plan_payload(plan) -> dict:
 
 def _cmd_samplesize(args) -> dict:
     spec = ApproxSpec(args.epsilon, args.delta, args.c)
-    payload = _common_payload(args, args.c)
-    payload["total"] = theorem1_total(spec)
-    payload["plan"] = _plan_payload(build_plan(spec, args.mode))
-    return payload
+    plan = _plan_payload(build_plan(spec, args.mode))
+    return _payload(args, args.c, total=theorem1_total(spec), plan=plan)
 
 
 def _cmd_lowerbound(args) -> dict:
-    payload = _common_payload(args, args.c)
-    payload["lower_bound"] = lower_bound_samples(ApproxSpec(args.epsilon, args.delta, args.c))
-    return payload
+    spec = ApproxSpec(args.epsilon, args.delta, args.c)
+    return _payload(args, args.c, lower_bound=lower_bound_samples(spec))
 
 
 def _cmd_estimate(args) -> dict:
     spec = ApproxSpec(args.epsilon, args.delta, args.c)
     dist = parse_distribution(args.dist)
     report = estimate_mean(SampleSource(dist, args.seed), spec, args.mode)
-    payload = _common_payload(args, args.c)
-    payload.update(
-        {
-            "distribution": dist.spec_string,
-            "rng": RNG_ALGORITHM,
-            "mu1": report.mu1,
-            "alpha": report.alpha.alpha,
-            "mu_hat": report.mu_hat,
-            "samples_stage1": report.samples_stage1,
-            "samples_stage2": report.samples_stage2,
-            "total_samples": report.total_samples,
-        }
+    return _payload(
+        args,
+        args.c,
+        distribution=dist.spec_string,
+        mu1=report.mu1,
+        alpha=report.alpha.alpha,
+        mu_hat=report.mu_hat,
+        samples_stage1=report.samples_stage1,
+        samples_stage2=report.samples_stage2,
+        total_samples=report.total_samples,
     )
-    return payload
 
 
 def _cmd_coverage(args) -> dict:
@@ -101,10 +103,7 @@ def _cmd_coverage(args) -> dict:
     report = run_coverage(CoverageConfig(spec, dist, args.reps, args.seed, args.mode, args.estimator))
     if args.out:
         write_csv([report], args.out)
-    payload = _common_payload(args, args.c)
-    payload["rng"] = RNG_ALGORITHM
-    payload["report"] = asdict(report)
-    return payload
+    return _payload(args, args.c, report=asdict(report))
 
 
 def _cmd_compare(args) -> dict:
@@ -112,10 +111,7 @@ def _cmd_compare(args) -> dict:
     rows = compare_estimators(spec, parse_distribution(args.dist), args.reps, args.seed, args.mode)
     if args.out:
         write_csv(rows, args.out)
-    payload = _common_payload(args, args.c)
-    payload["rng"] = RNG_ALGORITHM
-    payload["rows"] = [asdict(row) for row in rows]
-    return payload
+    return _payload(args, args.c, rows=[asdict(row) for row in rows])
 
 
 def _cmd_linext(args) -> dict:
@@ -125,17 +121,14 @@ def _cmd_linext(args) -> dict:
     estimate = linext_approx_count(
         poset, args.epsilon, args.delta, args.m_per_level, args.seed, args.mode
     )
-    payload = _common_payload(args, _chain_c(poset.n, args.m_per_level))
-    payload.update(
-        {
-            "rng": RNG_ALGORITHM,
-            "poset_elements": poset.n,
-            "m_per_level": args.m_per_level,
-            "estimate": estimate,
-            "exact": linext_count_exact(poset),
-        }
+    return _payload(
+        args,
+        _chain_c(poset.n, args.m_per_level),
+        poset_elements=poset.n,
+        m_per_level=args.m_per_level,
+        estimate=estimate,
+        exact=linext_count_exact(poset),
     )
-    return payload
 
 
 def _cmd_gibbs(args) -> dict:
@@ -152,43 +145,17 @@ def _cmd_gibbs(args) -> dict:
     v_source = SampleSource(LogNormal(shape), args.seed, replicate_index=1)
     w_report = estimate_mean(w_source, stream_spec, args.mode)
     v_report = estimate_mean(v_source, stream_spec, args.mode)
-    combined = gibbs_combine(w_report.mu_hat, v_report.mu_hat, spec.epsilon)
-    payload = _common_payload(args, spec.c)
-    payload.update(
-        {
-            "rng": RNG_ALGORITHM,
-            "eps_prime": stream_eps,
-            "stream_relvar": relvar,
-            "mu_w": w_report.mu_hat,
-            "mu_v": v_report.mu_hat,
-            "estimate": combined,
-            "true_ratio": true_w / true_v,
-            "samples_per_stream": w_report.total_samples,
-        }
+    return _payload(
+        args,
+        spec.c,
+        eps_prime=stream_eps,
+        stream_relvar=relvar,
+        mu_w=w_report.mu_hat,
+        mu_v=v_report.mu_hat,
+        estimate=gibbs_combine(w_report.mu_hat, v_report.mu_hat, spec.epsilon),
+        true_ratio=true_w / true_v,
+        samples_per_stream=w_report.total_samples,
     )
-    return payload
-
-
-def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, required=True, help="relative accuracy in (0,1)")
-    parser.add_argument("--delta", type=float, required=True, help="failure probability in (0,1)")
-
-
-def _add_c_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--c", type=float, required=True, help="bound on sigma/mean")
-
-
-def _add_mode_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mode",
-        choices=[mode.value for mode in Mode],
-        default=Mode.STRICT.value,
-        help="delta budgeting: paper (headline counts) or strict (union bound); default strict",
-    )
-
-
-def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,71 +167,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"relmean {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("samplesize", help="stage parameters and total draw count")
-    _add_spec_flags(p)
-    _add_c_flag(p)
-    _add_mode_flag(p)
-    p.set_defaults(handler=_cmd_samplesize)
-
-    p = sub.add_parser("lowerbound", help="information lower bound on the draw count")
-    _add_spec_flags(p)
-    _add_c_flag(p)
-    _add_mode_flag(p)
-    p.set_defaults(handler=_cmd_lowerbound)
-
-    p = sub.add_parser("estimate", help="run the two-stage estimator on a seeded source")
-    _add_spec_flags(p)
-    _add_c_flag(p)
-    _add_mode_flag(p)
-    _add_seed_flag(p)
-    p.add_argument(
+    # parent parsers: each flag is declared once and shared by the subcommands listing it
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--epsilon", type=float, required=True, help="relative accuracy in (0,1)")
+    spec.add_argument("--delta", type=float, required=True, help="failure probability in (0,1)")
+    spec.add_argument(
+        "--mode",
+        choices=[mode.value for mode in Mode],
+        default=Mode.STRICT.value,
+        help="delta budgeting: paper (headline counts) or strict (union bound); default strict",
+    )
+    c = argparse.ArgumentParser(add_help=False)
+    c.add_argument("--c", type=float, required=True, help="bound on sigma/mean")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    dist = argparse.ArgumentParser(add_help=False)
+    dist.add_argument(
         "--dist",
         required=True,
         help="distribution as name:params, e.g. constant:5, normal:100,50, "
         "lognormal:1, bernoulli:0.2,1, pareto:2.5, recorded:PATH",
     )
-    p.set_defaults(handler=_cmd_estimate)
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--reps", type=int, default=1000, help="replications (default 1000)")
+    runs.add_argument("--out", default=None, help="also write the coverage rows as CSV")
 
-    p = sub.add_parser("coverage", help="Monte Carlo failure-frequency certification")
-    _add_spec_flags(p)
-    _add_c_flag(p)
-    _add_mode_flag(p)
-    _add_seed_flag(p)
-    p.add_argument("--dist", required=True, help="distribution as name:params")
-    p.add_argument("--reps", type=int, default=1000, help="replications (default 1000)")
-    p.add_argument(
+    commands = [
+        ("samplesize", _cmd_samplesize, "stage parameters and total draw count", [c]),
+        ("lowerbound", _cmd_lowerbound, "information lower bound on the draw count", [c]),
+        ("estimate", _cmd_estimate, "run the two-stage estimator on a seeded source", [c, seed, dist]),
+        ("coverage", _cmd_coverage, "Monte Carlo failure-frequency certification", [c, seed, dist, runs]),
+        ("compare", _cmd_compare, "coverage of all estimators at a matched budget", [c, seed, dist, runs]),
+        ("linext", _cmd_linext, "approximate and exact linear-extension counts", [seed]),
+        ("gibbs", _cmd_gibbs, "quotient estimation on synthetic streams (relvar 2e)", [seed]),
+    ]
+    subparsers = {}
+    for name, handler, help_text, parents in commands:
+        subparsers[name] = sub.add_parser(name, help=help_text, parents=[spec, *parents])
+        subparsers[name].set_defaults(handler=handler)
+
+    subparsers["coverage"].add_argument(
         "--estimator",
         choices=[kind.value for kind in EstimatorKind],
         default=EstimatorKind.TWO_STAGE.value,
         help="which estimator to certify (default twostage)",
     )
-    p.add_argument("--out", default=None, help="also write the report as CSV")
-    p.set_defaults(handler=_cmd_coverage)
-
-    p = sub.add_parser("compare", help="coverage of all estimators at a matched budget")
-    _add_spec_flags(p)
-    _add_c_flag(p)
-    _add_mode_flag(p)
-    _add_seed_flag(p)
-    p.add_argument("--dist", required=True, help="distribution as name:params")
-    p.add_argument("--reps", type=int, default=1000, help="replications (default 1000)")
-    p.add_argument("--out", default=None, help="also write the rows as CSV")
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("linext", help="approximate and exact linear-extension counts")
-    _add_spec_flags(p)
-    _add_mode_flag(p)
-    _add_seed_flag(p)
-    p.add_argument("--poset", required=True, help="poset file: first line n, then `i j` pairs")
-    p.add_argument("--m-per-level", type=int, default=100, help="draws per chain level (default 100)")
-    p.set_defaults(handler=_cmd_linext)
-
-    p = sub.add_parser("gibbs", help="quotient estimation on synthetic streams (relvar 2e)")
-    _add_spec_flags(p)
-    _add_mode_flag(p)
-    _add_seed_flag(p)
-    p.set_defaults(handler=_cmd_gibbs)
-
+    linext = subparsers["linext"]
+    linext.add_argument("--poset", required=True, help="poset file: first line n, then `i j` pairs")
+    linext.add_argument("--m-per-level", type=int, default=100, help="draws per chain level (default 100)")
     return parser
 
 

@@ -212,9 +212,13 @@ def _take_draws(source, width: int, stage: str) -> np.ndarray:
     return draws
 
 
-def _check_finite(rows: np.ndarray, stage: str) -> np.ndarray:
+def _check_finite(rows: np.ndarray, sources, stage: str) -> np.ndarray:
+    """`rows`, if all finite; else name the source of the first bad row (its
+    distribution's spec string, for a SampleSource)."""
     if not np.isfinite(rows).all():
-        raise SourceContractError(f"{stage}: take({rows.shape[1]}) returned a non-finite draw")
+        source = sources[int(np.argmin(np.isfinite(rows).all(axis=1)))]
+        name = getattr(getattr(source, "dist", None), "spec_string", type(source).__name__)
+        raise SourceContractError(f"{stage}: take({rows.shape[1]}) returned a non-finite draw from {name}")
     return rows
 
 
@@ -222,12 +226,12 @@ def _fill_rows(out: np.ndarray, sources, stage: str) -> np.ndarray:
     """Fill row i of `out` with the next out.shape[1] draws of sources[i]."""
     for row, source in zip(out, sources):
         row[:] = _take_draws(source, out.shape[1], stage)
-    return _check_finite(out, stage)
+    return _check_finite(out, sources, stage)
 
 
 def _take_row(source, width: int, stage: str) -> np.ndarray:
     """The next `width` draws of one source as a 1 x width matrix, uncopied."""
-    return _check_finite(_take_draws(source, width, stage)[None, :], stage)
+    return _check_finite(_take_draws(source, width, stage)[None, :], [source], stage)
 
 
 def _median_rows(draws: np.ndarray, k: int, m: int) -> np.ndarray:

@@ -104,10 +104,7 @@ class CoverageReport:
     mean_abs_rel_error: float
 
 
-CSV_HEADER = (
-    "estimator,distribution,epsilon,delta,c,mode,R,seed,samples_per_run,"
-    "failures,failure_rate,binomial_3sigma,mean_abs_rel_error"
-)
+CSV_HEADER = ",".join(f.name for f in fields(CoverageReport))
 
 
 def _largest_odd_at_most(value: int) -> int:

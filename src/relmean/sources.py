@@ -320,13 +320,10 @@ def _replicate_seed_words(seed: int, replicates) -> np.ndarray:
     """PCG64 seed words of the streams (seed, r) for every r in `replicates`.
 
     Row i equals ``SeedSequence(entropy=seed, spawn_key=(replicates[i],))
-    .generate_state(4, np.uint64)``, bit for bit.  Each r must fit one
-    32-bit spawn-key word.
+    .generate_state(4, np.uint64)``, bit for bit.  The caller has checked
+    that seed is a nonnegative int and that each r fits one 32-bit
+    spawn-key word.
     """
-    seed = _integer("seed", seed)
-    replicates = np.asarray(replicates)
-    if replicates.size and not (0 <= replicates.min() and replicates.max() <= _MASK32):
-        raise ValueError("replicate indices must lie in [0, 2**32)")
     # the seed's 32-bit words, least significant first, padded to the pool
     # size because a spawn key follows; then the spawn-key word r
     entropy = [seed & _MASK32]
@@ -334,7 +331,7 @@ def _replicate_seed_words(seed: int, replicates) -> np.ndarray:
         seed >>= 32
         entropy.append(seed & _MASK32)
     entropy += [0] * (_POOL_SIZE - len(entropy))
-    entropy.append(replicates.astype(np.uint64))
+    entropy.append(np.asarray(replicates, dtype=np.uint64))
 
     hashmix = _hashmix(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from relmean import __version__
-from relmean.cli import main
+from relmean.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +242,13 @@ def test_value_and_os_errors_exit_2(capsys, tmp_path, argv, message):
     assert message in got[2]
 
 
+def test_non_finite_draw_exits_2_naming_the_distribution(capsys):
+    argv = ["estimate", "--dist", "normal:1e308,1e308", "--epsilon", "0.2", "--delta", "0.1", "--c", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "non-finite" in err and "normal:1e+308,1e+308" in err
+
+
 def test_cycle_in_poset_file_exits_2(capsys, tmp_path):
     poset = tmp_path / "cycle.txt"
     poset.write_text("3\n1 2\n2 3\n3 1\n", encoding="ascii")
@@ -321,3 +335,54 @@ def test_stdout_pinned(capsys, tmp_path, argv, expected):
     code, out, err = run_cli(capsys, *[arg.format(poset=poset) for arg in argv])
     assert (code, err) == (0, "")
     assert out == expected + "\n"
+
+
+SPEC_FLAGS = {"--epsilon", "--delta", "--mode"}
+SUBCOMMAND_FLAGS = {
+    "samplesize": SPEC_FLAGS | {"--c"},
+    "lowerbound": SPEC_FLAGS | {"--c"},
+    "estimate": SPEC_FLAGS | {"--c", "--seed", "--dist"},
+    "coverage": SPEC_FLAGS | {"--c", "--seed", "--dist", "--reps", "--out", "--estimator"},
+    "compare": SPEC_FLAGS | {"--c", "--seed", "--dist", "--reps", "--out"},
+    "linext": SPEC_FLAGS | {"--seed", "--poset", "--m-per-level"},
+    "gibbs": SPEC_FLAGS | {"--seed"},
+}
+FLAG_CHOICES = {"--mode": "{paper,strict}", "--estimator": "{twostage,mom,naive}"}
+FLAG_DEFAULTS = {"--seed": 0, "--reps": 1000, "--m-per-level": 100}
+REQUIRED_VALUES = {"--epsilon": "0.2", "--delta": "0.1", "--c": "1", "--dist": "constant:2", "--poset": "p.txt"}
+
+
+@pytest.mark.parametrize("sub", SUBCOMMAND_FLAGS)
+def test_subcommand_flags_pinned(capsys, monkeypatch, sub):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, err = run_cli(capsys, sub, "--help")
+    assert (code, err) == (0, "")
+    usage = out.split("\n\n")[0]
+    flags = SUBCOMMAND_FLAGS[sub]
+    assert set(re.findall(r"--[a-z-]+", usage)) == flags
+    for flag, choices in FLAG_CHOICES.items():
+        assert (f"[{flag} {choices}]" in usage) == (flag in flags), flag
+    # the help text states each default, and the parser applies it
+    argv = [sub] + [arg for flag, value in REQUIRED_VALUES.items() if flag in flags for arg in (flag, value)]
+    parsed = vars(build_parser().parse_args(argv))
+    for flag, default in FLAG_DEFAULTS.items():
+        dest = flag[2:].replace("-", "_")
+        if flag in flags:
+            assert re.search(rf"\n  {flag} [A-Z_]+\s+[^-]*\(default {default}\)", out), flag
+            assert parsed[dest] == default, flag
+        else:
+            assert dest not in parsed, flag
+    assert parsed["mode"] == "strict"
+    assert parsed.get("estimator") == ("twostage" if "--estimator" in flags else None)
+
+
+def test_module_entry_point():
+    # `python -m relmean.cli` runs main and exits with its code
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-m", "relmean.cli"]
+    argv = ["samplesize", "--epsilon", "0.1", "--delta", "0.05", "--c", "1"]
+    result = subprocess.run(command + argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["total"] == 1454
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")

@@ -35,13 +35,18 @@ import oracles
 
 SPEC = ApproxSpec(0.2, 0.1, 0.5)
 DIST = Normal(100.0, 50.0)
+# the header README "File formats" documents; CSV_HEADER derives from CoverageReport
+DOCUMENTED_HEADER = (
+    "estimator,distribution,epsilon,delta,c,mode,R,seed,samples_per_run,"
+    "failures,failure_rate,binomial_3sigma,mean_abs_rel_error"
+)
 
 
 def _parse_csv(path):
     """Independent reader for the report schema."""
     with open(path, "r", encoding="ascii", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == CSV_HEADER.split(",")
+    assert rows[0] == DOCUMENTED_HEADER.split(",")
     parsed = []
     for row in rows[1:]:
         values = dict(zip(rows[0], row))
