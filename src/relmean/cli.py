@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from . import __version__
 from .counting import (
@@ -39,7 +38,7 @@ from .estimator import (
     theorem1_total,
 )
 from .harness import CoverageConfig, EstimatorKind, compare_estimators, run_coverage, write_csv
-from .sources import RNG_ALGORITHM, LogNormal, SampleSource, Scaled, parse_distribution
+from .sources import RNG_ALGORITHM, LogNormal, SampleSource, Scaled, _read_ascii, parse_distribution
 
 
 def _payload(args, c: float, **fields) -> dict:
@@ -115,7 +114,7 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_linext(args) -> dict:
-    text = Path(args.poset).read_text(encoding="ascii")
+    text = _read_ascii(args.poset)
     _check_desk_scale(_poset_lines(text)[0])  # before the pairs are parsed and closed
     poset = Poset.from_text(text)
     estimate = linext_approx_count(

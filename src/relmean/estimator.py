@@ -198,40 +198,28 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
     return q / (math.sqrt(math.pi * r) * (1.0 - 2.0 * nu_sq)) * (4.0 * q) ** r
 
 
-# The take contract: take(n) returns exactly n draws, all finite.  Every
-# estimator draw passes _take_draws and then _check_finite, whether it
-# fills a row of a batch or stands alone as a single run's row.
-
-
-def _take_draws(source, width: int, stage: str) -> np.ndarray:
-    draws = np.asarray(source.take(width), dtype=float)
-    if draws.shape != (width,):
-        raise SourceContractError(
-            f"{stage}: take({width}) returned {draws.size} draws in shape {draws.shape}"
-        )
-    return draws
-
-
-def _check_finite(rows: np.ndarray, sources, stage: str) -> np.ndarray:
-    """`rows`, if all finite; else name the source of the first bad row (its
-    distribution's spec string, for a SampleSource)."""
+def _fill_rows(sources, width: int, stage: str) -> np.ndarray:
+    """Row i: the next `width` draws of sources[i].  Every estimator draw
+    passes this gate of the take contract: take(width) returns exactly
+    `width` draws, all finite, or SourceContractError names the stage (and,
+    for a non-finite draw, the source's distribution spec string).  A batch
+    fills one new matrix; a single source's take is its row, uncopied."""
+    rows = np.empty((len(sources), width)) if len(sources) > 1 else None
+    for i, source in enumerate(sources):
+        draws = np.asarray(source.take(width), dtype=float)
+        if draws.shape != (width,):
+            raise SourceContractError(
+                f"{stage}: take({width}) returned {draws.size} draws in shape {draws.shape}"
+            )
+        if rows is None:
+            rows = draws[None, :]
+        else:
+            rows[i] = draws
     if not np.isfinite(rows).all():
         source = sources[int(np.argmin(np.isfinite(rows).all(axis=1)))]
         name = getattr(getattr(source, "dist", None), "spec_string", type(source).__name__)
-        raise SourceContractError(f"{stage}: take({rows.shape[1]}) returned a non-finite draw from {name}")
+        raise SourceContractError(f"{stage}: take({width}) returned a non-finite draw from {name}")
     return rows
-
-
-def _fill_rows(out: np.ndarray, sources, stage: str) -> np.ndarray:
-    """Fill row i of `out` with the next out.shape[1] draws of sources[i]."""
-    for row, source in zip(out, sources):
-        row[:] = _take_draws(source, out.shape[1], stage)
-    return _check_finite(out, sources, stage)
-
-
-def _take_row(source, width: int, stage: str) -> np.ndarray:
-    """The next `width` draws of one source as a 1 x width matrix, uncopied."""
-    return _check_finite(_take_draws(source, width, stage)[None, :], [source], stage)
 
 
 def _median_rows(draws: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -269,14 +257,16 @@ def _truncated_mean_rows(draws: np.ndarray, mu1: np.ndarray, alpha: np.ndarray) 
     return np.add.reduce(w, axis=1) / w.shape[1]
 
 
-def _two_stage_rows(stage1: np.ndarray, stage2: np.ndarray, spec: ApproxSpec, plan: StagePlan):
-    """The two-stage estimator on matrices of draws, one row per run.
+def _two_stage_rows(sources, spec: ApproxSpec, plan: StagePlan):
+    """The two-stage estimator, one run per source.
 
-    `stage1` is rows x k*m, `stage2` is rows x n.  Returns the arrays
-    (mu1, alpha, mu_hat), one entry per row.  Each row gets exactly the
-    arithmetic of a single run, so results do not depend on how runs are
-    grouped into rows.
+    Each source gives k*m stage-1 draws, then n stage-2 draws, in two takes.
+    Returns the arrays (mu1, alpha, mu_hat), one entry per source.  Each
+    row gets exactly the arithmetic of a single run, so results do not
+    depend on how runs are grouped into calls.
     """
+    stage1 = _fill_rows(sources, plan.samples_stage1, "stage 1")
+    stage2 = _fill_rows(sources, plan.n, "stage 2")
     # stage 1: the median of means / (1 - epsilon1^2); the correction turns a
     # bound on |estimate/mean - 1| into the one on |mean/estimate - 1| that
     # stage 2's truncation scale needs
@@ -298,7 +288,7 @@ def median_of_means(source, k: int, m: int) -> float:
     m = _integer("group count m", m, 1)
     if m % 2 == 0:
         raise ValueError(f"group count m must be odd, got {m}")
-    return float(_median_rows(_take_row(source, k * m, "median of means"), k, m)[0])
+    return float(_median_rows(_fill_rows([source], k * m, "median of means"), k, m)[0])
 
 
 def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, TruncationScale]:
@@ -308,7 +298,7 @@ def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, Trunca
     alpha = epsilon / (c^2 mu1).
     """
     alpha = _truncation_scale(mu1, spec)
-    draws = _take_row(source, stage2_params(spec), "stage 2")
+    draws = _fill_rows([source], stage2_params(spec), "stage 2")
     mu_hat = _truncated_mean_rows(draws, np.array([mu1], dtype=float), np.array([alpha.alpha]))
     return float(mu_hat[0]), alpha
 
@@ -322,9 +312,7 @@ def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> Estimat
     P(|mu_hat - mean| > epsilon * mean) <= delta.
     """
     plan = build_plan(spec, mode)
-    stage1 = _take_row(source, plan.samples_stage1, "stage 1")
-    stage2 = _take_row(source, plan.n, "stage 2")
-    mu1, alpha, mu_hat = _two_stage_rows(stage1, stage2, spec, plan)
+    mu1, alpha, mu_hat = _two_stage_rows([source], spec, plan)
     return EstimateReport(
         mu1=float(mu1[0]),
         alpha=TruncationScale(float(alpha[0])),

@@ -9,13 +9,11 @@ budget so sample-efficiency differences are visible at equal cost.
 Replicates run in chunks of a few rows.  The plan is built once per run,
 and so are the PCG64 seeds of all R replicate streams, in one vectorised
 pass that matches numpy's SeedSequence bit for bit (sources.py states the
-derivation).  Each replicate r keeps its own stream (seed, r), and fills
-one row of a stage-1 matrix and one row of a stage-2 matrix with two
-separate takes, as a single estimate_mean call would.  The estimator's
-batched kernel then reduces every row at once (group means, median,
-truncated average along the rows), with the same arithmetic per row as a
-single run, so a coverage report is bit-identical to one
-replicate-at-a-time loop.
+derivation).  Replicate r keeps its own stream (seed, r).  Each chunk's
+sources go to the same kernel call, _two_stage_rows, that estimate_mean
+makes with one source: it takes each source's stage-1 and stage-2 draws
+and reduces the rows at once with the arithmetic of a single run, so a
+coverage report is bit-identical to one replicate-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -142,24 +140,21 @@ def run_coverage(config: CoverageConfig) -> CoverageReport:
     budget = plan.total_samples
     kind = config.estimator
     if kind is EstimatorKind.TWO_STAGE:
-        stages = (("stage 1", plan.samples_stage1), ("stage 2", plan.n))
-        estimate = lambda stage1, stage2: _two_stage_rows(stage1, stage2, spec, plan)[2]
+        estimate = lambda sources: _two_stage_rows(sources, spec, plan)[2]
     elif kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
         mom_k, mom_m = _mom_baseline_params(spec, budget)
-        stages = (("median of means", mom_k * mom_m),)
-        estimate = lambda draws: _median_rows(draws, mom_k, mom_m)
+        estimate = lambda sources: _median_rows(
+            _fill_rows(sources, mom_k * mom_m, "median of means"), mom_k, mom_m
+        )
     else:
-        stages = (("naive mean", budget),)
-        estimate = lambda draws: draws.mean(axis=1)
+        estimate = lambda sources: _fill_rows(sources, budget, "naive mean").mean(axis=1)
 
-    buffers = [(stage, np.empty((_CHUNK_ROWS, width))) for stage, width in stages]
     values = np.empty(config.replications)
     seed_words = _replicate_seed_words(config.seed, np.arange(config.replications))
     for start in range(0, config.replications, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, config.replications)
-        sources = [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
         values[start:stop] = estimate(
-            *(_fill_rows(buffer[: stop - start], sources, stage) for stage, buffer in buffers)
+            [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
         )
 
     mu = config.dist.facts().true_mean

@@ -75,7 +75,11 @@ def psi_lower(u):
 def scaled_psi(scale, u):
     """psi(alpha * u) / alpha, exactly: close to the identity on |u| <= 1/alpha.
 
-    ``scale`` may be a TruncationScale or a positive float.
+    ``scale`` may be a TruncationScale or a positive float.  The result
+    shrinks, |scaled_psi(alpha, u)| <= |u| to within an ulp or two, when
+    alpha * u is 0 or a normal float.  When alpha * u is subnormal, its
+    rounding is carried back through the division, and the result may
+    exceed |u| by up to 2**-1074 / alpha more.
     """
     alpha = scale.alpha if isinstance(scale, TruncationScale) else TruncationScale(float(scale)).alpha
     return _match_input(_psi(alpha * _finite_array(u)) / alpha, u)

@@ -72,6 +72,10 @@ class Constant:
 
     value: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant value must be finite, got {self.value!r}")
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, float(self.value))
 
@@ -398,18 +402,32 @@ class SampleSource:
         return self.dist.sample(self._rng, _integer("draw count n", n))
 
 
+def _read_ascii(path) -> str:
+    """The text of an ASCII input file; a byte outside ASCII is a ValueError
+    that names the file and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line_no} has a non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
 def load_recorded(path) -> Recorded:
-    """Read a recorded source from a plain-text file, one decimal value per line."""
+    """Read a recorded source from an ASCII text file, one finite decimal value per line."""
     values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no} is not a decimal value: {text!r}") from None
+    for line_no, line in enumerate(_read_ascii(path).splitlines(), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no} is not a decimal value: {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {line_no} is not a finite value: {text!r}")
+        values.append(value)
     return Recorded(tuple(values))
 
 

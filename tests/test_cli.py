@@ -249,6 +249,24 @@ def test_non_finite_draw_exits_2_naming_the_distribution(capsys):
     assert "non-finite" in err and "normal:1e+308,1e+308" in err
 
 
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        (b"1.0\n2.0\ninf\n", ["estimate", "--dist", "recorded:{path}", "--c", "1"]),
+        (b"1.0\n2.0\ncaf\xe9\n", ["estimate", "--dist", "recorded:{path}", "--c", "1"]),
+        (b"3\n1 2\n2 \xe9\n", ["linext", "--poset", "{path}"]),
+    ],
+    ids=["recorded-inf", "recorded-non-ascii", "poset-non-ascii"],
+)
+def test_bad_input_file_exits_2_naming_its_file_and_line(capsys, tmp_path, content, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    argv = [arg.format(path=path) for arg in argv] + ["--epsilon", "0.2", "--delta", "0.1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{path}: line 3" in err
+
+
 def test_cycle_in_poset_file_exits_2(capsys, tmp_path):
     poset = tmp_path / "cycle.txt"
     poset.write_text("3\n1 2\n2 3\n3 1\n", encoding="ascii")

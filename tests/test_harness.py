@@ -177,9 +177,19 @@ class _Misbehaving:
     ],
     ids=["short", "nan"],
 )
-def test_coverage_names_a_broken_take(sample, problem):
-    with pytest.raises(SourceContractError, match=f"stage 1: take.*{problem}"):
-        run_coverage(CoverageConfig(SPEC, _Misbehaving(sample), 100, seed=0))
+@pytest.mark.parametrize(
+    "kind, stage",
+    [
+        (EstimatorKind.TWO_STAGE, "stage 1"),
+        (EstimatorKind.MEDIAN_OF_MEANS_ONLY, "median of means"),
+        (EstimatorKind.NAIVE_MEAN, "naive mean"),
+    ],
+    ids=["twostage", "mom", "naive"],
+)
+def test_coverage_names_a_broken_take(sample, problem, kind, stage):
+    # every estimator kind draws through the one take-contract gate
+    with pytest.raises(SourceContractError, match=f"{stage}: take.*{problem}"):
+        run_coverage(CoverageConfig(SPEC, _Misbehaving(sample), 100, seed=0, estimator=kind))
 
 
 def test_budget_matches_two_stage_plan():

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relmean import TruncationScale, psi, psi_lower, psi_upper, scaled_psi
 
@@ -78,14 +79,20 @@ def test_exact_oddness(u):
 
 @settings(max_examples=200, derandomize=True)
 @given(finite_values, st.floats(min_value=1e-6, max_value=1e4))
+@example(2.225073858507203e-309, 0.0625)
 def test_scaled_psi_shrinks(u, alpha):
     # same ulp caveat as the envelope: for |alpha*u| tiny the true slack is
-    # cubic and drops below float resolution
-    assert _at_most(abs(scaled_psi(TruncationScale(alpha), u)), abs(u))
+    # cubic and drops below float resolution.  A subnormal alpha*u also
+    # carries its rounding, at most 2**-1074, back through the division:
+    # the example's result exceeds |u| by 6 units of 2**-1074
+    subnormal = 0.0 < abs(alpha * u) < sys.float_info.min
+    bound = abs(u) + (2.0**-1074 / alpha if subnormal else 0.0)
+    assert _at_most(abs(scaled_psi(TruncationScale(alpha), u)), bound)
 
 
 @settings(max_examples=200, derandomize=True)
 @given(finite_values, st.floats(min_value=1e-6, max_value=1e4))
+@example(2.225073858507203e-309, 0.0625)
 def test_scaled_psi_is_psi_of_scaled_argument_exactly(u, alpha):
     assert scaled_psi(alpha, u) == psi(alpha * u) / alpha
     grid = np.linspace(-3.0, 3.0, 61) * u

@@ -96,6 +96,13 @@ def test_facts_domain_errors():
         Constant(-1.0).facts()
 
 
+@pytest.mark.parametrize("text", ["constant:inf", "constant:-inf", "constant:nan"])
+def test_constant_rejects_a_non_finite_value_when_built(text):
+    with pytest.raises(ValueError, match="constant value must be finite"):
+        parse_distribution(text)
+    assert Constant(-3.0).value == -3.0  # a negative finite value stays legal
+
+
 def test_source_facts_invariant():
     with pytest.raises(ValueError):
         SourceFacts(1.0, 4.0, 1.0)  # c_bound^2 < relvar
