@@ -115,8 +115,11 @@ def _cmd_compare(args) -> dict:
 
 def _cmd_linext(args) -> dict:
     text = _read_ascii(args.poset)
-    _check_desk_scale(_poset_lines(text)[0])  # before the pairs are parsed and closed
-    poset = Poset.from_text(text)
+    try:
+        _check_desk_scale(_poset_lines(text)[0])  # before the pairs are parsed and closed
+        poset = Poset.from_text(text)
+    except ValueError as exc:  # a bad line names its number, a cycle or size only the file
+        raise type(exc)(f"{args.poset}: {exc}") from None
     estimate = linext_approx_count(
         poset, args.epsilon, args.delta, args.m_per_level, args.seed, args.mode
     )

@@ -171,9 +171,7 @@ class Poset:
         n = _integer("n", n)
         preds = [0] * n
         for i, j in pairs:
-            i, j = _integer("pair element", i, 1), _integer("pair element", j, 1)
-            if not (i <= n and j <= n):
-                raise ValueError(f"pair ({i}, {j}) is outside 1..{n}")
+            i, j = _checked_pair(n, i, j)
             preds[j - 1] |= 1 << (i - 1)
         # Warshall's closure: whatever precedes k also precedes everything after k
         for k in range(n):
@@ -192,29 +190,43 @@ class Poset:
 
     @classmethod
     def from_text(cls, text: str) -> "Poset":
-        """Parse the plain-text format: first line n, then one `i j` pair per line."""
+        """Parse the plain-text format: first line n, then one `i j` pair per
+        line.  A malformed or out-of-range pair is named by its line number."""
         n, lines = _poset_lines(text)
         pairs = []
-        for ln in lines:
+        for line_no, ln in lines:
             try:
                 i, j = (int(part) for part in ln.split())
             except ValueError:
-                raise ValueError(f"expected an `i j` pair of integers, got {ln!r}") from None
-            pairs.append((i, j))
+                raise ValueError(f"line {line_no}: expected an `i j` pair of integers, got {ln!r}") from None
+            try:
+                pairs.append(_checked_pair(n, i, j))
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
         return cls.from_pairs(n, pairs)
 
 
-def _poset_lines(text: str) -> tuple[int, list[str]]:
-    """The declared element count of a plain-text poset and its pair lines, unparsed."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+def _checked_pair(n: int, i, j) -> tuple[int, int]:
+    """The pair (i, j) of elements of 1..n, as Python ints."""
+    i, j = _integer("pair element", i, 1), _integer("pair element", j, 1)
+    if not (i <= n and j <= n):
+        raise ValueError(f"pair ({i}, {j}) is outside 1..{n}")
+    return i, j
+
+
+def _poset_lines(text: str) -> tuple[int, list[tuple[int, str]]]:
+    """The declared element count of a plain-text poset and its pair lines,
+    unparsed, each with its 1-based line number in the text."""
+    lines = [(line_no, ln.strip()) for line_no, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(line_no, ln) for line_no, ln in lines if ln]
     if not lines:
         raise ValueError("empty poset description")
+    (line_no, first), pairs = lines[0], lines[1:]
     try:
-        n = int(lines[0])
+        n = int(first)
     except ValueError:
-        raise ValueError(f"first line must be the element count, got {lines[0]!r}") from None
-    return n, lines[1:]
+        raise ValueError(f"line {line_no}: expected the element count, got {first!r}") from None
+    return n, pairs
 
 
 def _check_desk_scale(n: int) -> None:

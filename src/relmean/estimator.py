@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psi import TruncationScale, _psi, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
+from .psi import TruncationScale, _psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
 from .sources import _integer
 
 __all__ = [
@@ -243,18 +243,51 @@ def _truncation_scale(mu1: float, spec: ApproxSpec) -> TruncationScale:
     """alpha = epsilon / (c^2 mu1) for a positive, finite centre mu1."""
     if not (math.isfinite(mu1) and mu1 > 0.0):
         raise ValueError(f"mu1 must be positive and finite, got {mu1!r}")
-    return TruncationScale(spec.epsilon / (spec.c * spec.c * mu1))
+    scaled_centre = spec.c * spec.c * mu1
+    alpha = spec.epsilon / scaled_centre if scaled_centre > 0.0 else math.inf
+    if alpha == math.inf:
+        raise ValueError(
+            f"mu1 = {mu1!r} is too small at c = {spec.c!r}: the truncation scale epsilon / (c^2 mu1) overflows"
+        )
+    return TruncationScale(alpha)
+
+
+# elements per stage-2 block: the block and its two scratch arrays stay in cache
+_BLOCK = 16384
 
 
 def _truncated_mean_rows(draws: np.ndarray, mu1: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Per row: the mean of mu1 + psi(alpha (x - mu1)) / alpha over its draws."""
+    """Per row: the mean of mu1 + psi(alpha (x - mu1)) / alpha over its draws.
+
+    The terms are written into one rows x n output, a block of about _BLOCK
+    elements at a time, with two block-sized scratch arrays, so no other
+    full-row temporary exists and draws is never written.  Rows that fit in
+    one block are evaluated whole, unsliced, on scratch numpy allocates
+    itself, which is cheaper at a few hundred draws.  Each term is the value
+    an unblocked evaluation gives, and one reduce over the full rows sums
+    them in the same pairwise order, so the means are bit-identical to it.
+    """
+    rows, n = draws.shape
     mu1, alpha = mu1[:, None], alpha[:, None]
-    w = draws - mu1
+    width = max(1, _BLOCK // rows)
+    if n <= width:
+        out = draws - mu1
+        _truncate_block(out, mu1, alpha)
+    else:
+        out = np.empty((rows, n))
+        t, u = np.empty((rows, width)), np.empty((rows, width))
+        for lo in range(0, n, width):
+            w = np.subtract(draws[:, lo : lo + width], mu1, out=out[:, lo : lo + width])
+            _truncate_block(w, mu1, alpha, t[:, : w.shape[1]], u[:, : w.shape[1]])
+    return np.add.reduce(out, axis=1) / n
+
+
+def _truncate_block(w: np.ndarray, mu1: np.ndarray, alpha: np.ndarray, t=None, u=None) -> None:
+    """Overwrite deviations w = x - mu1 with the terms mu1 + psi(alpha w) / alpha."""
     w *= alpha
-    w = _psi(w)
+    _psi_into(w, t, u)
     w /= alpha
     w += mu1
-    return np.add.reduce(w, axis=1) / w.shape[1]
 
 
 def _two_stage_rows(sources, spec: ApproxSpec, plan: StagePlan):

@@ -5,6 +5,11 @@ growing only logarithmically in the tails, so averages of transformed
 deviations stay light-tailed no matter how heavy the sampled distribution
 is.  ``psi_upper`` and ``psi_lower`` bracket it from above and below and
 carry the same tail behaviour.
+
+The transform has one evaluator, ``_psi_into``, which overwrites a float
+array in place.  The estimator's stage-2 kernel applies it block by block
+to its own output; ``psi`` and ``scaled_psi`` apply it to a fresh copy of
+their input, so all three agree bit for bit.
 """
 
 from __future__ import annotations
@@ -39,13 +44,27 @@ def _match_input(out: np.ndarray, u):
     return float(out) if np.ndim(u) == 0 else out
 
 
-def _psi(x: np.ndarray) -> np.ndarray:
-    """sign(x) * log1p(|x| + x^2/2) on a float array, without input checks.
+def _psi_into(w: np.ndarray, t: np.ndarray | None = None, u: np.ndarray | None = None) -> None:
+    """Overwrite the float array w with sign(w) * log1p(|w| + w^2/2).
 
-    The one evaluation of the transform: psi, scaled_psi and the estimator's
-    batched kernel all go through it, so their results agree bit for bit.
+    The one evaluation of the transform, without input checks.  t and u are
+    scratch arrays of w's shape; numpy allocates them when they are not
+    given.  sign(w) * (rather than copysign) keeps psi(-0.0) at +0.0.
     """
-    return np.sign(x) * np.log1p(np.abs(x) + 0.5 * x * x)
+    t = np.multiply(w, 0.5, out=t)
+    t *= w
+    u = np.abs(w, out=u)
+    t += u
+    np.log1p(t, out=t)
+    np.multiply(np.sign(w, out=u), t, out=w)
+
+
+def _psi(x) -> np.ndarray:
+    """psi on a fresh float copy of x, which is left untouched."""
+    w = np.array(x, dtype=float)
+    # explicit scratch: a ufunc on a 0-d array returns a scalar, not an array
+    _psi_into(w, np.empty_like(w), np.empty_like(w))
+    return w
 
 
 def psi(u):

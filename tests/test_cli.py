@@ -255,8 +255,10 @@ def test_non_finite_draw_exits_2_naming_the_distribution(capsys):
         (b"1.0\n2.0\ninf\n", ["estimate", "--dist", "recorded:{path}", "--c", "1"]),
         (b"1.0\n2.0\ncaf\xe9\n", ["estimate", "--dist", "recorded:{path}", "--c", "1"]),
         (b"3\n1 2\n2 \xe9\n", ["linext", "--poset", "{path}"]),
+        (b"3\n1 2\nx y\n", ["linext", "--poset", "{path}"]),
+        (b"3\n1 2\n2 9\n", ["linext", "--poset", "{path}"]),
     ],
-    ids=["recorded-inf", "recorded-non-ascii", "poset-non-ascii"],
+    ids=["recorded-inf", "recorded-non-ascii", "poset-non-ascii", "poset-bad-pair", "poset-pair-out-of-range"],
 )
 def test_bad_input_file_exits_2_naming_its_file_and_line(capsys, tmp_path, content, argv):
     path = tmp_path / "input.txt"
@@ -272,7 +274,7 @@ def test_cycle_in_poset_file_exits_2(capsys, tmp_path):
     poset.write_text("3\n1 2\n2 3\n3 1\n", encoding="ascii")
     code, _, err = run_cli(capsys, "linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1")
     assert code == 2
-    assert "cycle" in err
+    assert f"{poset}: order contains a cycle" in err
 
 
 def test_poset_over_the_size_cap_exits_2_before_its_pairs_are_read(capsys, tmp_path):

@@ -183,8 +183,12 @@ def test_poset_text_format():
 
 def test_poset_text_names_a_bad_pair_line():
     for line in ["1.5 2", "x 2", "1 2 3", "1"]:
-        with pytest.raises(ValueError, match=f"expected an `i j` pair of integers, got '{line}'"):
-            Poset.from_text(f"3\n{line}\n")
+        with pytest.raises(ValueError, match=f"line 3: expected an `i j` pair of integers, got '{line}'"):
+            Poset.from_text(f"3\n\n{line}\n")
+    with pytest.raises(ValueError, match=r"line 4: pair \(2, 9\) is outside 1..3"):
+        Poset.from_text("3\n1 2\n\n2 9\n")
+    with pytest.raises(ValueError, match="line 2: expected the element count, got 'three'"):
+        Poset.from_text("\nthree\n1 2\n")
 
 
 def test_poset_file_round_trip(tmp_path):

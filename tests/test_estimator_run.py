@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from relmean import (
     build_plan,
     estimate_mean,
     median_of_means,
+    scaled_psi,
     stage2_estimate,
     stage2_params,
     theorem1_total,
 )
+from relmean.estimator import _BLOCK, _truncated_mean_rows
 
 import oracles
 
@@ -122,6 +125,15 @@ def test_stage2_estimate_rejects_bad_mu1():
     for bad in [0.0, -1.0, math.nan]:
         with pytest.raises(ValueError):
             stage2_estimate(src, bad, ApproxSpec(0.1, 0.05, 1.0))
+
+
+def test_stage1_centre_too_small_for_a_finite_truncation_scale_is_named():
+    spec = ApproxSpec(0.1, 0.05, 1.0)
+    message = r"mu1 = .* is too small .*: the truncation scale epsilon / \(c\^2 mu1\) overflows"
+    with pytest.raises(ValueError, match=message):
+        estimate_mean(SampleSource(Constant(1e-310), 1), spec)
+    with pytest.raises(ValueError, match=message):
+        stage2_estimate(SampleSource(Constant(1.0), 0), 1e-310, spec)
 
 
 def test_estimate_mean_constant_always_within_epsilon():
@@ -232,3 +244,58 @@ def test_estimate_mean_on_scaled_recorded_source():
     scaled = estimate_mean(SampleSource(Scaled(Recorded(tuple(draws)), 2.5), seed=0), spec)
     recorded = estimate_mean(SampleSource(Recorded(tuple(2.5 * draws)), seed=0), spec)
     assert scaled == recorded
+
+
+def _kernel_rows(rng, rows: int, n: int):
+    """(draws, mu1, alpha) for the stage-2 kernel, row r of kind r % 4:
+    lognormal draws; every other draw equal to mu1; deviations whose alpha
+    products are subnormal; draws whose products overflow to +inf (row 3)
+    or -inf (row 7), or overflow only inside psi's square."""
+    mu1 = rng.uniform(0.5, 4.0, rows)
+    alpha = 10.0 ** rng.uniform(-3.0, 3.0, rows)
+    draws = mu1[:, None] * rng.lognormal(0.0, 1.0, (rows, n))
+    for r in range(rows):
+        kind = r % 4
+        if kind == 1:
+            draws[r, ::2] = mu1[r]
+        elif kind == 2:
+            alpha[r] = 1e-300
+            draws[r] = mu1[r] * (1.0 + rng.integers(-4, 5, n) * 2.0**-52)
+        elif kind == 3:
+            alpha[r] = 1e10
+            draws[r, ::5] = 1e300 if r == 3 else -1e300
+            draws[r, 1::5] = mu1[r] + 1e150
+    return draws, mu1, alpha
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+def test_truncated_mean_kernel_matches_the_unblocked_formula(rows):
+    # the oracle's per-replicate formula, byte for byte, on either side of
+    # every block boundary; the kernel must not write into the draws
+    rng = np.random.default_rng(20240917)
+    width = _BLOCK // rows
+    for n in sorted({1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, width - 1, width, width + 1}):
+        draws, mu1, alpha = _kernel_rows(rng, 8, n)
+        if rows == 8:
+            cases = [(draws, mu1, alpha)]
+        else:
+            cases = [(d[None, :], m[None], a[None]) for d, m, a in zip(draws, mu1, alpha)]
+        for case in cases:
+            before = case[0].copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _truncated_mean_rows(*case)
+                want = [np.mean(m + scaled_psi(a, d - m)) for d, m, a in zip(*case)]
+            assert got.tobytes() == np.array(want).tobytes(), n
+            assert case[0].tobytes() == before.tobytes(), n
+
+
+def test_truncated_mean_kernel_peak_memory_is_one_output_row():
+    draws = np.random.default_rng(7).lognormal(0.0, 1.0, (1, 10**6))
+    mu1, alpha = np.array([1.6]), np.array([0.06])
+    tracemalloc.start()
+    try:
+        _truncated_mean_rows(draws, mu1, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= draws.nbytes + 2**20

@@ -22,6 +22,11 @@ def test_psi_pinned_values():
     assert psi(-1.0) == -psi(1.0)
 
 
+def test_psi_of_negative_zero_is_positive_zero():
+    for value in (psi(-0.0), float(psi(np.array([-0.0]))[0]), scaled_psi(2.0, -0.0)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_envelope_pinned_values():
     assert psi_upper(0.0) == 0.0
     assert psi_upper(-2.0) == 0.0  # ln(1 - 2 + 2) = ln 1, analytically forced
