@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .psi import TruncationScale, _psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
+from .psi import TruncationScale, _psi_into, _scaled_psi_tail, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
 from .sources import _integer
 
 __all__ = [
@@ -79,6 +80,11 @@ class ApproxSpec:
         _check_accuracy(self.epsilon, self.delta)
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"c must be positive and finite, got {self.c!r}")
+        # every closed form works with c^2; a square that underflows or
+        # overflows would surface as a division by zero or a NaN count
+        c_sq = self.c * self.c
+        if not sys.float_info.min <= c_sq <= sys.float_info.max:
+            raise ValueError(f"c^2 must be a normal float, but c = {self.c!r} squares to {c_sq!r}")
 
 
 @dataclass(frozen=True)
@@ -279,7 +285,22 @@ def _truncated_mean_rows(draws: np.ndarray, mu1: np.ndarray, alpha: np.ndarray) 
         for lo in range(0, n, width):
             w = np.subtract(draws[:, lo : lo + width], mu1, out=out[:, lo : lo + width])
             _truncate_block(w, mu1, alpha, t[:, : w.shape[1]], u[:, : w.shape[1]])
-    return np.add.reduce(out, axis=1) / n
+    means = np.add.reduce(out, axis=1) / n
+    if not all(map(math.isfinite, means.tolist())):
+        _repair_overflowed_rows(out, means, draws, mu1, alpha)
+    return means
+
+
+def _repair_overflowed_rows(out, means, draws, mu1, alpha) -> None:
+    """Redo each non-finite row mean after replacing its infinite terms,
+    those whose alpha (x - mu1) or its square overflowed inside psi, by
+    psi's tail formula.  Only rows already non-finite change, so this costs
+    nothing on rows that never overflow."""
+    n = out.shape[1]
+    for i in np.flatnonzero(~np.isfinite(means)):
+        big = np.isinf(out[i])
+        out[i, big] = mu1[i] + _scaled_psi_tail(draws[i, big] - mu1[i], alpha[i])
+        means[i] = np.add.reduce(out[i]) / n
 
 
 def _truncate_block(w: np.ndarray, mu1: np.ndarray, alpha: np.ndarray, t=None, u=None) -> None:

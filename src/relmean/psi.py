@@ -8,8 +8,11 @@ carry the same tail behaviour.
 
 The transform has one evaluator, ``_psi_into``, which overwrites a float
 array in place.  The estimator's stage-2 kernel applies it block by block
-to its own output; ``psi`` and ``scaled_psi`` apply it to a fresh copy of
-their input, so all three agree bit for bit.
+to its own output; ``psi`` and ``scaled_psi`` apply it to a fresh array,
+their input times alpha (1 for ``psi``), so all three agree bit for bit.  Where the square inside the
+log overflows, the evaluator gives infinity; all three then replace just
+those entries by one tail formula, ``_scaled_psi_tail``, so every finite
+input maps to a finite value.
 """
 
 from __future__ import annotations
@@ -59,11 +62,29 @@ def _psi_into(w: np.ndarray, t: np.ndarray | None = None, u: np.ndarray | None =
     np.multiply(np.sign(w, out=u), t, out=w)
 
 
-def _psi(x) -> np.ndarray:
-    """psi on a fresh float copy of x, which is left untouched."""
-    w = np.array(x, dtype=float)
-    # explicit scratch: a ufunc on a 0-d array returns a scalar, not an array
-    _psi_into(w, np.empty_like(w), np.empty_like(w))
+_LN2 = math.log(2.0)
+
+
+def _scaled_psi_tail(d: np.ndarray, alpha) -> np.ndarray:
+    """psi(alpha * d) / alpha where alpha * |d| exceeds about 1.9e154, so that
+    w = alpha * d or w * w / 2 overflows.  There log1p(|w| + w^2/2) equals
+    ln(w^2 / 2) = 2 (ln alpha + ln|d|) - ln 2 to a relative 1e-154, and
+    its magnitude is at most about 1419."""
+    return np.sign(d) * (2.0 * (np.log(alpha) + np.log(np.abs(d))) - _LN2) / alpha
+
+
+def _scaled_psi(alpha: float, arr: np.ndarray) -> np.ndarray:
+    """psi(alpha * arr) / alpha for a float array, by the one evaluator on a
+    fresh array; only the entries where it overflows to infinity come from
+    the tail formula instead."""
+    with np.errstate(over="ignore"):
+        # explicit out and scratch: a ufunc on a 0-d array returns a scalar
+        w = np.multiply(arr, alpha, out=np.empty_like(arr))
+        _psi_into(w, np.empty_like(w), np.empty_like(w))
+    big = np.isinf(w)
+    w /= alpha
+    if big.any():
+        w[big] = _scaled_psi_tail(arr[big], alpha)
     return w
 
 
@@ -71,10 +92,11 @@ def psi(u):
     """ln(1 + u + u^2/2) for u >= 0, continued oddly to u < 0.
 
     Both branches reduce to sign(u) * log1p(|u| + u^2/2), so the function is
-    exactly odd in floating point and accurate near zero.  Accepts scalars or
-    arrays.
+    exactly odd in floating point and accurate near zero.  Where u^2/2
+    overflows (|u| above about 1.9e154) it is 2 ln|u| - ln 2, finite.
+    Accepts scalars or arrays.
     """
-    return _match_input(_psi(_finite_array(u)), u)
+    return _match_input(_scaled_psi(1.0, _finite_array(u)), u)
 
 
 def psi_upper(u):
@@ -94,6 +116,9 @@ def psi_lower(u):
 def scaled_psi(scale, u):
     """psi(alpha * u) / alpha, exactly: close to the identity on |u| <= 1/alpha.
 
+    Where alpha * |u| exceeds about 1.9e154, so that the product or its
+    square overflows, the value comes from ln alpha + ln|u| and stays finite.
+
     ``scale`` may be a TruncationScale or a positive float.  The result
     shrinks, |scaled_psi(alpha, u)| <= |u| to within an ulp or two, when
     alpha * u is 0 or a normal float.  When alpha * u is subnormal, its
@@ -101,4 +126,4 @@ def scaled_psi(scale, u):
     exceed |u| by up to 2**-1074 / alpha more.
     """
     alpha = scale.alpha if isinstance(scale, TruncationScale) else TruncationScale(float(scale)).alpha
-    return _match_input(_psi(alpha * _finite_array(u)) / alpha, u)
+    return _match_input(_scaled_psi(alpha, _finite_array(u)), u)

@@ -18,6 +18,10 @@ from relmean import Poset, SampleSource, build_plan, scaled_psi
 # psi values
 PSI_ONE = 0.91629073187415507  # ln(2.5)
 PSI_LOWER_ONE = 0.69314718055994531  # -ln(0.5)
+# beyond |u| ~ 1.9e154, where u^2/2 overflows in floating point
+PSI_1E200 = 920.34089001705833  # ln(1 + 1e200 + 1e400/2)
+PSI_MAX_FLOAT = 1418.8722786062080  # psi(sys.float_info.max)
+SCALED_PSI_1E10_1E300 = 1.4269096104757483e-07  # psi(1e310) / 1e10
 
 # stage parameters at epsilon=0.1, delta=0.05, c=1
 EPSILON1_BASE = 0.22360679774997897  # sqrt(0.05)

@@ -167,6 +167,16 @@ def test_argument_errors_exit_2(capsys):
         assert err != ""
 
 
+@pytest.mark.parametrize("command", ["samplesize", "lowerbound"])
+@pytest.mark.parametrize("c", ["1e-200", "1e155"])
+def test_c_whose_square_underflows_or_overflows_exits_2(capsys, command, c):
+    # before ApproxSpec checked c^2: a division by zero (exit 1) at 1e-200,
+    # a NaN draw count at 1e155
+    code, out, err = run_cli(capsys, command, "--epsilon", "0.1", "--delta", "0.05", "--c", c)
+    assert (code, out) == (2, "")
+    assert f"c^2 must be a normal float, but c = {float(c)!r}" in err
+
+
 def test_coverage_commands_reject_bad_configs_with_exit_2(capsys, tmp_path):
     values = tmp_path / "values.txt"
     values.write_text("".join(f"{v}.0\n" for v in range(1, 5000)), encoding="ascii")

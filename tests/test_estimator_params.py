@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ def test_approx_spec_validation():
     for bad in [(0.0, 0.05, 1.0), (1.0, 0.05, 1.0), (0.1, 0.0, 1.0), (0.1, 1.0, 1.0), (0.1, 0.05, 0.0), (0.1, 0.05, -2.0)]:
         with pytest.raises(ValueError):
             ApproxSpec(*bad)
+
+
+def test_approx_spec_rejects_a_c_whose_square_underflows_or_overflows():
+    smallest = 2.0**-511  # squares to sys.float_info.min exactly
+    largest = math.sqrt(sys.float_info.max)
+    for c in (smallest, largest):
+        ApproxSpec(0.1, 0.05, c)
+    for c in (1e-200, math.nextafter(smallest, 0.0), 1e155, math.nextafter(largest, math.inf)):
+        with pytest.raises(ValueError, match=r"c\^2 must be a normal float, but c = .* squares to"):
+            ApproxSpec(0.1, 0.05, c)
 
 
 def test_stage1_params_pinned():

@@ -235,6 +235,19 @@ def test_estimate_mean_names_the_stage_of_a_nan_draw():
         median_of_means(_ScriptedSource(np.array([1.0, math.nan, 2.0])), 1, 3)
 
 
+def test_stage2_draws_far_beyond_the_truncation_scale_give_a_finite_estimate():
+    # alpha (x - mu1) or its square overflows inside psi for these draws; the
+    # terms take psi's finite tail, as scaled_psi does, not +-infinity
+    spec = ApproxSpec(0.2, 0.1, 1.0)
+    plan = build_plan(spec)
+    tail = np.ones(plan.n)
+    tail[3], tail[5], tail[7] = 1e300, 1e160, -1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = estimate_mean(_ScriptedSource(np.ones(plan.k * plan.m), tail), spec)
+    assert math.isfinite(report.mu_hat)
+    assert report.mu_hat == np.mean(report.mu1 + scaled_psi(report.alpha, tail - report.mu1))
+
+
 def test_estimate_mean_on_scaled_recorded_source():
     # the replay of a scaled recording estimates exactly as the recording of
     # the scaled values does

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import re
+import threading
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -29,7 +33,9 @@ from relmean import (
     theorem1_total,
     write_csv,
 )
+import relmean.harness as harness
 from relmean.harness import CSV_HEADER
+from relmean.sources import _replicate_rng
 
 import oracles
 
@@ -190,6 +196,187 @@ def test_coverage_names_a_broken_take(sample, problem, kind, stage):
     # every estimator kind draws through the one take-contract gate
     with pytest.raises(SourceContractError, match=f"{stage}: take.*{problem}"):
         run_coverage(CoverageConfig(SPEC, _Misbehaving(sample), 100, seed=0, estimator=kind))
+
+
+# --- replicate slices in forked children ---------------------------------
+# _MIN_SLICE_DRAWS = 1 gives every usable CPU a slice; a huge value keeps
+# the run in this process.  _usable_cpus is raised above this host's CPU
+# count to split runs into more slices than there are cores.
+
+SERIAL, PARALLEL = 2**62, 1
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run(monkeypatch, config, min_slice_draws, cpus=None):
+    """run_coverage at the given slice threshold and CPU count; checks that
+    a parallel run forked and that no child outlives the run."""
+    monkeypatch.setattr(harness, "_MIN_SLICE_DRAWS", min_slice_draws)
+    if cpus is not None:
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    forks = []
+    fork_slice = harness._fork_slice
+    monkeypatch.setattr(harness, "_fork_slice", lambda *args: forks.append(args) or fork_slice(*args))
+    try:
+        return run_coverage(config)
+    finally:
+        _assert_no_children()
+        assert bool(forks) == (min_slice_draws == PARALLEL and harness._usable_cpus() > 1)
+
+
+@pytest.mark.parametrize("cpus", [None, 5])
+@pytest.mark.parametrize("seed", [3, 2**32 + 3, 2**64 + 3], ids=["1word", "2words", "3words"])
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+@pytest.mark.parametrize("replications", [100, 101, 1000, 1001])
+def test_parallel_coverage_is_bit_identical_to_serial(monkeypatch, replications, kind, seed, cpus):
+    config = CoverageConfig(SPEC, DIST, replications, seed=seed, estimator=kind)
+    serial = _run(monkeypatch, config, SERIAL)
+    parallel = _run(monkeypatch, config, PARALLEL, cpus)
+    assert parallel == serial
+    assert parallel.mean_abs_rel_error.hex() == serial.mean_abs_rel_error.hex()
+
+
+@pytest.mark.parametrize("replications, workers", [(100, 2), (101, 5), (1000, 3), (1001, 4), (16, 7)])
+def test_slices_are_placed_by_replicate_index(replications, workers):
+    bounds = harness._slice_bounds(replications, workers)
+    assert bounds[0] == 0 and bounds[-1] == replications
+    assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+    assert all(b % harness._CHUNK_ROWS == 0 for b in bounds[:-1])
+    values = np.full(replications, np.nan)
+    here = []
+
+    def fill(lo, hi):
+        here.append((lo, hi))  # a child's append stays in the child
+        values[lo:hi] = np.arange(lo, hi) * 1.5
+
+    harness._run_slices(values, fill, bounds)
+    _assert_no_children()
+    assert here == [(bounds[0], bounds[1])]
+    assert values.tolist() == (np.arange(replications) * 1.5).tolist()
+
+
+class _ShortAt:
+    """Normal(100, 50) draws, except that the first take of each listed
+    replicate stream comes up short, by a count that names the replicate."""
+
+    def __init__(self, seed, replicates):
+        self.spec_string = "short-at"
+        self._short = {self._state(_replicate_rng(seed, r)): i + 1 for i, r in enumerate(replicates)}
+
+    @staticmethod
+    def _state(rng):
+        return rng.bit_generator.state["state"]["state"]
+
+    def sample(self, rng, n):
+        return rng.normal(100.0, 50.0, n - self._short.get(self._state(rng), 0))
+
+    def facts(self):
+        return DIST.facts()
+
+
+@pytest.mark.parametrize(
+    "cpus, broken, first",
+    [(None, (900, 600), 600), (None, (700, 300), 300), (5, (950, 620, 990), 620)],
+    ids=["child", "parent-and-child", "two-children"],
+)
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_broken_take_in_a_slice_raises_the_serial_error(monkeypatch, kind, cpus, broken, first):
+    config = CoverageConfig(SPEC, _ShortAt(0, broken), 1000, seed=0, estimator=kind)
+    with pytest.raises(SourceContractError) as serial:
+        _run(monkeypatch, config, SERIAL)
+    with pytest.raises(SourceContractError) as parallel:
+        _run(monkeypatch, config, PARALLEL, cpus)
+    # the message names the lowest broken replicate by its shortfall
+    width = int(re.search(r"take\((\d+)\)", str(serial.value)).group(1))
+    assert f"returned {width - broken.index(first) - 1} draws" in str(serial.value)
+    assert str(parallel.value) == str(serial.value)
+
+
+class _DiesInChild:
+    """Normal draws in the process that built it; a forked child that
+    draws from it exits at once, without a result."""
+
+    spec_string = "dies-in-child"
+
+    def __init__(self):
+        self._pid = os.getpid()
+
+    def sample(self, rng, n):
+        if os.getpid() != self._pid:
+            os._exit(3)
+        return rng.normal(100.0, 50.0, n)
+
+    def facts(self):
+        return DIST.facts()
+
+
+def test_a_child_dying_without_a_result_is_named(monkeypatch):
+    config = CoverageConfig(SPEC, _DiesInChild(), 1000, seed=0)
+    bounds = harness._slice_bounds(1000, 2)
+    with pytest.raises(RuntimeError, match=f"replicates {bounds[1]}..999 died without a result .exit code 3"):
+        _run(monkeypatch, config, PARALLEL, 2)
+
+
+class _UnpicklableError(Exception):
+    def __init__(self, detail, code):
+        super().__init__(f"{detail} ({code})")
+
+
+class _RaisesInChild(_DiesInChild):
+    def sample(self, rng, n):
+        if os.getpid() != self._pid:
+            raise _UnpicklableError("no pickle", 7)
+        return rng.normal(100.0, 50.0, n)
+
+
+def test_an_exception_that_cannot_cross_the_pipe_keeps_its_type_and_message(monkeypatch):
+    config = CoverageConfig(SPEC, _RaisesInChild(), 1000, seed=0)
+    bounds = harness._slice_bounds(1000, 2)
+    with pytest.raises(RuntimeError, match=rf"replicates {bounds[1]}\.\.999: _UnpicklableError: no pickle \(7\)"):
+        _run(monkeypatch, config, PARALLEL, 2)
+
+
+class _InterruptedInParent(_DiesInChild):
+    """The process that built it is interrupted at its first take; a child
+    blocks for 30 s at its first take, then exits."""
+
+    def sample(self, rng, n):
+        if os.getpid() == self._pid:
+            raise KeyboardInterrupt
+        time.sleep(30)
+        os._exit(4)
+
+
+def test_an_interrupt_kills_and_reaps_the_children(monkeypatch):
+    config = CoverageConfig(SPEC, _InterruptedInParent(), 1000, seed=0)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _run(monkeypatch, config, PARALLEL, 3)
+    assert time.monotonic() - start < 15
+
+
+def test_worker_count_rule(monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    per_worker = harness._MIN_SLICE_DRAWS
+    assert harness._worker_count(100, per_worker // 100 - 1) == 1
+    assert harness._worker_count(100, 2 * per_worker // 100) == 2
+    assert harness._worker_count(1000, per_worker) == 4
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        # a forked child would hold only this thread
+        assert harness._worker_count(1000, per_worker) == 1
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert harness._worker_count(1000, per_worker) == 4
+    monkeypatch.delattr(os, "fork")
+    assert harness._worker_count(1000, per_worker) == 1
 
 
 def test_budget_matches_two_stage_plan():

@@ -4,7 +4,12 @@ the argument checks at its entry points."""
 from __future__ import annotations
 
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,23 @@ def test_package_exports_the_modules_lists():
     assert all(getattr(relmean, name) is getattr(module, name) for module in modules for name in module.__all__)
     # `from .psi import *` rebinds relmean.psi; it must stay the function
     assert relmean.psi is modules[0].psi and callable(relmean.psi)
+
+
+def test_import_loads_no_process_pool_module():
+    # coverage runs fork with os alone; a pool module would add import time
+    # to every CLI call and every fresh interpreter that imports relmean
+    script = (
+        "import json, sys\n"
+        "import relmean, relmean.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []
 
 
 # --------------------------------------------------------------- the argument boundary

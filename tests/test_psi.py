@@ -60,6 +60,38 @@ def test_rejects_non_finite_input():
         psi_upper(np.array([1.0, math.inf]))
 
 
+def test_psi_is_finite_where_the_square_overflows():
+    # u^2/2 overflows above about 1.9e154, yet psi never exceeds 1419
+    assert math.isclose(psi(1e200), oracles.PSI_1E200, rel_tol=4e-16)
+    assert math.isclose(psi(sys.float_info.max), oracles.PSI_MAX_FLOAT, rel_tol=4e-16)
+    assert psi(-1e200) == -psi(1e200)
+    grid = np.append(np.geomspace(1e150, 1e308, 2000), sys.float_info.max)
+    values = psi(np.concatenate([-grid[::-1], grid]))
+    assert np.all(np.isfinite(values)) and np.all(np.diff(values) >= 0.0)
+    # where the square is finite, the values are the evaluator's, bit for bit
+    with np.errstate(over="ignore"):
+        below = grid[0.5 * grid * grid < math.inf]
+    assert np.array_equal(psi(grid)[: below.size], np.sign(below) * np.log1p(np.abs(below) + 0.5 * below * below))
+
+
+def test_psi_is_continuous_where_its_square_overflows():
+    # the largest u whose u^2/2 is finite, and the next float
+    edge = math.sqrt(2.0) * math.sqrt(sys.float_info.max)
+    while 0.5 * edge * edge == math.inf:
+        edge = math.nextafter(edge, 0.0)
+    while 0.5 * math.nextafter(edge, math.inf) * math.nextafter(edge, math.inf) < math.inf:
+        edge = math.nextafter(edge, math.inf)
+    inside, outside = psi(edge), psi(math.nextafter(edge, math.inf))
+    assert math.isfinite(inside) and abs(outside - inside) <= 2 * math.ulp(inside)
+
+
+def test_scaled_psi_is_finite_where_the_scaled_argument_overflows():
+    # alpha * u = 1e310 overflows itself; the value comes from ln alpha + ln u
+    assert math.isclose(scaled_psi(1e10, 1e300), oracles.SCALED_PSI_1E10_1E300, rel_tol=4e-16)
+    assert scaled_psi(1e10, -1e300) == -scaled_psi(1e10, 1e300)
+    assert np.all(np.isfinite(scaled_psi(1e10, np.array([1e160, -1e300, 1.0]))))
+
+
 def _at_most(value: float, limit: float, ulps: int = 2) -> bool:
     """value <= limit, allowing limit to be short by a couple of ulps."""
     for _ in range(ulps):
