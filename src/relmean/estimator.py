@@ -80,11 +80,26 @@ class ApproxSpec:
         _check_accuracy(self.epsilon, self.delta)
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"c must be positive and finite, got {self.c!r}")
-        # every closed form works with c^2; a square that underflows or
-        # overflows would surface as a division by zero or a NaN count
-        c_sq = self.c * self.c
-        if not sys.float_info.min <= c_sq <= sys.float_info.max:
-            raise ValueError(f"c^2 must be a normal float, but c = {self.c!r} squares to {c_sq!r}")
+        # the closed forms divide by c^2, epsilon^2, epsilon1^2 and delta / 2
+        # (STRICT); one that underflows or overflows would surface as a
+        # division by zero or an infinite or NaN draw count
+        for name, value, given in (
+            ("c^2", self.c * self.c, "c = {c!r} squares to"),
+            ("epsilon^2", self.epsilon * self.epsilon, "epsilon = {epsilon!r} squares to"),
+            ("delta / 2", self.delta / 2.0, "delta = {delta!r} halves to"),
+        ):
+            if not sys.float_info.min <= value <= sys.float_info.max:
+                raise ValueError(f"{name} must be a normal float, but {given.format(**vars(self))} {value!r}")
+        # epsilon1^2 = epsilon c^2 / (1 + c^2) may be subnormal (c = 2**-511),
+        # but not 0
+        epsilon1_sq = _epsilon1_sq(self)
+        k = _group_size_real(self, epsilon1_sq) if epsilon1_sq > 0.0 else math.inf
+        n = stage2_count_real(self)
+        if not (math.isfinite(k) and math.isfinite(n)):
+            raise ValueError(
+                f"epsilon = {self.epsilon!r}, delta = {self.delta!r} and c = {self.c!r} give "
+                f"draw counts too large for a float: k = {k!r}, n = {n!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -146,6 +161,16 @@ def _group_rounds(d: float) -> int:
     return max(1, math.ceil(raw))
 
 
+def _epsilon1_sq(spec: ApproxSpec) -> float:
+    """The stage-1 accuracy epsilon1^2 = epsilon c^2 / (1 + c^2)."""
+    return spec.epsilon * spec.c * spec.c / (1.0 + spec.c * spec.c)
+
+
+def _group_size_real(spec: ApproxSpec, epsilon1_sq: float) -> float:
+    """Stage-1 group size before ceiling: 8 c^2 / epsilon1^2."""
+    return 8.0 * spec.c * spec.c / epsilon1_sq
+
+
 def stage2_count_real(spec: ApproxSpec) -> float:
     """Second-stage draw count before ceiling: 2 c^2 ln(4/delta) / (epsilon^2 (1 - epsilon))."""
     return (
@@ -167,8 +192,8 @@ def build_plan(spec: ApproxSpec, mode: Mode = Mode.STRICT) -> StagePlan:
     PAPER_EXACT mode, delta / 2 in STRICT mode), and n = stage2_params.
     """
     mode = Mode(mode)
-    epsilon1_sq = spec.epsilon * spec.c * spec.c / (1.0 + spec.c * spec.c)
-    k = math.ceil(8.0 * spec.c * spec.c / epsilon1_sq)
+    epsilon1_sq = _epsilon1_sq(spec)
+    k = math.ceil(_group_size_real(spec, epsilon1_sq))
     d = spec.delta if mode is Mode.PAPER_EXACT else spec.delta / 2.0
     m = 2 * _group_rounds(d) + 1
     return StagePlan(
@@ -262,6 +287,7 @@ def _truncation_scale(mu1: float, spec: ApproxSpec) -> TruncationScale:
 _BLOCK = 16384
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see the last paragraph below
 def _truncated_mean_rows(draws: np.ndarray, mu1: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Per row: the mean of mu1 + psi(alpha (x - mu1)) / alpha over its draws.
 
@@ -272,6 +298,13 @@ def _truncated_mean_rows(draws: np.ndarray, mu1: np.ndarray, alpha: np.ndarray) 
     itself, which is cheaper at a few hundred draws.  Each term is the value
     an unblocked evaluation gives, and one reduce over the full rows sums
     them in the same pairwise order, so the means are bit-identical to it.
+
+    Where alpha (x - mu1) or its square overflows, the term is infinite and
+    a row of +inf and -inf terms sums to NaN; _repair_overflowed_rows then
+    replaces those terms, so the kernel silences numpy's overflow and
+    invalid-value warnings.  A mean that stays non-finite after the repair
+    (draws or a centre mu1 within a few orders of magnitude of the largest
+    float) is returned as it is.
     """
     rows, n = draws.shape
     mu1, alpha = mu1[:, None], alpha[:, None]

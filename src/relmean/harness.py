@@ -18,16 +18,20 @@ coverage report is bit-identical to one replicate-at-a-time loop.
 A run splits its replicates into contiguous slices of whole chunks, one
 per worker.  The first slice runs in the calling process and each other
 one in a child made with os.fork, which pickles its slice of the
-estimates, or the exception it raised, back through a pipe.  The worker
-count is worked out, never set: min(usable CPUs, R * draws per replicate
-// _MIN_SLICE_DRAWS), and 1 where os.fork is missing or another Python
-thread runs.  Each child binds itself to a CPU other than its parent's
-where Linux names them.  Estimates are placed by replicate index, and an
-error is the one raised in the lowest failing chunk, so reports and errors
-do not depend on the worker count.  The gain was measured on Linux only.  Python 3.12 and
-later warn (DeprecationWarning) on fork() in a process with more than one
-OS thread, and numpy's BLAS may hold such a thread; not verified, for want
-of numpy on those versions.
+estimates, or its first error, back through a pipe.  The parent binds each
+child to a CPU other than its own, where Linux names them, right after
+the fork, so the child need not first wait for the parent's timeslice.
+compare_estimators makes one such round for all three estimators: each
+slice runs them in turn over an R x 3 array of estimates.  The worker
+count is worked out, never set: min(usable CPUs, R * estimators * draws
+per replicate // _MIN_SLICE_DRAWS), and 1 where os.fork is missing or
+another Python thread runs.  Estimates are placed by replicate index, and
+the error raised is the one with the lowest (estimator, replicate), the
+serial run's, so reports and errors do not depend on the worker count.
+The gain was measured on Linux only.  Python 3.12 and later warn
+(DeprecationWarning) on fork() in a process with more than one OS thread,
+and numpy's BLAS may hold such a thread; not verified, for want of numpy
+on those versions.
 """
 
 from __future__ import annotations
@@ -133,10 +137,11 @@ def _mom_baseline_params(spec: ApproxSpec, budget: int) -> tuple[int, int]:
     Groups are sized for per-group failure 1/8; the group count spends as
     much of the budget as an odd multiple of the group size allows.
     """
-    k = math.ceil(8.0 * spec.c * spec.c / (spec.epsilon * spec.epsilon))
+    k = 8.0 * spec.c * spec.c / (spec.epsilon * spec.epsilon)  # may overflow to inf
     if budget < k:
         # budget smaller than one group: degrade to a plain mean of the budget
         return budget, 1
+    k = math.ceil(k)
     return k, _largest_odd_at_most(budget // k)
 
 
@@ -144,9 +149,10 @@ def _mom_baseline_params(spec: ApproxSpec, budget: int) -> tuple[int, int]:
 # more often; bigger ones run no faster and only hold more draws at once.
 _CHUNK_ROWS = 8
 # Fewest draws for which one more process pays for its fork and its result
-# pipe.  On a 2-vCPU Xeon, two workers lost to one at 160k draws per run and
-# won from 200k on (normal draws, the cheapest per draw); 150k keeps a margin.
-_MIN_SLICE_DRAWS = 150_000
+# pipe.  On a 2-vCPU Xeon, with the parent placing each child, two workers
+# tied with one at 100k draws per run and won from 125k on (normal draws,
+# the cheapest per draw); 75k, two workers from 150k, keeps a margin.
+_MIN_SLICE_DRAWS = 75_000
 
 
 def _usable_cpus() -> int:
@@ -197,10 +203,11 @@ def _portable(exc: BaseException, lo: int, hi: int) -> BaseException:
 
 def _fork_slice(values: np.ndarray, fill, lo: int, hi: int, cpu: int | None):
     """Start a child that runs fill(lo, hi) and pickles values[lo:hi], or
-    the exception fill raised, into a pipe.  Returns (pid, the pipe's read
-    end, lo, hi).  The child first binds itself to `cpu`, if one is given:
-    a forked child starts on its parent's CPU, and the kernel may leave the
-    two sharing it for tens of milliseconds.  The child leaves through
+    the failure fill returned or the exception it raised, into a pipe.
+    Returns (pid, the pipe's read end, lo, hi).  This process binds the
+    child to `cpu`, if one is given, right after the fork: a new child
+    starts on its parent's CPU and waits there for the parent's timeslice,
+    so a call of its own would come late.  The child leaves through
     os._exit, so it runs no exit handler and flushes no buffer it shares
     with this process; its exit code is 0 only once the whole result is
     written."""
@@ -215,14 +222,9 @@ def _fork_slice(values: np.ndarray, fill, lo: int, hi: int, cpu: int | None):
         code = 1
         try:
             os.close(read_fd)
-            if cpu is not None:
-                try:
-                    os.sched_setaffinity(0, {cpu})
-                except OSError:
-                    pass  # placement only: the slice runs wherever it is
             try:
-                fill(lo, hi)
-                result = values[lo:hi]
+                failure = fill(lo, hi)
+                result = values[lo:hi] if failure is None else (failure[0], _portable(failure[1], lo, hi))
             except BaseException as exc:  # noqa: BLE001 - re-raised by the parent
                 result = _portable(exc, lo, hi)
             with open(write_fd, "wb") as pipe:
@@ -231,31 +233,38 @@ def _fork_slice(values: np.ndarray, fill, lo: int, hi: int, cpu: int | None):
         finally:
             os._exit(code)
     os.close(write_fd)
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(pid, {cpu})
+        except OSError:
+            pass  # placement only: the slice runs wherever it is
     return pid, open(read_fd, "rb"), lo, hi
 
 
 def _run_slices(values: np.ndarray, fill, bounds: list[int]) -> None:
     """Run fill(lo, hi), which writes values[lo:hi], over each slice
-    [bounds[i], bounds[i + 1]).
+    [bounds[i], bounds[i + 1]).  fill stops at its first error and returns
+    it as (key, exception), else None.
 
     The first slice runs in this process and each other one in a forked
     child.  Results come back through a pipe, not a shared mmap: an
     exception needs a channel anyway, and a slice's values are 8 bytes per
-    replicate.  Side effects of a child's fill, on the distribution object
-    for one, stay in the child.  Children are read in slice order: their
-    values are placed by replicate index, and the first exception met is
-    raised, which is the serial run's, since that run stops in the lowest
-    failing chunk.  A child that dies without a result is a RuntimeError
-    naming its slice.  Every child is reaped before this returns or raises;
-    on a raise, Ctrl-C included, the children still running are killed
-    first.
+    replicate and estimator.  Side effects of a child's fill, on the
+    distribution object for one, stay in the child.  Every child is read
+    before an error is raised, and the error raised is the one with the
+    lowest key, which is the serial run's, since that run stops at its
+    lowest failing key.  A child that dies without a result is a
+    RuntimeError naming its slice, and an exception fill raises instead of
+    returning is raised as soon as it is met.  Every child is reaped before
+    this returns or raises; on a raise, Ctrl-C included, the children still
+    running are killed first.
     """
     children = []  # (pid, pipe, lo, hi), in slice order, not yet reaped
     cpus = _other_cpus() if len(bounds) > 2 else []
     try:
         for i, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:])):
             children.append(_fork_slice(values, fill, lo, hi, cpus[i % len(cpus)] if cpus else None))
-        fill(bounds[0], bounds[1])
+        failures = [fill(bounds[0], bounds[1])]  # None where a slice had no error
         while children:
             pid, pipe, lo, hi = children[0]
             payload = pipe.read()
@@ -269,12 +278,83 @@ def _run_slices(values: np.ndarray, fill, bounds: list[int]) -> None:
             result = pickle.loads(payload)  # written by this program's own child
             if isinstance(result, BaseException):
                 raise result
-            values[lo:hi] = result
+            if isinstance(result, tuple):
+                failures.append(result)
+            else:
+                values[lo:hi] = result
+        failures = [failure for failure in failures if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
     finally:
         for pid, pipe, _, _ in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _estimator(kind: EstimatorKind, spec: ApproxSpec, plan):
+    """The estimates of `kind` for a list of replicate sources, each at the
+    plan's draw budget."""
+    if kind is EstimatorKind.TWO_STAGE:
+        return lambda sources: _two_stage_rows(sources, spec, plan)[2]
+    if kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
+        mom_k, mom_m = _mom_baseline_params(spec, plan.total_samples)
+        return lambda sources: _median_rows(_fill_rows(sources, mom_k * mom_m, "median of means"), mom_k, mom_m)
+    return lambda sources: _fill_rows(sources, plan.total_samples, "naive mean").mean(axis=1)
+
+
+def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
+    """One report per estimator kind in `kinds` (config.estimator is not
+    read), from one plan, one pass of replicate seeds and one round of
+    slices.  Each slice runs the kinds in turn, chunk by chunk, into column
+    j of an R x len(kinds) array, and stops at its first error, keyed (kind,
+    replicate) as in the serial run."""
+    spec = config.spec
+    plan = build_plan(spec, config.mode)
+    budget = plan.total_samples
+    estimates = [_estimator(kind, spec, plan) for kind in kinds]
+    replications = config.replications
+    values = np.empty((replications, len(kinds)))
+    seed_words = _replicate_seed_words(config.seed, np.arange(replications))
+
+    def fill(lo: int, hi: int):
+        for j, estimate in enumerate(estimates):
+            for start in range(lo, hi, _CHUNK_ROWS):
+                stop = min(start + _CHUNK_ROWS, hi)
+                try:
+                    values[start:stop, j] = estimate(
+                        [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
+                    )
+                except Exception as exc:  # noqa: BLE001 - raised by _run_slices in key order
+                    return (j, start), exc
+        return None
+
+    workers = _worker_count(replications * len(kinds), budget)
+    _run_slices(values, fill, _slice_bounds(replications, workers))
+
+    mu = config.dist.facts().true_mean
+    reports = []
+    for j, kind in enumerate(kinds):
+        abs_rel_errors = np.abs(values[:, j] - mu) / mu
+        failures = int(np.count_nonzero(abs_rel_errors > spec.epsilon))
+        reports.append(
+            CoverageReport(
+                estimator=kind.value,
+                distribution=config.dist.spec_string,
+                epsilon=spec.epsilon,
+                delta=spec.delta,
+                c=spec.c,
+                mode=config.mode.value,
+                R=replications,
+                seed=config.seed,
+                samples_per_run=budget,
+                failures=failures,
+                failure_rate=failures / replications,
+                binomial_3sigma=3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / replications),
+                mean_abs_rel_error=float(abs_rel_errors.mean()),
+            )
+        )
+    return reports
 
 
 def run_coverage(config: CoverageConfig) -> CoverageReport:
@@ -285,50 +365,7 @@ def run_coverage(config: CoverageConfig) -> CoverageReport:
     The config checked every argument when it was built, so the only errors
     left are those of the draws themselves.
     """
-    spec = config.spec
-    plan = build_plan(spec, config.mode)
-    budget = plan.total_samples
-    kind = config.estimator
-    if kind is EstimatorKind.TWO_STAGE:
-        estimate = lambda sources: _two_stage_rows(sources, spec, plan)[2]
-    elif kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
-        mom_k, mom_m = _mom_baseline_params(spec, budget)
-        estimate = lambda sources: _median_rows(
-            _fill_rows(sources, mom_k * mom_m, "median of means"), mom_k, mom_m
-        )
-    else:
-        estimate = lambda sources: _fill_rows(sources, budget, "naive mean").mean(axis=1)
-
-    values = np.empty(config.replications)
-    seed_words = _replicate_seed_words(config.seed, np.arange(config.replications))
-
-    def fill(lo: int, hi: int) -> None:
-        for start in range(lo, hi, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, hi)
-            values[start:stop] = estimate(
-                [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
-            )
-
-    _run_slices(values, fill, _slice_bounds(config.replications, _worker_count(config.replications, budget)))
-
-    mu = config.dist.facts().true_mean
-    abs_rel_errors = np.abs(values - mu) / mu
-    failures = int(np.count_nonzero(abs_rel_errors > spec.epsilon))
-    return CoverageReport(
-        estimator=kind.value,
-        distribution=config.dist.spec_string,
-        epsilon=spec.epsilon,
-        delta=spec.delta,
-        c=spec.c,
-        mode=config.mode.value,
-        R=config.replications,
-        seed=config.seed,
-        samples_per_run=budget,
-        failures=failures,
-        failure_rate=failures / config.replications,
-        binomial_3sigma=3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / config.replications),
-        mean_abs_rel_error=float(abs_rel_errors.mean()),
-    )
+    return _coverage(config, [config.estimator])[0]
 
 
 def compare_estimators(
@@ -338,11 +375,9 @@ def compare_estimators(
     seed: int,
     mode: Mode = Mode.STRICT,
 ) -> list[CoverageReport]:
-    """One coverage report per estimator, all at the two-stage draw budget."""
-    return [
-        run_coverage(CoverageConfig(spec, dist, replications, seed, mode, kind))
-        for kind in EstimatorKind
-    ]
+    """One coverage report per estimator, all at the two-stage draw budget,
+    each equal to the run_coverage report of its kind."""
+    return _coverage(CoverageConfig(spec, dist, replications, seed, mode), list(EstimatorKind))
 
 
 def _format_value(value) -> str:

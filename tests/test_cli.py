@@ -177,6 +177,22 @@ def test_c_whose_square_underflows_or_overflows_exits_2(capsys, command, c):
     assert f"c^2 must be a normal float, but c = {float(c)!r}" in err
 
 
+@pytest.mark.parametrize(
+    "epsilon, delta, c, message",
+    [
+        ("0.1", "0.05", "1e153", "c = 1e+153 give draw counts too large for a float"),
+        ("1e-160", "0.05", "1", "epsilon^2 must be a normal float, but epsilon = 1e-160"),
+        ("1e-200", "0.05", "1", "epsilon^2 must be a normal float, but epsilon = 1e-200"),
+        ("0.1", "5e-324", "1", "delta / 2 must be a normal float, but delta = 5e-324"),
+    ],
+)
+def test_spec_whose_plan_overflows_exits_2(capsys, epsilon, delta, c, message):
+    # build_plan raised OverflowError or ZeroDivisionError here (exit 1)
+    code, out, err = run_cli(capsys, "samplesize", "--epsilon", epsilon, "--delta", delta, "--c", c)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_coverage_commands_reject_bad_configs_with_exit_2(capsys, tmp_path):
     values = tmp_path / "values.txt"
     values.write_text("".join(f"{v}.0\n" for v in range(1, 5000)), encoding="ascii")

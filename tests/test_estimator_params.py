@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relmean import (
     ApproxSpec,
@@ -34,11 +35,46 @@ def test_approx_spec_validation():
 def test_approx_spec_rejects_a_c_whose_square_underflows_or_overflows():
     smallest = 2.0**-511  # squares to sys.float_info.min exactly
     largest = math.sqrt(sys.float_info.max)
-    for c in (smallest, largest):
-        ApproxSpec(0.1, 0.05, c)
+    ApproxSpec(0.1, 0.05, smallest)
+    # largest passes the c^2 check, but its stage-2 count 2 c^2 ln(4/delta) / ... overflows
+    with pytest.raises(ValueError, match=r"c = .* give draw counts too large for a float: k = inf, n = inf"):
+        ApproxSpec(0.1, 0.05, largest)
     for c in (1e-200, math.nextafter(smallest, 0.0), 1e155, math.nextafter(largest, math.inf)):
         with pytest.raises(ValueError, match=r"c\^2 must be a normal float, but c = .* squares to"):
             ApproxSpec(0.1, 0.05, c)
+
+
+# specs on which build_plan raised OverflowError or ZeroDivisionError
+OVERFLOWING_SPECS = [
+    ((0.1, 0.05, 1e153), r"c = 1e\+153 give draw counts too large for a float: k = 8e\+307, n = inf"),
+    ((1e-160, 0.05, 1.0), r"epsilon\^2 must be a normal float, but epsilon = 1e-160 squares to 1e-320"),
+    ((1e-200, 0.05, 1.0), r"epsilon\^2 must be a normal float, but epsilon = 1e-200 squares to 0.0"),
+    ((0.1, 5e-324, 1.0), r"delta / 2 must be a normal float, but delta = 5e-324 halves to 0.0"),
+]
+
+
+@pytest.mark.parametrize("args, message", OVERFLOWING_SPECS + [
+    # epsilon c^2 / (1 + c^2) underflows to 0: an infinite group size
+    ((1e-150, 0.05, 1e-153), r"c = 1e-153 give draw counts too large for a float: k = inf"),
+])
+def test_approx_spec_rejects_a_spec_whose_plan_overflows(args, message):
+    with pytest.raises(ValueError, match=message):
+        ApproxSpec(*args)
+
+
+_extreme = st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_extreme, _extreme, st.floats(min_value=5e-324, max_value=sys.float_info.max))
+def test_every_accepted_spec_has_a_finite_plan(epsilon, delta, c):
+    try:
+        spec = ApproxSpec(epsilon, delta, c)
+    except ValueError:
+        return
+    for mode in Mode:
+        plan = build_plan(spec, mode)
+        assert plan.k >= 1 and plan.m >= 3 and plan.n >= 1
 
 
 def test_stage1_params_pinned():

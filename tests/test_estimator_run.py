@@ -242,8 +242,7 @@ def test_stage2_draws_far_beyond_the_truncation_scale_give_a_finite_estimate():
     plan = build_plan(spec)
     tail = np.ones(plan.n)
     tail[3], tail[5], tail[7] = 1e300, 1e160, -1e300
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = estimate_mean(_ScriptedSource(np.ones(plan.k * plan.m), tail), spec)
+    report = estimate_mean(_ScriptedSource(np.ones(plan.k * plan.m), tail), spec)
     assert math.isfinite(report.mu_hat)
     assert report.mu_hat == np.mean(report.mu1 + scaled_psi(report.alpha, tail - report.mu1))
 

@@ -211,9 +211,10 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _run(monkeypatch, config, min_slice_draws, cpus=None):
-    """run_coverage at the given slice threshold and CPU count; checks that
-    a parallel run forked and that no child outlives the run."""
+def _run(monkeypatch, config, min_slice_draws, cpus=None, compare=False):
+    """run_coverage (or compare_estimators on the config's arguments) at the
+    given slice threshold and CPU count; checks that a parallel run forked
+    once per extra worker and that no child outlives the run."""
     monkeypatch.setattr(harness, "_MIN_SLICE_DRAWS", min_slice_draws)
     if cpus is not None:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
@@ -221,10 +222,13 @@ def _run(monkeypatch, config, min_slice_draws, cpus=None):
     fork_slice = harness._fork_slice
     monkeypatch.setattr(harness, "_fork_slice", lambda *args: forks.append(args) or fork_slice(*args))
     try:
+        if compare:
+            return compare_estimators(config.spec, config.dist, config.replications, config.seed, config.mode)
         return run_coverage(config)
     finally:
         _assert_no_children()
-        assert bool(forks) == (min_slice_draws == PARALLEL and harness._usable_cpus() > 1)
+        workers = harness._usable_cpus() if min_slice_draws == PARALLEL else 1
+        assert len(forks) == len(harness._slice_bounds(config.replications, workers)) - 2
 
 
 @pytest.mark.parametrize("cpus", [None, 5])
@@ -237,6 +241,43 @@ def test_parallel_coverage_is_bit_identical_to_serial(monkeypatch, replications,
     parallel = _run(monkeypatch, config, PARALLEL, cpus)
     assert parallel == serial
     assert parallel.mean_abs_rel_error.hex() == serial.mean_abs_rel_error.hex()
+
+
+@pytest.mark.parametrize("cpus", [None, 5])
+@pytest.mark.parametrize("replications", [100, 101, 1000, 1001])
+def test_parallel_compare_forks_once_and_is_bit_identical_to_serial(monkeypatch, replications, cpus):
+    # one round of slices computes all three kinds, each equal to its own run
+    config = CoverageConfig(SPEC, DIST, replications, seed=11)
+    serial = _run(monkeypatch, config, SERIAL, compare=True)
+    parallel = _run(monkeypatch, config, PARALLEL, cpus, compare=True)
+    assert parallel == serial
+    assert [r.mean_abs_rel_error.hex() for r in parallel] == [r.mean_abs_rel_error.hex() for r in serial]
+    for kind, report in zip(EstimatorKind, serial):
+        assert run_coverage(CoverageConfig(SPEC, DIST, replications, seed=11, estimator=kind)) == report
+
+
+def test_the_parent_places_each_child_and_the_child_does_not(monkeypatch):
+    parent = os.getpid()
+    calls, pids = [], []
+
+    def sched_setaffinity(pid, cpus):
+        if os.getpid() != parent:
+            os._exit(5)  # a child's own call: its slice dies without a result
+        calls.append((pid, set(cpus)))
+
+    def fork(real_fork=os.fork):
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_setaffinity", sched_setaffinity, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(harness, "_other_cpus", lambda: [7, 8])
+    config = CoverageConfig(SPEC, DIST, 1000, seed=0)
+    assert _run(monkeypatch, config, PARALLEL, 3) == _run(monkeypatch, config, SERIAL)
+    assert len(pids) == 2
+    assert calls == [(pids[0], {7}), (pids[1], {8})]
 
 
 @pytest.mark.parametrize("replications, workers", [(100, 2), (101, 5), (1000, 3), (1001, 4), (16, 7)])
@@ -260,18 +301,24 @@ def test_slices_are_placed_by_replicate_index(replications, workers):
 
 class _ShortAt:
     """Normal(100, 50) draws, except that the first take of each listed
-    replicate stream comes up short, by a count that names the replicate."""
+    replicate stream comes up short, by a count that names the replicate.
+    With `widths`, replicate i comes up short only at a first take of
+    widths[i] draws."""
 
-    def __init__(self, seed, replicates):
+    def __init__(self, seed, replicates, widths=None):
         self.spec_string = "short-at"
-        self._short = {self._state(_replicate_rng(seed, r)): i + 1 for i, r in enumerate(replicates)}
+        widths = widths or [None] * len(replicates)
+        self._short = {
+            self._state(_replicate_rng(seed, r)): (i + 1, width) for i, (r, width) in enumerate(zip(replicates, widths))
+        }
 
     @staticmethod
     def _state(rng):
         return rng.bit_generator.state["state"]["state"]
 
     def sample(self, rng, n):
-        return rng.normal(100.0, 50.0, n - self._short.get(self._state(rng), 0))
+        short, width = self._short.get(self._state(rng), (0, None))
+        return rng.normal(100.0, 50.0, n - (short if width in (None, n) else 0))
 
     def facts(self):
         return DIST.facts()
@@ -292,6 +339,39 @@ def test_broken_take_in_a_slice_raises_the_serial_error(monkeypatch, kind, cpus,
     # the message names the lowest broken replicate by its shortfall
     width = int(re.search(r"take\((\d+)\)", str(serial.value)).group(1))
     assert f"returned {width - broken.index(first) - 1} draws" in str(serial.value)
+    assert str(parallel.value) == str(serial.value)
+
+
+# the width of each kind's first take at SPEC
+_PLAN = build_plan(SPEC)
+_FIRST_TAKE = {
+    "twostage": _PLAN.samples_stage1,
+    "mom": math.prod(harness._mom_baseline_params(SPEC, _PLAN.total_samples)),
+    "naive": _PLAN.total_samples,
+}
+
+
+@pytest.mark.parametrize("cpus", [None, 5])
+@pytest.mark.parametrize(
+    "broken, first",
+    [
+        ((("naive", 10), ("twostage", 900)), 1),
+        ((("twostage", 900), ("twostage", 100)), 1),
+        ((("naive", 300), ("naive", 950), ("naive", 10)), 2),
+    ],
+    ids=["child-kind-beats-slice-0", "slice-0-beats-a-child", "lowest-replicate"],
+)
+def test_broken_take_in_a_compare_raises_the_serial_error(monkeypatch, cpus, broken, first):
+    # the serial compare stops at its first (kind, chunk); each slice stops at
+    # its own first error, and the parent raises the lowest of them
+    kinds, replicates = zip(*broken)
+    config = CoverageConfig(SPEC, _ShortAt(0, replicates, [_FIRST_TAKE[k] for k in kinds]), 1000, seed=0)
+    with pytest.raises(SourceContractError) as serial:
+        _run(monkeypatch, config, SERIAL, compare=True)
+    with pytest.raises(SourceContractError) as parallel:
+        _run(monkeypatch, config, PARALLEL, cpus, compare=True)
+    width = _FIRST_TAKE[kinds[first]]
+    assert f"take({width}) returned {width - first - 1} draws" in str(serial.value)
     assert str(parallel.value) == str(serial.value)
 
 
@@ -385,6 +465,14 @@ def test_budget_matches_two_stage_plan():
     assert report.samples_per_run == plan.k * plan.m + plan.n
     paper = run_coverage(CoverageConfig(SPEC, DIST, 100, seed=1, mode=Mode.PAPER_EXACT))
     assert paper.samples_per_run == theorem1_total(SPEC)
+
+
+def test_mom_baseline_degrades_to_a_plain_mean_when_its_group_size_overflows():
+    # 8 c^2 / epsilon^2 is inf, while the plan's own counts are finite
+    spec = ApproxSpec(1e-150, 0.99, 5477.0)
+    assert math.isinf(8.0 * spec.c**2 / spec.epsilon**2)
+    assert harness._mom_baseline_params(spec, 10**6) == (10**6, 1)
+    assert harness._mom_baseline_params(SPEC, 208) == (50, 3)
 
 
 def test_compare_rows_share_budget():
