@@ -13,13 +13,14 @@ dynamic program over downsets as the oracle.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .estimator import ApproxSpec, Mode, _check_accuracy, estimate_mean
+from .estimator import ApproxSpec, Mode, _check_accuracy, build_plan, estimate_mean
 from .sources import _integer, _replicate_rng
 
 DESK_SCALE_LIMIT = 10
@@ -362,10 +363,37 @@ def linext_approx_count(
     _check_accuracy(epsilon, delta)
     if p.n == 1:
         return 1.0
-    chain = linext_chain(p)
+    _check_desk_scale(p.n)
     spec = ApproxSpec(epsilon, delta, _chain_c(p.n, m_per_level))
+    _check_indicator_memory(p.n, m_per_level, spec.c, build_plan(spec, mode).total_samples)
+    chain = linext_chain(p)
     report = estimate_mean(ProductEstimateSource(chain, m_per_level, seed), spec, mode)
     return chain.known_terminal / report.mu_hat
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
+
+
+def _check_indicator_memory(n: int, m_per_level: int, c: float, draws: int) -> None:
+    """Reject a count whose product draws cannot fit in physical memory.
+
+    A small m_per_level makes c^2 = expm1(n (n - 1) / m) explode, and with
+    it the plan's draw count; each draw holds m_per_level indicators per
+    level, about 9 bytes each (an int64 table index and its flag).
+    """
+    memory = _physical_memory()
+    if memory is not None and draws * m_per_level * 9 > memory:
+        raise ValueError(
+            f"n = {n} elements at m_per_level = {m_per_level} give c = {c:.6g} and {draws} draws, "
+            f"whose {draws * m_per_level} indicators need more than the {memory} bytes of physical memory; "
+            "raise m_per_level"
+        )
 
 
 def eps_prime(epsilon: float) -> float:

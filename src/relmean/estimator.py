@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psi import TruncationScale, _psi_into, _scaled_psi_tail, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
+from .psi import TruncationScale, _repair_tails, _scaled_psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
 from .sources import _integer
 
 __all__ = [
@@ -300,48 +300,32 @@ def _truncated_mean_rows(draws: np.ndarray, mu1: np.ndarray, alpha: np.ndarray) 
     them in the same pairwise order, so the means are bit-identical to it.
 
     Where alpha (x - mu1) or its square overflows, the term is infinite and
-    a row of +inf and -inf terms sums to NaN; _repair_overflowed_rows then
-    replaces those terms, so the kernel silences numpy's overflow and
-    invalid-value warnings.  A mean that stays non-finite after the repair
-    (draws or a centre mu1 within a few orders of magnitude of the largest
-    float) is returned as it is.
+    a row of +inf and -inf terms sums to NaN; psi's _repair_tails then
+    replaces those terms in each non-finite row, so the kernel silences
+    numpy's overflow and invalid-value warnings.  A mean that stays
+    non-finite after the repair (draws or a centre mu1 within a few orders
+    of magnitude of the largest float) is returned as it is.
     """
     rows, n = draws.shape
     mu1, alpha = mu1[:, None], alpha[:, None]
     width = max(1, _BLOCK // rows)
     if n <= width:
         out = draws - mu1
-        _truncate_block(out, mu1, alpha)
+        _scaled_psi_into(out, alpha)
+        out += mu1
     else:
         out = np.empty((rows, n))
         t, u = np.empty((rows, width)), np.empty((rows, width))
         for lo in range(0, n, width):
             w = np.subtract(draws[:, lo : lo + width], mu1, out=out[:, lo : lo + width])
-            _truncate_block(w, mu1, alpha, t[:, : w.shape[1]], u[:, : w.shape[1]])
+            _scaled_psi_into(w, alpha, t[:, : w.shape[1]], u[:, : w.shape[1]])
+            w += mu1
     means = np.add.reduce(out, axis=1) / n
-    if not all(map(math.isfinite, means.tolist())):
-        _repair_overflowed_rows(out, means, draws, mu1, alpha)
+    for i, mean in enumerate(means.tolist()):
+        if not math.isfinite(mean):
+            _repair_tails(out[i], draws[i], alpha[i], mu1[i])
+            means[i] = np.add.reduce(out[i]) / n
     return means
-
-
-def _repair_overflowed_rows(out, means, draws, mu1, alpha) -> None:
-    """Redo each non-finite row mean after replacing its infinite terms,
-    those whose alpha (x - mu1) or its square overflowed inside psi, by
-    psi's tail formula.  Only rows already non-finite change, so this costs
-    nothing on rows that never overflow."""
-    n = out.shape[1]
-    for i in np.flatnonzero(~np.isfinite(means)):
-        big = np.isinf(out[i])
-        out[i, big] = mu1[i] + _scaled_psi_tail(draws[i, big] - mu1[i], alpha[i])
-        means[i] = np.add.reduce(out[i]) / n
-
-
-def _truncate_block(w: np.ndarray, mu1: np.ndarray, alpha: np.ndarray, t=None, u=None) -> None:
-    """Overwrite deviations w = x - mu1 with the terms mu1 + psi(alpha w) / alpha."""
-    w *= alpha
-    _psi_into(w, t, u)
-    w /= alpha
-    w += mu1
 
 
 def _two_stage_rows(sources, spec: ApproxSpec, plan: StagePlan):

@@ -6,13 +6,14 @@ deviations stay light-tailed no matter how heavy the sampled distribution
 is.  ``psi_upper`` and ``psi_lower`` bracket it from above and below and
 carry the same tail behaviour.
 
-The transform has one evaluator, ``_psi_into``, which overwrites a float
-array in place.  The estimator's stage-2 kernel applies it block by block
-to its own output; ``psi`` and ``scaled_psi`` apply it to a fresh array,
-their input times alpha (1 for ``psi``), so all three agree bit for bit.  Where the square inside the
-log overflows, the evaluator gives infinity; all three then replace just
-those entries by one tail formula, ``_scaled_psi_tail``, so every finite
-input maps to a finite value.
+The scaled transform psi(alpha w) / alpha has one evaluator,
+``_scaled_psi_into``, which overwrites a float array in place, and one
+overflow repair, ``_repair_tails``: where alpha w or its square overflows,
+the evaluator gives infinity, and the repair replaces just those entries
+by the finite tail formula.  ``psi`` (alpha = 1) and ``scaled_psi`` run
+both on a copy of their input; the estimator's stage-2 kernel runs the
+evaluator block by block on its own output and the repair on its
+non-finite rows, so all three agree bit for bit.
 """
 
 from __future__ import annotations
@@ -47,44 +48,47 @@ def _match_input(out: np.ndarray, u):
     return float(out) if np.ndim(u) == 0 else out
 
 
-def _psi_into(w: np.ndarray, t: np.ndarray | None = None, u: np.ndarray | None = None) -> None:
-    """Overwrite the float array w with sign(w) * log1p(|w| + w^2/2).
+def _scaled_psi_into(w: np.ndarray, alpha, t: np.ndarray | None = None, u: np.ndarray | None = None) -> None:
+    """Overwrite the float array w with psi(alpha w) / alpha, without input
+    checks; alpha is a positive float or broadcasts against w.
 
-    The one evaluation of the transform, without input checks.  t and u are
-    scratch arrays of w's shape; numpy allocates them when they are not
-    given.  sign(w) * (rather than copysign) keeps psi(-0.0) at +0.0.
+    psi(v) = sign(v) * log1p(|v| + v^2/2); sign(v) * (rather than copysign)
+    keeps psi(-0.0) at +0.0.  t and u are scratch arrays of w's shape, which
+    numpy allocates when they are not given.  Where alpha w or its square
+    overflows, the entry comes out infinite.
     """
+    w *= alpha
     t = np.multiply(w, 0.5, out=t)
     t *= w
     u = np.abs(w, out=u)
     t += u
     np.log1p(t, out=t)
     np.multiply(np.sign(w, out=u), t, out=w)
+    w /= alpha
 
 
 _LN2 = math.log(2.0)
 
 
-def _scaled_psi_tail(d: np.ndarray, alpha) -> np.ndarray:
-    """psi(alpha * d) / alpha where alpha * |d| exceeds about 1.9e154, so that
-    w = alpha * d or w * w / 2 overflows.  There log1p(|w| + w^2/2) equals
-    ln(w^2 / 2) = 2 (ln alpha + ln|d|) - ln 2 to a relative 1e-154, and
-    its magnitude is at most about 1419."""
-    return np.sign(d) * (2.0 * (np.log(alpha) + np.log(np.abs(d))) - _LN2) / alpha
+def _repair_tails(terms: np.ndarray, x: np.ndarray, alpha, centre=0.0) -> None:
+    """Replace each infinite entry of terms = centre + psi(alpha d) / alpha,
+    d = x - centre, by centre + the tail formula.  An entry is infinite where
+    alpha |d| exceeds about 1.9e154; there log1p(|v| + v^2/2) equals
+    ln(v^2 / 2) = 2 (ln alpha + ln|d|) - ln 2 to a relative 1e-154, and its
+    magnitude is at most about 1419."""
+    big = np.isinf(terms)
+    if big.any():
+        d = x[big] - centre
+        terms[big] = centre + np.sign(d) * (2.0 * (np.log(alpha) + np.log(np.abs(d))) - _LN2) / alpha
 
 
 def _scaled_psi(alpha: float, arr: np.ndarray) -> np.ndarray:
     """psi(alpha * arr) / alpha for a float array, by the one evaluator on a
-    fresh array; only the entries where it overflows to infinity come from
-    the tail formula instead."""
+    copy, with its overflowed entries repaired."""
+    w = arr.copy()  # a copy of a 0-d array stays an array, which the evaluator writes
     with np.errstate(over="ignore"):
-        # explicit out and scratch: a ufunc on a 0-d array returns a scalar
-        w = np.multiply(arr, alpha, out=np.empty_like(arr))
-        _psi_into(w, np.empty_like(w), np.empty_like(w))
-    big = np.isinf(w)
-    w /= alpha
-    if big.any():
-        w[big] = _scaled_psi_tail(arr[big], alpha)
+        _scaled_psi_into(w, alpha, np.empty_like(w), np.empty_like(w))
+    _repair_tails(w, arr, alpha)
     return w
 
 

@@ -13,6 +13,7 @@ algorithm name is exposed so experiment reports can record it.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -60,6 +61,10 @@ class SourceFacts:
 
 
 def _positive(name: str, value: float) -> float:
+    """value as a float, checked positive and finite; a str, bytes, None or
+    complex value is rejected here, not left to fail inside numpy."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")

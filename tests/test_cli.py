@@ -268,6 +268,17 @@ def test_value_and_os_errors_exit_2(capsys, tmp_path, argv, message):
     assert message in got[2]
 
 
+def test_linext_plan_larger_than_memory_exits_2(capsys, tmp_path):
+    # at m = 1, six incomparable elements plan 3.7e15 draws, refused by name
+    # before any allocation
+    poset = tmp_path / "antichain6.txt"
+    poset.write_text("6\n", encoding="ascii")
+    argv = ["linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1", "--m-per-level", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "n = 6 elements at m_per_level = 1" in err and "physical memory" in err
+
+
 def test_non_finite_draw_exits_2_naming_the_distribution(capsys):
     argv = ["estimate", "--dist", "normal:1e308,1e308", "--epsilon", "0.2", "--delta", "0.1", "--c", "1"]
     code, out, err = run_cli(capsys, *argv)

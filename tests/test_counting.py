@@ -14,6 +14,7 @@ from relmean import (
     Poset,
     PosetSizeError,
     ProductEstimateSource,
+    counting,
     eps_prime,
     gibbs_combine,
     linext_approx_count,
@@ -335,6 +336,42 @@ def test_approx_count_deterministic():
     a = linext_approx_count(p, 0.2, 0.1, 100, seed=12)
     b = linext_approx_count(p, 0.2, 0.1, 100, seed=12)
     assert a == b
+
+
+def test_approx_count_rejects_a_plan_larger_than_memory():
+    # m = 1 on six elements: c^2 = expm1(30) and a 3.7e15-draw plan, whose
+    # indicators (9.11 PiB) are refused before the chain is built
+    c = math.sqrt(math.expm1(30.0))
+    with pytest.raises(ValueError) as info:
+        linext_approx_count(Poset.antichain(6), 0.2, 0.1, 1, seed=0)
+    message = str(info.value)
+    assert "n = 6 elements at m_per_level = 1" in message
+    assert f"c = {c:.6g}" in message
+    assert "3746196732326232 draws" in message
+    # the shortcut and the size cap come first
+    assert linext_approx_count(Poset.antichain(1), 0.2, 0.1, 1, seed=0) == 1.0
+    with pytest.raises(PosetSizeError):
+        linext_approx_count(Poset.antichain(11), 0.2, 0.1, 1, seed=0)
+
+
+def test_approx_count_memory_check_reads_physical_memory(monkeypatch):
+    p = Poset.antichain(3)
+    expected = linext_approx_count(p, 0.2, 0.1, 100, seed=12)
+    draws = counting.build_plan(counting.ApproxSpec(0.2, 0.1, counting._chain_c(3, 100))).total_samples
+    monkeypatch.setattr(counting, "_physical_memory", lambda: draws * 100 * 9)
+    assert linext_approx_count(p, 0.2, 0.1, 100, seed=12) == expected
+    monkeypatch.setattr(counting, "_physical_memory", lambda: draws * 100 * 9 - 1)
+    with pytest.raises(ValueError, match=f"{draws} draws, whose {draws * 100} indicators need more"):
+        linext_approx_count(p, 0.2, 0.1, 100, seed=12)
+    # where sysconf cannot tell, nothing is checked
+    monkeypatch.setattr(counting, "_physical_memory", lambda: None)
+    assert linext_approx_count(p, 0.2, 0.1, 100, seed=12) == expected
+
+
+def test_physical_memory_skips_a_missing_sysconf(monkeypatch):
+    assert counting._physical_memory() > 0
+    monkeypatch.delattr(counting.os, "sysconf")
+    assert counting._physical_memory() is None
 
 
 # ---------------------------------------------------------------- quotient combiner

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relmean import (
     ApproxSpec,
@@ -299,6 +300,44 @@ def test_truncated_mean_kernel_matches_the_unblocked_formula(rows):
                 want = [np.mean(m + scaled_psi(a, d - m)) for d, m, a in zip(*case)]
             assert got.tobytes() == np.array(want).tobytes(), n
             assert case[0].tobytes() == before.tobytes(), n
+
+
+_SCALES = st.one_of(
+    st.floats(1e-6, 1e4),
+    st.floats(5e-324, 2.2250738585072009e-308),  # subnormal
+    st.floats(1e150, 1e300),  # moderate deviations overflow inside psi
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_truncated_mean_kernel_rows_match_scaled_psi(data):
+    # each row equals np.mean(mu1 + scaled_psi(alpha, x - mu1)) byte for
+    # byte, on both sides of the single-block threshold, with finite draws
+    # anywhere in the float range and deviations whose alpha product
+    # exceeds 1.9e154, so that the overflow repair runs
+    rows = data.draw(st.sampled_from([1, 8]), label="rows")
+    width = _BLOCK // rows
+    n = data.draw(
+        st.one_of(st.integers(1, 64), st.integers(width - 2, width), st.integers(width + 1, width + 64)),
+        label="n",
+    )
+    mu1 = np.array(data.draw(st.lists(st.floats(0.5, 4.0), min_size=rows, max_size=rows), label="mu1"))
+    alpha = np.array(data.draw(st.lists(_SCALES, min_size=rows, max_size=rows), label="alpha"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    draws = mu1[:, None] * rng.lognormal(0.0, 1.0, (rows, n))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    for r in range(rows):
+        for value in data.draw(st.lists(finite, max_size=4), label=f"row {r} values"):
+            draws[r, rng.integers(n)] = value
+        if data.draw(st.booleans(), label=f"row {r} overflows"):
+            # alpha |d| > 1.9e154, where the deviation stays finite (alpha > 1.9e-154)
+            deviation = max(4e154 / max(alpha[r], 4e-146), 16.0)
+            draws[r, rng.integers(n)] = mu1[r] + rng.choice([-1.0, 1.0]) * deviation
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _truncated_mean_rows(draws, mu1, alpha)
+        want = [np.mean(m + scaled_psi(a, d - m)) for d, m, a in zip(draws, mu1, alpha)]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_truncated_mean_kernel_peak_memory_is_one_output_row():

@@ -102,6 +102,24 @@ def test_integer_arguments_are_checked_by_name(entry, bad):
         call(bad)
 
 
+# (distribution constructor with the real argument as its one parameter, name in the message)
+REAL_ARGUMENTS = {
+    "ParetoShape.a": (lambda v: relmean.ParetoShape(v), "Pareto shape"),
+    "Scaled.factor": (lambda v: relmean.Scaled(relmean.Normal(1.0, 1.0), v), "scale factor"),
+    "ScaledBernoulli.scale": (lambda v: relmean.ScaledBernoulli(0.5, v), "Bernoulli scale"),
+}
+
+
+@pytest.mark.parametrize("bad", ["2", b"2", None, 2 + 0j])
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_real_arguments_are_checked_by_name(entry, bad):
+    # float("2") would pass a positivity check, but the constructor keeps the
+    # string, and the first take would fail inside numpy
+    call, name = REAL_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=rf"{re.escape(name)} must be a real number, got {re.escape(repr(bad))}"):
+        call(bad)
+
+
 def test_coverage_config_takes_mode_and_estimator_by_value():
     by_value = relmean.CoverageConfig(SPEC, DIST, 100, 3, mode="paper", estimator="mom")
     by_enum = relmean.CoverageConfig(
