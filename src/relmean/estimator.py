@@ -229,13 +229,15 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
     return q / (math.sqrt(math.pi * r) * (1.0 - 2.0 * nu_sq)) * (4.0 * q) ** r
 
 
-def _fill_rows(sources, width: int, stage: str) -> np.ndarray:
+def _fill_rows(sources, width: int, stage: str, out=None) -> np.ndarray:
     """Row i: the next `width` draws of sources[i].  Every estimator draw
     passes this gate of the take contract: take(width) returns exactly
     `width` draws, all finite, or SourceContractError names the stage (and,
-    for a non-finite draw, the source's distribution spec string).  A batch
-    fills one new matrix; a single source's take is its row, uncopied."""
-    rows = np.empty((len(sources), width)) if len(sources) > 1 else None
+    for a non-finite draw, the source's distribution spec string).  The rows
+    are written into `out`, a len(sources) x width matrix or view, if given;
+    else a batch fills one new matrix and a single source's take is its row,
+    uncopied."""
+    rows = np.empty((len(sources), width)) if out is None and len(sources) > 1 else out
     for i, source in enumerate(sources):
         draws = np.asarray(source.take(width), dtype=float)
         if draws.shape != (width,):
@@ -332,12 +334,19 @@ def _two_stage_rows(sources, spec: ApproxSpec, plan: StagePlan):
     """The two-stage estimator, one run per source.
 
     Each source gives k*m stage-1 draws, then n stage-2 draws, in two takes.
-    Returns the arrays (mu1, alpha, mu_hat), one entry per source.  Each
-    row gets exactly the arithmetic of a single run, so results do not
-    depend on how runs are grouped into calls.
+    Returns the arrays (mu1, alpha, mu_hat), one entry per source.
     """
-    stage1 = _fill_rows(sources, plan.samples_stage1, "stage 1")
-    stage2 = _fill_rows(sources, plan.n, "stage 2")
+    return _two_stage_reduce(
+        _fill_rows(sources, plan.samples_stage1, "stage 1"), _fill_rows(sources, plan.n, "stage 2"), spec, plan
+    )
+
+
+def _two_stage_reduce(stage1: np.ndarray, stage2: np.ndarray, spec: ApproxSpec, plan: StagePlan):
+    """(mu1, alpha, mu_hat) per row of the rows x k*m stage-1 and rows x n
+    stage-2 draws, which may be column views of one matrix.  Each row gets
+    exactly the arithmetic of a single run, so results do not depend on how
+    runs are grouped into calls.
+    """
     # stage 1: the median of means / (1 - epsilon1^2); the correction turns a
     # bound on |estimate/mean - 1| into the one on |mean/estimate - 1| that
     # stage 2's truncation scale needs

@@ -10,10 +10,20 @@ Replicates run in chunks of a few rows.  The plan is built once per run,
 and so are the PCG64 seeds of all R replicate streams, in one vectorised
 pass that matches numpy's SeedSequence bit for bit (sources.py states the
 derivation).  Replicate r keeps its own stream (seed, r).  Each chunk's
-sources go to the same kernel call, _two_stage_rows, that estimate_mean
-makes with one source: it takes each source's stage-1 and stage-2 draws
-and reduces the rows at once with the arithmetic of a single run, so a
-coverage report is bit-identical to one replicate-at-a-time loop.
+rows are drawn once, through the take-contract gate _fill_rows, with the
+takes of the estimator that reads the most draws: for the two-stage, a
+take of k*m draws ("stage 1") and one of n ("stage 2"), written side by
+side into one rows x budget matrix.  Each estimator then reduces its own
+prefix of those rows: the two-stage through _two_stage_reduce, the kernel
+estimate_mean runs on its own two takes, with the arithmetic of a single
+run, so a coverage report is bit-identical to one replicate-at-a-time
+loop.  A comparison thus reads each replicate's draws once and opens R
+streams, not one per estimator; the baselines read a prefix of the
+two-stage draws.  Its report for an estimator equals run_coverage's for
+that estimator only if the distribution's sample splits freely (sample(rng,
+a) then sample(rng, b) gives the draws of sample(rng, a + b)), as every
+built-in distribution's does; run_coverage makes its own estimator's
+takes, whatever the distribution.
 
 A run splits its replicates into contiguous slices of whole chunks, one
 per worker.  The first slice runs in the calling process and each other
@@ -22,12 +32,14 @@ estimates, or its first error, back through a pipe.  The parent binds each
 child to a CPU other than its own, where Linux names them, right after
 the fork, so the child need not first wait for the parent's timeslice.
 compare_estimators makes one such round for all three estimators: each
-slice runs them in turn over an R x 3 array of estimates.  The worker
-count is worked out, never set: min(usable CPUs, R * estimators * draws
-per replicate // _MIN_SLICE_DRAWS), and 1 where os.fork is missing or
-another Python thread runs.  Estimates are placed by replicate index, and
-the error raised is the one with the lowest (estimator, replicate), the
-serial run's, so reports and errors do not depend on the worker count.
+slice draws each chunk once and runs them all on it, into an R x 3 array
+of estimates.  The worker count is worked out, never set: min(usable
+CPUs, R * draws per replicate // _MIN_SLICE_DRAWS), with the draws the run
+makes, and 1 where os.fork is missing or another Python thread runs.
+Estimates are placed by replicate index, and the error raised is the one
+with the lowest (estimator, replicate), where a failed take is the first
+estimator's: the serial run's, so reports and errors do not depend on the
+worker count.
 The gain was measured on Linux only.  Python 3.12 and later warn
 (DeprecationWarning) on fork() in a process with more than one OS thread,
 and numpy's BLAS may hold such a thread; not verified, for want of numpy
@@ -47,7 +59,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimator import ApproxSpec, Mode, _fill_rows, _median_rows, _two_stage_rows, build_plan
+from .estimator import ApproxSpec, Mode, _fill_rows, _median_rows, _two_stage_reduce, build_plan
 from .estimator import estimate_mean, median_of_means  # noqa: F401 - bench/tracing.py wraps them here
 from .sources import SampleSource, _integer, _replays, _replicate_seed_words
 
@@ -293,43 +305,57 @@ def _run_slices(values: np.ndarray, fill, bounds: list[int]) -> None:
 
 
 def _estimator(kind: EstimatorKind, spec: ApproxSpec, plan):
-    """The estimates of `kind` for a list of replicate sources, each at the
-    plan's draw budget."""
+    """(takes, reduce) of `kind` at the plan's draw budget: the (width,
+    stage) takes that make each replicate's draws, in stream order, and a
+    function from a matrix whose rows start with those draws to one
+    estimate per row.  reduce reads only its own columns, so the kinds can
+    share the rows of the kind that takes the most."""
+    budget = plan.total_samples
     if kind is EstimatorKind.TWO_STAGE:
-        return lambda sources: _two_stage_rows(sources, spec, plan)[2]
+        k_m = plan.samples_stage1
+        takes = ((k_m, "stage 1"), (plan.n, "stage 2"))
+        return takes, lambda rows: _two_stage_reduce(rows[:, :k_m], rows[:, k_m:budget], spec, plan)[2]
     if kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
-        mom_k, mom_m = _mom_baseline_params(spec, plan.total_samples)
-        return lambda sources: _median_rows(_fill_rows(sources, mom_k * mom_m, "median of means"), mom_k, mom_m)
-    return lambda sources: _fill_rows(sources, plan.total_samples, "naive mean").mean(axis=1)
+        mom_k, mom_m = _mom_baseline_params(spec, budget)
+        width = mom_k * mom_m
+        return ((width, "median of means"),), lambda rows: _median_rows(rows[:, :width], mom_k, mom_m)
+    return ((budget, "naive mean"),), lambda rows: rows[:, :budget].mean(axis=1)
 
 
 def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
     """One report per estimator kind in `kinds` (config.estimator is not
     read), from one plan, one pass of replicate seeds and one round of
-    slices.  Each slice runs the kinds in turn, chunk by chunk, into column
-    j of an R x len(kinds) array, and stops at its first error, keyed (kind,
-    replicate) as in the serial run."""
+    slices.  Each chunk of replicates is drawn once, with the takes of the
+    first kind that takes the most draws, and every kind reduces those rows
+    into its column j of an R x len(kinds) array.  Each slice stops at its
+    first error, keyed (kind, replicate) as in the serial run; a failed
+    take is kind 0's."""
     spec = config.spec
     plan = build_plan(spec, config.mode)
-    budget = plan.total_samples
-    estimates = [_estimator(kind, spec, plan) for kind in kinds]
+    estimators = [_estimator(kind, spec, plan) for kind in kinds]
+    takes = max((takes for takes, _ in estimators), key=lambda takes: sum(take for take, _ in takes))
+    width = sum(take for take, _ in takes)
     replications = config.replications
     values = np.empty((replications, len(kinds)))
     seed_words = _replicate_seed_words(config.seed, np.arange(replications))
 
     def fill(lo: int, hi: int):
-        for j, estimate in enumerate(estimates):
-            for start in range(lo, hi, _CHUNK_ROWS):
-                stop = min(start + _CHUNK_ROWS, hi)
-                try:
-                    values[start:stop, j] = estimate(
-                        [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
-                    )
-                except Exception as exc:  # noqa: BLE001 - raised by _run_slices in key order
-                    return (j, start), exc
+        for start in range(lo, hi, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, hi)
+            rows = np.empty((stop - start, width))
+            j = column = 0
+            try:
+                sources = [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
+                for take, stage in takes:
+                    _fill_rows(sources, take, stage, rows[:, column : column + take])
+                    column += take
+                for j, (_, reduce) in enumerate(estimators):
+                    values[start:stop, j] = reduce(rows)
+            except Exception as exc:  # noqa: BLE001 - raised by _run_slices in key order
+                return (j, start), exc
         return None
 
-    workers = _worker_count(replications * len(kinds), budget)
+    workers = _worker_count(replications, width)
     _run_slices(values, fill, _slice_bounds(replications, workers))
 
     mu = config.dist.facts().true_mean
@@ -347,7 +373,7 @@ def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
                 mode=config.mode.value,
                 R=replications,
                 seed=config.seed,
-                samples_per_run=budget,
+                samples_per_run=plan.total_samples,
                 failures=failures,
                 failure_rate=failures / replications,
                 binomial_3sigma=3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / replications),
@@ -375,8 +401,14 @@ def compare_estimators(
     seed: int,
     mode: Mode = Mode.STRICT,
 ) -> list[CoverageReport]:
-    """One coverage report per estimator, all at the two-stage draw budget,
-    each equal to the run_coverage report of its kind."""
+    """One coverage report per estimator, all at the two-stage draw budget.
+
+    Each replicate's draws are made once, by the two-stage takes, and every
+    estimator reads its prefix of them.  Each report equals the
+    run_coverage report of its kind when the distribution's sample splits
+    freely (sample(rng, a) then sample(rng, b) gives the draws of
+    sample(rng, a + b)), as every built-in distribution's does.
+    """
     return _coverage(CoverageConfig(spec, dist, replications, seed, mode), list(EstimatorKind))
 
 

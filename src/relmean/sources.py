@@ -60,12 +60,21 @@ class SourceFacts:
             raise ValueError("c_bound^2 must cover the relative variance")
 
 
-def _positive(name: str, value: float) -> float:
-    """value as a float, checked positive and finite; a str, bytes, None or
-    complex value is rejected here, not left to fail inside numpy."""
+def _real(name: str, value) -> float:
+    """value as a float, if it is a real number: the one check of every real
+    distribution parameter, so a str, bytes, None or complex value is
+    rejected by name, not left to fail inside math or numpy."""
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
+
+
+def _positive(name: str, value: float) -> float:
+    """value as a float, checked real, positive and finite."""
+    value = _real(name, value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
@@ -78,7 +87,7 @@ class Constant:
     value: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
+        if not math.isfinite(_real("constant value", self.value)):
             raise ValueError(f"constant value must be finite, got {self.value!r}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -98,7 +107,8 @@ class Normal:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma) and self.sigma >= 0.0):
+        mu, sigma = _real("Normal mu", self.mu), _real("Normal sigma", self.sigma)
+        if not (math.isfinite(mu) and math.isfinite(sigma) and sigma >= 0.0):
             raise ValueError("Normal requires finite mu and sigma >= 0")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -121,7 +131,8 @@ class LogNormal:
     s: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.s) and self.s >= 0.0):
+        s = _real("LogNormal s", self.s)
+        if not (math.isfinite(s) and s >= 0.0):
             raise ValueError("LogNormal requires s >= 0")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -144,7 +155,7 @@ class ScaledBernoulli:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.p <= 1.0):
+        if not (0.0 < _real("Bernoulli probability", self.p) <= 1.0):
             raise ValueError("Bernoulli probability must lie in (0, 1]")
         _positive("Bernoulli scale", self.scale)
 

@@ -26,6 +26,7 @@ from relmean import (
     ParetoShape,
     Recorded,
     Scaled,
+    ScaledBernoulli,
     SourceContractError,
     build_plan,
     compare_estimators,
@@ -164,6 +165,32 @@ def test_batched_coverage_matches_reference_loop_across_seed_widths(seed, kind, 
     assert (report.failures, report.mean_abs_rel_error) == oracles.coverage_reference(config)
 
 
+@pytest.mark.parametrize("replications", [101, 1000])
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Constant(5.0),
+        Normal(100.0, 50.0),
+        LogNormal(1.0),
+        ScaledBernoulli(0.5, 2.0),
+        ParetoShape(2.5),
+        Scaled(LogNormal(1.0), 3.0),
+    ],
+    ids=lambda d: d.spec_string,
+)
+def test_compare_matches_the_reference_loop_of_each_kind(dist, mode, replications):
+    # a comparison draws each replicate once and hands every kind a prefix of
+    # those draws; the reference takes each kind's draws from a fresh stream,
+    # so this pins that a built-in distribution's draws split freely
+    spec = ApproxSpec(0.2, 0.1, dist.facts().c_bound or 0.5)
+    reports = compare_estimators(spec, dist, replications, seed=2024, mode=mode)
+    for kind, report in zip(EstimatorKind, reports):
+        config = CoverageConfig(spec, dist, replications, seed=2024, mode=mode, estimator=kind)
+        failures, mean_abs_rel_error = oracles.coverage_reference(config)
+        assert (report.failures, report.mean_abs_rel_error.hex()) == (failures, mean_abs_rel_error.hex())
+
+
 class _Misbehaving:
     """A distribution whose draws break the take contract."""
 
@@ -300,25 +327,25 @@ def test_slices_are_placed_by_replicate_index(replications, workers):
 
 
 class _ShortAt:
-    """Normal(100, 50) draws, except that the first take of each listed
-    replicate stream comes up short, by a count that names the replicate.
-    With `widths`, replicate i comes up short only at a first take of
-    widths[i] draws."""
+    """Normal(100, 50) draws, except that one take of each listed replicate
+    stream comes up short, by a count that names the replicate: replicate i
+    comes up short at the take that starts after skips[i] of its draws (by
+    default its first take)."""
 
-    def __init__(self, seed, replicates, widths=None):
+    def __init__(self, seed, replicates, skips=None):
         self.spec_string = "short-at"
-        widths = widths or [None] * len(replicates)
-        self._short = {
-            self._state(_replicate_rng(seed, r)): (i + 1, width) for i, (r, width) in enumerate(zip(replicates, widths))
-        }
+        self._short = {}
+        for i, (r, skip) in enumerate(zip(replicates, skips or [0] * len(replicates))):
+            rng = _replicate_rng(seed, r)
+            rng.normal(100.0, 50.0, skip)  # normal draws split freely: a + b draws = a, then b
+            self._short[self._state(rng)] = i + 1
 
     @staticmethod
     def _state(rng):
         return rng.bit_generator.state["state"]["state"]
 
     def sample(self, rng, n):
-        short, width = self._short.get(self._state(rng), (0, None))
-        return rng.normal(100.0, 50.0, n - (short if width in (None, n) else 0))
+        return rng.normal(100.0, 50.0, n - self._short.get(self._state(rng), 0))
 
     def facts(self):
         return DIST.facts()
@@ -342,37 +369,67 @@ def test_broken_take_in_a_slice_raises_the_serial_error(monkeypatch, kind, cpus,
     assert str(parallel.value) == str(serial.value)
 
 
-# the width of each kind's first take at SPEC
+# each two-stage take at SPEC: (draws of the stream before it, its width)
 _PLAN = build_plan(SPEC)
-_FIRST_TAKE = {
-    "twostage": _PLAN.samples_stage1,
-    "mom": math.prod(harness._mom_baseline_params(SPEC, _PLAN.total_samples)),
-    "naive": _PLAN.total_samples,
-}
+_TAKES = {"stage 1": (0, _PLAN.samples_stage1), "stage 2": (_PLAN.samples_stage1, _PLAN.n)}
 
 
 @pytest.mark.parametrize("cpus", [None, 5])
 @pytest.mark.parametrize(
     "broken, first",
     [
-        ((("naive", 10), ("twostage", 900)), 1),
-        ((("twostage", 900), ("twostage", 100)), 1),
-        ((("naive", 300), ("naive", 950), ("naive", 10)), 2),
+        (((900, "stage 1"), (10, "stage 2")), 1),
+        (((900, "stage 2"), (100, "stage 1")), 1),
+        (((950, "stage 1"), (600, "stage 2")), 1),
+        (((300, "stage 2"), (950, "stage 1"), (10, "stage 2")), 2),
     ],
-    ids=["child-kind-beats-slice-0", "slice-0-beats-a-child", "lowest-replicate"],
+    ids=["slice-0-stage-2-beats-a-child", "slice-0-stage-1-beats-a-child", "children-only", "lowest-replicate"],
 )
 def test_broken_take_in_a_compare_raises_the_serial_error(monkeypatch, cpus, broken, first):
-    # the serial compare stops at its first (kind, chunk); each slice stops at
-    # its own first error, and the parent raises the lowest of them
-    kinds, replicates = zip(*broken)
-    config = CoverageConfig(SPEC, _ShortAt(0, replicates, [_FIRST_TAKE[k] for k in kinds]), 1000, seed=0)
+    # a comparison draws each replicate once, with the two-stage takes; the
+    # serial run stops at its first chunk's error, each slice at its own
+    # first, and the parent raises the lowest of them
+    replicates, stages = zip(*broken)
+    config = CoverageConfig(SPEC, _ShortAt(0, replicates, [_TAKES[stage][0] for stage in stages]), 1000, seed=0)
     with pytest.raises(SourceContractError) as serial:
         _run(monkeypatch, config, SERIAL, compare=True)
     with pytest.raises(SourceContractError) as parallel:
         _run(monkeypatch, config, PARALLEL, cpus, compare=True)
-    width = _FIRST_TAKE[kinds[first]]
-    assert f"take({width}) returned {width - first - 1} draws" in str(serial.value)
+    width = _TAKES[stages[first]][1]
+    assert f"{stages[first]}: take({width}) returned {width - first - 1} draws" in str(serial.value)
     assert str(parallel.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("kind", [None, *EstimatorKind], ids=["compare", *(kind.value for kind in EstimatorKind)])
+def test_a_compare_opens_each_replicate_stream_once(monkeypatch, kind):
+    # a comparison makes the two-stage takes of each replicate, once; a
+    # single kind makes its own takes
+    opened, takes = [], []
+
+    class Counted(harness.SampleSource):
+        def __init__(self, dist, seed, replicate_index, seed_words):
+            opened.append(replicate_index)
+            super().__init__(dist, seed, replicate_index, seed_words)
+
+        def take(self, n):
+            takes.append(n)
+            return super().take(n)
+
+    monkeypatch.setattr(harness, "SampleSource", Counted)
+    monkeypatch.setattr(harness, "_MIN_SLICE_DRAWS", SERIAL)
+    replications = 101
+    if kind is None:
+        compare_estimators(SPEC, DIST, replications, seed=4)
+    else:
+        run_coverage(CoverageConfig(SPEC, DIST, replications, seed=4, estimator=kind))
+    widths = {
+        None: [_PLAN.samples_stage1, _PLAN.n],
+        EstimatorKind.TWO_STAGE: [_PLAN.samples_stage1, _PLAN.n],
+        EstimatorKind.MEDIAN_OF_MEANS_ONLY: [math.prod(harness._mom_baseline_params(SPEC, _PLAN.total_samples))],
+        EstimatorKind.NAIVE_MEAN: [_PLAN.total_samples],
+    }[kind]
+    assert opened == list(range(replications))
+    assert sorted(takes) == sorted(widths * replications)
 
 
 class _DiesInChild:

@@ -104,6 +104,11 @@ def test_integer_arguments_are_checked_by_name(entry, bad):
 
 # (distribution constructor with the real argument as its one parameter, name in the message)
 REAL_ARGUMENTS = {
+    "Constant.value": (lambda v: relmean.Constant(v), "constant value"),
+    "Normal.mu": (lambda v: relmean.Normal(v, 1.0), "Normal mu"),
+    "Normal.sigma": (lambda v: relmean.Normal(1.0, v), "Normal sigma"),
+    "LogNormal.s": (lambda v: relmean.LogNormal(v), "LogNormal s"),
+    "ScaledBernoulli.p": (lambda v: relmean.ScaledBernoulli(v), "Bernoulli probability"),
     "ParetoShape.a": (lambda v: relmean.ParetoShape(v), "Pareto shape"),
     "Scaled.factor": (lambda v: relmean.Scaled(relmean.Normal(1.0, 1.0), v), "scale factor"),
     "ScaledBernoulli.scale": (lambda v: relmean.ScaledBernoulli(0.5, v), "Bernoulli scale"),
@@ -118,6 +123,13 @@ def test_real_arguments_are_checked_by_name(entry, bad):
     call, name = REAL_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=rf"{re.escape(name)} must be a real number, got {re.escape(repr(bad))}"):
         call(bad)
+
+
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_real_arguments_beyond_the_float_range_are_checked_by_name(entry):
+    call, name = REAL_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=rf"{re.escape(name)} must be finite"):
+        call(10**400)
 
 
 def test_coverage_config_takes_mode_and_estimator_by_value():
