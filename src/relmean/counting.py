@@ -4,16 +4,20 @@ A counting problem is reduced to a chain of shrinking sets whose final
 size is known.  Each level contributes the fraction of uniform draws that
 survive into the next level; the product of those fractions estimates the
 terminal-to-initial size ratio, and its relative variance is bounded in
-closed form.  Feeding independent product estimates into the two-stage
-mean estimator yields a certified approximate count.  Posets and their
-linear extensions provide the worked, desk-scale instance, with an exact
-dynamic program over downsets as the oracle.
+closed form.  A level is a sampler that returns its fractions directly,
+one per product estimate, so a level may count its survivors however it
+likes (and a sure level need count nothing).  Feeding independent product
+estimates into the two-stage mean estimator yields a certified
+approximate count.  Posets and their linear extensions provide the
+worked, desk-scale instance, with an exact dynamic program over downsets
+as the oracle.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable
@@ -44,15 +48,25 @@ __all__ = [
 class PosetSizeError(ValueError):
     """Linear-extension operations are capped at DESK_SCALE_LIMIT elements.
 
-    Each level of linext_chain keeps one flag per linear extension of its
-    subposet, up to 10! entries at n = 10; that table, indexed in
-    lexicographic order, is what keeps seeded results identical.
+    Each level of linext_chain keeps one bool flag per linear extension of
+    its subposet, up to 10! entries at n = 10, and counts a block of
+    uniform ranks into it; that table, indexed in lexicographic order, is
+    what keeps seeded results identical.
     """
 
 
-# A sampler draws `size` membership indicators for its level: each entry is 1
-# when a fresh uniform draw from the level's set lands in the next level.
-Sampler = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
+# sampler(rng, n, m) returns n level means, a float64 array: entry i is the
+# fraction of m fresh uniform draws from the level's set that land in the next
+# level.  How a level counts is its own affair; the linear-extension levels
+# draw exactly the ranks a full indicator block would, so seeded results do
+# not depend on how they count.
+Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
+
+# A float32 sum of at most 2**24 ones is exact in any order, so a level counts
+# a row of at most this many indicators with one float32 matrix-vector
+# product; wider rows count with np.count_nonzero.  Either count, divided by
+# m in float64, equals the row's bool mean bit for bit.
+_FLOAT32_EXACT_COUNT = 2**24
 
 
 @dataclass(frozen=True)
@@ -82,23 +96,31 @@ class NestedChain:
 
 
 def _product_draws(chain: NestedChain, rng: np.random.Generator, n: int, m_per_level: int) -> np.ndarray:
-    """n independent product estimates, all levels' indicators drawn as (n, m_per_level) blocks.
+    """n independent product estimates: each level returns n means of
+    m_per_level indicators, multiplied in level order.
 
-    Each multiplies the level averages, an unbiased estimate of (terminal
-    size / initial size).  A zero average at any level makes the product 0,
-    which is a legal sample; resampling it away would bias the estimator.
+    Each product of level means is an unbiased estimate of (terminal size /
+    initial size).  A zero mean at any level makes the product 0, which is a
+    legal sample; resampling it away would bias the estimator.
     """
     out = np.ones(n)
     for sampler in chain.samplers:
-        out *= sampler(rng, (n, m_per_level)).mean(axis=1)
+        out *= sampler(rng, n, m_per_level)
     return out
+
+
+def _float_sized(name: str, value: int) -> int:
+    """`value`, if it is at most the largest float: the closed forms divide by it."""
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}, got a {value.bit_length()}-bit integer")
+    return value
 
 
 def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
     """Relative-variance bound exp(k (M - 1) / m) - 1 for the product estimate,
     valid whenever every level ratio is at least 1/M."""
-    k = _integer("k", k, 1)
-    m = _integer("m", m, 1)
+    k = _float_sized("k", _integer("k", k, 1))
+    m = _float_sized("m", _integer("m", m, 1))
     if not max_inverse_ratio >= 1.0:
         raise ValueError("max_inverse_ratio must be at least 1")
     return math.expm1(k * (max_inverse_ratio - 1.0) / m)
@@ -114,8 +136,8 @@ class ProductEstimateSource:
     """Stream of independent product estimates for one chain.
 
     Each draw costs k * m_per_level membership indicators; take(n) vectorises
-    the whole batch.  Follows the SampleSource protocol (take), so the stream
-    can drive estimate_mean directly.
+    the whole batch, one level at a time.  Follows the SampleSource protocol
+    (take), so the stream can drive estimate_mean directly.
     """
 
     def __init__(self, chain: NestedChain, m_per_level: int, seed: int, replicate_index: int = 0):
@@ -290,9 +312,16 @@ def linext_uniform_sample(p: Poset, seed: int) -> tuple[int, ...]:
 
 
 def _level_sampler(preds: tuple[int, ...], count: Callable[[int], int], rest: int, pinned: int) -> Sampler:
-    """Sampler for one chain level: a uniform rank into the lexicographic list
-    of extensions of the subposet on `rest`, reporting whether the element
-    with bit `pinned` comes last."""
+    """Sampler for one chain level: uniform ranks into the lexicographic list
+    of extensions of the subposet on `rest`, each reporting whether the
+    element with bit `pinned` comes last, averaged per row.
+
+    Every level draws its (n, m) ranks with the same call, so the stream moves
+    exactly as a gather of the whole block would move it.  A level with one
+    extension left draws nothing (numpy consumes no bits for a one-value
+    range), and a level whose flags are all true draws its ranks but skips
+    the gather; both return ones.
+    """
 
     @cache
     def flags(left: int) -> np.ndarray:
@@ -304,9 +333,20 @@ def _level_sampler(preds: tuple[int, ...], count: Callable[[int], int], rest: in
 
     table = flags(rest)
     flags.cache_clear()  # free the partial tables now, not at the next cycle collection
+    sure = bool(table.all())
 
-    def sampler(rng: np.random.Generator, size) -> np.ndarray:
-        return table[rng.integers(0, len(table), size=size)]
+    def sampler(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+        if len(table) == 1:
+            return np.ones(n)
+        ranks = rng.integers(0, len(table), size=(n, m))
+        if sure:
+            return np.ones(n)
+        hits = table.take(ranks, mode="clip")  # ranks lie in range by construction
+        if m <= _FLOAT32_EXACT_COUNT:
+            counts = hits.astype(np.float32) @ np.ones(m, dtype=np.float32)
+        else:
+            counts = np.count_nonzero(hits, axis=1)
+        return counts.astype(np.float64) / m
 
     return sampler
 
@@ -357,15 +397,15 @@ def linext_approx_count(
     the two-stage mean estimator, with the honest closed-form variance bound
     (k = M = n) as c^2, and inverts the estimated ratio.
     """
-    m_per_level = _integer("m_per_level", m_per_level, 1)
+    m_per_level = _float_sized("m_per_level", _integer("m_per_level", m_per_level, 1))
     seed = _integer("seed", seed)
     mode = Mode(mode)
     _check_accuracy(epsilon, delta)
     if p.n == 1:
         return 1.0
     _check_desk_scale(p.n)
-    spec = ApproxSpec(epsilon, delta, _chain_c(p.n, m_per_level))
-    _check_indicator_memory(p.n, m_per_level, spec.c, build_plan(spec, mode).total_samples)
+    spec, draws = _count_plan(p.n, m_per_level, epsilon, delta, mode)
+    _check_indicator_memory(p.n, m_per_level, spec, draws, mode)
     chain = linext_chain(p)
     report = estimate_mean(ProductEstimateSource(chain, m_per_level, seed), spec, mode)
     return chain.known_terminal / report.mu_hat
@@ -380,20 +420,50 @@ def _physical_memory() -> int | None:
     return size if size > 0 else None
 
 
-def _check_indicator_memory(n: int, m_per_level: int, c: float, draws: int) -> None:
+def _count_plan(n: int, m_per_level: int, epsilon: float, delta: float, mode: Mode) -> tuple[ApproxSpec, int]:
+    """The spec of a count on n elements at m_per_level, and its plan's draw count."""
+    spec = ApproxSpec(epsilon, delta, _chain_c(n, m_per_level))
+    return spec, build_plan(spec, mode).total_samples
+
+
+# Bytes per indicator while a level counts its block: the int64 rank, the
+# gathered bool flag and the flag cast to float32.
+_INDICATOR_BYTES = 8 + 1 + 4
+
+
+def _check_indicator_memory(n: int, m_per_level: int, spec: ApproxSpec, draws: int, mode: Mode) -> None:
     """Reject a count whose product draws cannot fit in physical memory.
 
-    A small m_per_level makes c^2 = expm1(n (n - 1) / m) explode, and with
-    it the plan's draw count; each draw holds m_per_level indicators per
-    level, about 9 bytes each (an int64 table index and its flag).
+    Each draw holds m_per_level indicators per level, and a take counts one
+    level's block at a time at _INDICATOR_BYTES per indicator; the check
+    charges every draw of the plan at once.  A small m_per_level makes
+    c^2 = expm1(n (n - 1) / m) explode, and with it the draw count, while a
+    large one makes every draw wide.  The ceilings in the plan make the
+    indicator count jagged from one m_per_level to the next, so the message
+    advises halving or doubling m_per_level, whichever plans fewer
+    indicators, and a looser epsilon or delta when neither does.
     """
     memory = _physical_memory()
-    if memory is not None and draws * m_per_level * 9 > memory:
-        raise ValueError(
-            f"n = {n} elements at m_per_level = {m_per_level} give c = {c:.6g} and {draws} draws, "
-            f"whose {draws * m_per_level} indicators need more than the {memory} bytes of physical memory; "
-            "raise m_per_level"
-        )
+    indicators = draws * m_per_level
+    if memory is None or indicators * _INDICATOR_BYTES <= memory:
+        return
+
+    def planned(m: int) -> float:
+        try:
+            return _count_plan(n, m, spec.epsilon, spec.delta, mode)[1] * m
+        except ValueError:  # m is out of range, or plans more draws than a float holds
+            return math.inf
+
+    if planned(2 * m_per_level) < indicators:
+        advice = "raise m_per_level"
+    elif m_per_level > 1 and planned(m_per_level // 2) < indicators:
+        advice = "lower m_per_level"
+    else:
+        advice = "neither half nor twice m_per_level plans fewer; raise epsilon or delta"
+    raise ValueError(
+        f"n = {n} elements at m_per_level = {m_per_level} give c = {spec.c:.6g} and {draws} draws, "
+        f"whose {indicators} indicators need more than the {memory} bytes of physical memory; {advice}"
+    )
 
 
 def eps_prime(epsilon: float) -> float:

@@ -209,8 +209,8 @@ def test_criterion_08_counting_end_to_end():
 
 def _bernoulli_chain(rates) -> NestedChain:
     def make(rate):
-        def sampler(rng, size):
-            return (rng.random(size) < rate).astype(float)
+        def sampler(rng, n, m):
+            return (rng.random((n, m)) < rate).astype(float).mean(axis=1)
 
         return sampler
 

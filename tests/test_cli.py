@@ -279,6 +279,16 @@ def test_linext_plan_larger_than_memory_exits_2(capsys, tmp_path):
     assert "n = 6 elements at m_per_level = 1" in err and "physical memory" in err
 
 
+def test_linext_m_per_level_beyond_the_float_range_exits_2(capsys, tmp_path):
+    # a 401-digit m_per_level used to end in an OverflowError (exit 1)
+    poset = tmp_path / "antichain4.txt"
+    poset.write_text("4\n", encoding="ascii")
+    argv = ["linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1", "--m-per-level", str(10**400)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "m_per_level must be at most 1.79769e+308" in err
+
+
 def test_non_finite_draw_exits_2_naming_the_distribution(capsys):
     argv = ["estimate", "--dist", "normal:1e308,1e308", "--epsilon", "0.2", "--delta", "0.1", "--c", "1"]
     code, out, err = run_cli(capsys, *argv)

@@ -28,8 +28,8 @@ import oracles
 
 
 def bernoulli_sampler(rate: float):
-    def sampler(rng, size):
-        return (rng.random(size) < rate).astype(float)
+    def sampler(rng, n, m):
+        return (rng.random((n, m)) < rate).astype(float).mean(axis=1)
 
     return sampler
 
@@ -283,20 +283,57 @@ def test_uniform_sample_unranks_lexicographic_order():
             assert linext_uniform_sample(p, seed) == lex[int(rng.integers(0, len(lex)))]
 
 
+def _levels_with_flags(p: Poset):
+    """(sampler, flags) per level of linext_chain(p): the flags say, for each
+    extension of the remaining subposet in lexicographic order, whether the
+    level's pinned element comes last."""
+    remaining = set(range(1, p.n + 1))
+    levels = []
+    for sampler in linext_chain(p).samplers:
+        blocked = {i for i, j in p.relation if i in remaining and j in remaining}
+        pinned = min(remaining - blocked)
+        levels.append((sampler, np.array([ext[-1] == pinned for ext in oracles.linear_extensions_lex(p, remaining)])))
+        remaining.remove(pinned)
+    assert not remaining
+    return levels
+
+
+def _assert_level_matches_flags(sampler, flags, n, m, seed):
+    # the level's n means equal the bool mean of one (n, m) block of ranks
+    # into its flags, and the stream ends where that block leaves it
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = sampler(rng, n, m)
+    expected = flags[ref.integers(0, len(flags), size=(n, m))].mean(axis=1)
+    assert drawn.dtype == np.float64 and drawn.tobytes() == expected.tobytes(), (n, m, seed)
+    assert rng.bit_generator.state == ref.bit_generator.state, (n, m, seed)
+
+
 def test_chain_levels_index_lexicographic_pinned_last_flags():
-    # seeded contract: each level indexes "pinned element is last" flags of the
-    # remaining subposet's extensions, in lexicographic order
+    # seeded contract: each level averages "pinned element is last" flags of
+    # the remaining subposet's extensions, in lexicographic order; this holds
+    # on the last level (one extension, nothing drawn) and on levels whose
+    # flags are all true (ranks drawn, nothing gathered) too
+    kinds = set()
     for p in oracles.poset_family():
-        remaining = set(range(1, p.n + 1))
-        for level, sampler in enumerate(linext_chain(p).samplers):
-            blocked = {i for i, j in p.relation if i in remaining and j in remaining}
-            pinned = min(remaining - blocked)
-            flags = np.array([ext[-1] == pinned for ext in oracles.linear_extensions_lex(p, remaining)])
-            drawn = sampler(np.random.default_rng(level), (4, 25))
-            expected = flags[np.random.default_rng(level).integers(0, len(flags), size=(4, 25))]
-            assert np.array_equal(drawn, expected), (p, level)
-            remaining.remove(pinned)
-        assert not remaining
+        for level, (sampler, flags) in enumerate(_levels_with_flags(p)):
+            kinds.add("single" if len(flags) == 1 else "sure" if flags.all() else "mixed")
+            for n, m in [(4, 25), (3, 1), (1, 7)]:
+                _assert_level_matches_flags(sampler, flags, n, m, seed=level)
+    assert kinds == {"single", "sure", "mixed"}
+
+
+@pytest.mark.parametrize("limit", [1, 2, 7, 64])
+def test_level_counts_are_exact_on_both_sides_of_the_float32_limit(monkeypatch, limit):
+    # rows of at most _FLOAT32_EXACT_COUNT indicators count through a float32
+    # product, wider ones through count_nonzero; both equal the bool mean
+    monkeypatch.setattr(counting, "_FLOAT32_EXACT_COUNT", limit)
+    levels = _levels_with_flags(Poset.from_pairs(5, [(1, 2), (1, 3)]))
+    mixed = [(sampler, flags) for sampler, flags in levels if not flags.all()]
+    assert len(mixed) >= 2
+    for sampler, flags in mixed:
+        for m in {1, max(limit - 1, 1), limit, limit + 1, 3 * limit}:
+            for seed in range(3):
+                _assert_level_matches_flags(sampler, flags, 9, m, seed)
 
 
 def test_antichain_at_the_size_cap():
@@ -358,14 +395,59 @@ def test_approx_count_memory_check_reads_physical_memory(monkeypatch):
     p = Poset.antichain(3)
     expected = linext_approx_count(p, 0.2, 0.1, 100, seed=12)
     draws = counting.build_plan(counting.ApproxSpec(0.2, 0.1, counting._chain_c(3, 100))).total_samples
-    monkeypatch.setattr(counting, "_physical_memory", lambda: draws * 100 * 9)
+    # 13 bytes per indicator: an int64 rank, its bool flag and a float32 copy
+    monkeypatch.setattr(counting, "_physical_memory", lambda: draws * 100 * 13)
     assert linext_approx_count(p, 0.2, 0.1, 100, seed=12) == expected
-    monkeypatch.setattr(counting, "_physical_memory", lambda: draws * 100 * 9 - 1)
+    monkeypatch.setattr(counting, "_physical_memory", lambda: draws * 100 * 13 - 1)
     with pytest.raises(ValueError, match=f"{draws} draws, whose {draws * 100} indicators need more"):
         linext_approx_count(p, 0.2, 0.1, 100, seed=12)
     # where sysconf cannot tell, nothing is checked
     monkeypatch.setattr(counting, "_physical_memory", lambda: None)
     assert linext_approx_count(p, 0.2, 0.1, 100, seed=12) == expected
+
+
+def _indicators(n, m):
+    spec = counting.ApproxSpec(0.2, 0.1, counting._chain_c(n, m))
+    return counting.build_plan(spec).total_samples * m
+
+
+@pytest.mark.parametrize("m, advice", [(1, "raise"), (10**300, "lower")])
+def test_memory_refusal_names_the_direction_of_fewer_indicators(m, advice):
+    # a small m_per_level plans many draws (3.7e15 at m = 1), a huge one makes
+    # each draw wide: both are refused on any host
+    with pytest.raises(ValueError, match=rf"physical memory; {advice} m_per_level$"):
+        linext_approx_count(Poset.antichain(6), 0.2, 0.1, m, seed=0)
+    better = 2 * m if advice == "raise" else m // 2
+    assert _indicators(6, better) < _indicators(6, m)
+
+
+def test_memory_refusal_advice_follows_the_indicator_count(monkeypatch):
+    # on antichain(6) at eps = 0.2, delta = 0.1 the indicator count is least
+    # at m = 45; under a limit that refuses every m, the advice points from
+    # either side towards it, and near it asks for a looser accuracy
+    counts = {m: _indicators(6, m) for m in range(1, 401)}
+    assert min(counts, key=counts.get) == 45
+    assert counts[2] < counts[1] and counts[40] < counts[20]
+    assert min(counts[22], counts[90]) >= counts[45] and min(counts[30], counts[120]) >= counts[60]
+    assert counts[100] < counts[200] <= counts[400]
+    monkeypatch.setattr(counting, "_physical_memory", lambda: counts[45] * 13 - 1)
+    neither = "neither half nor twice m_per_level plans fewer; raise epsilon or delta"
+    for m, advice in [(1, "raise m_per_level"), (20, "raise m_per_level"), (45, neither), (60, neither),
+                      (200, "lower m_per_level")]:
+        with pytest.raises(ValueError, match=rf"physical memory; {advice}$"):
+            linext_approx_count(Poset.antichain(6), 0.2, 0.1, m, seed=0)
+
+
+def test_approx_count_rejects_m_per_level_beyond_the_float_range():
+    # 10**400 used to raise OverflowError inside product_variance_bound
+    with pytest.raises(ValueError, match=r"m_per_level must be at most 1\.79769e\+308, got a 1329-bit integer"):
+        linext_approx_count(Poset.antichain(4), 0.2, 0.1, 10**400, 0)
+    with pytest.raises(ValueError, match="m_per_level must be at most"):
+        linext_approx_count(Poset.antichain(1), 0.2, 0.1, 10**400, 0)
+    with pytest.raises(ValueError, match=r"^m must be at most"):
+        product_variance_bound(3, 2.0, 10**400)
+    with pytest.raises(ValueError, match=r"^k must be at most"):
+        product_variance_bound(10**400, 2.0, 3)
 
 
 def test_physical_memory_skips_a_missing_sysconf(monkeypatch):

@@ -51,7 +51,7 @@ def test_import_loads_no_process_pool_module():
 
 SPEC = relmean.ApproxSpec(0.2, 0.1, 1.0)
 DIST = relmean.LogNormal(0.5)
-SURE_CHAIN = relmean.NestedChain((lambda rng, size: np.ones(size),), 1.0, 1.0)
+SURE_CHAIN = relmean.NestedChain((lambda rng, n, m: np.ones(n),), 1.0, 1.0)
 
 
 def _source():
