@@ -27,6 +27,7 @@ from .counting import (
     eps_prime,
     gibbs_combine,
     linext_approx_count,
+    linext_chain,
     linext_count_exact,
 )
 from .estimator import (
@@ -125,7 +126,7 @@ def _cmd_linext(args) -> dict:
     )
     return _payload(
         args,
-        _chain_c(poset.n, args.m_per_level),
+        _chain_c(linext_chain(poset), args.m_per_level),
         poset_elements=poset.n,
         m_per_level=args.m_per_level,
         estimate=estimate,

@@ -126,10 +126,11 @@ def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
     return math.expm1(k * (max_inverse_ratio - 1.0) / m)
 
 
-def _chain_c(n: int, m_per_level: int) -> float:
-    """The c of linext_chain on n elements: the root of the product bound with
-    k = M = n; 0.0 at n = 1, where nothing is estimated."""
-    return math.sqrt(product_variance_bound(n, float(n), m_per_level))
+def _chain_c(chain: NestedChain, m_per_level: int) -> float:
+    """The c of a chain's product estimates at m_per_level: the root of the
+    product bound at the chain's k and max_inverse_ratio; 0.0 for a chain
+    whose every level is sure (M = 1)."""
+    return math.sqrt(product_variance_bound(chain.k, chain.max_inverse_ratio, m_per_level))
 
 
 class ProductEstimateSource:
@@ -268,7 +269,10 @@ def _minimal_bits(preds: tuple[int, ...], rest: int) -> list[int]:
 def _completion_counts(preds: tuple[int, ...]) -> Callable[[int], int]:
     """Memoised table: count(rest) is the number of linear extensions of the
     subposet induced on the elements of bit mask `rest`, i.e. the number of
-    ways to complete any prefix that has placed every other element."""
+    ways to complete any prefix that has placed every other element.  Every
+    linear-extension operation builds one, so this is where the size cap is
+    checked."""
+    _check_desk_scale(len(preds))
 
     @cache
     def count(rest: int) -> int:
@@ -287,7 +291,6 @@ _sampler_counts = lru_cache(maxsize=8)(_completion_counts)
 
 def linext_count_exact(p: Poset) -> int:
     """Exact number of linear extensions via dynamic programming over downsets."""
-    _check_desk_scale(p.n)
     return _completion_counts(p.preds)((1 << p.n) - 1)
 
 
@@ -295,7 +298,6 @@ def linext_uniform_sample(p: Poset, seed: int) -> tuple[int, ...]:
     """One uniformly random linear extension: a uniform rank among all
     extensions, unranked in lexicographic order through the completion counts."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=_integer("seed", seed)))
-    _check_desk_scale(p.n)
     count = _sampler_counts(p.preds)
     rest = (1 << p.n) - 1
     rank = int(rng.integers(0, count(rest)))
@@ -363,7 +365,6 @@ def linext_chain(p: Poset) -> NestedChain:
     element indeed comes last.  Every level's survival ratio is at least
     1/n, and the terminal set holds exactly one extension.
     """
-    _check_desk_scale(p.n)
     count = _completion_counts(p.preds)
     samplers: list[Sampler] = []
     rest = (1 << p.n) - 1
@@ -395,7 +396,8 @@ def linext_approx_count(
 
     Feeds independent product estimates from the self-reduction chain into
     the two-stage mean estimator, with the honest closed-form variance bound
-    (k = M = n) as c^2, and inverts the estimated ratio.
+    (k = M = n) as c^2, and inverts the estimated ratio.  The chain is
+    built first: the plan reads its k and M.
     """
     m_per_level = _float_sized("m_per_level", _integer("m_per_level", m_per_level, 1))
     seed = _integer("seed", seed)
@@ -403,10 +405,9 @@ def linext_approx_count(
     _check_accuracy(epsilon, delta)
     if p.n == 1:
         return 1.0
-    _check_desk_scale(p.n)
-    spec, draws = _count_plan(p.n, m_per_level, epsilon, delta, mode)
-    _check_indicator_memory(p.n, m_per_level, spec, draws, mode)
     chain = linext_chain(p)
+    spec, draws = _count_plan(chain, m_per_level, epsilon, delta, mode)
+    _check_indicator_memory(chain, m_per_level, spec, draws, mode)
     report = estimate_mean(ProductEstimateSource(chain, m_per_level, seed), spec, mode)
     return chain.known_terminal / report.mu_hat
 
@@ -420,9 +421,11 @@ def _physical_memory() -> int | None:
     return size if size > 0 else None
 
 
-def _count_plan(n: int, m_per_level: int, epsilon: float, delta: float, mode: Mode) -> tuple[ApproxSpec, int]:
-    """The spec of a count on n elements at m_per_level, and its plan's draw count."""
-    spec = ApproxSpec(epsilon, delta, _chain_c(n, m_per_level))
+def _count_plan(
+    chain: NestedChain, m_per_level: int, epsilon: float, delta: float, mode: Mode
+) -> tuple[ApproxSpec, int]:
+    """The spec of a count through `chain` at m_per_level, and its plan's draw count."""
+    spec = ApproxSpec(epsilon, delta, _chain_c(chain, m_per_level))
     return spec, build_plan(spec, mode).total_samples
 
 
@@ -431,7 +434,7 @@ def _count_plan(n: int, m_per_level: int, epsilon: float, delta: float, mode: Mo
 _INDICATOR_BYTES = 8 + 1 + 4
 
 
-def _check_indicator_memory(n: int, m_per_level: int, spec: ApproxSpec, draws: int, mode: Mode) -> None:
+def _check_indicator_memory(chain: NestedChain, m_per_level: int, spec: ApproxSpec, draws: int, mode: Mode) -> None:
     """Reject a count whose product draws cannot fit in physical memory.
 
     Each draw holds m_per_level indicators per level, and a take counts one
@@ -450,7 +453,7 @@ def _check_indicator_memory(n: int, m_per_level: int, spec: ApproxSpec, draws: i
 
     def planned(m: int) -> float:
         try:
-            return _count_plan(n, m, spec.epsilon, spec.delta, mode)[1] * m
+            return _count_plan(chain, m, spec.epsilon, spec.delta, mode)[1] * m
         except ValueError:  # m is out of range, or plans more draws than a float holds
             return math.inf
 
@@ -461,7 +464,7 @@ def _check_indicator_memory(n: int, m_per_level: int, spec: ApproxSpec, draws: i
     else:
         advice = "neither half nor twice m_per_level plans fewer; raise epsilon or delta"
     raise ValueError(
-        f"n = {n} elements at m_per_level = {m_per_level} give c = {spec.c:.6g} and {draws} draws, "
+        f"n = {chain.k} elements at m_per_level = {m_per_level} give c = {spec.c:.6g} and {draws} draws, "
         f"whose {indicators} indicators need more than the {memory} bytes of physical memory; {advice}"
     )
 

@@ -234,10 +234,9 @@ def _fill_rows(sources, width: int, stage: str, out=None) -> np.ndarray:
     passes this gate of the take contract: take(width) returns exactly
     `width` draws, all finite, or SourceContractError names the stage (and,
     for a non-finite draw, the source's distribution spec string).  The rows
-    are written into `out`, a len(sources) x width matrix or view, if given;
-    else a batch fills one new matrix and a single source's take is its row,
-    uncopied."""
-    rows = np.empty((len(sources), width)) if out is None and len(sources) > 1 else out
+    are written into `out`, a len(sources) x width matrix or view; without
+    one, the single source's take is the one row, uncopied."""
+    rows = out
     for i, source in enumerate(sources):
         draws = np.asarray(source.take(width), dtype=float)
         if draws.shape != (width,):
@@ -330,17 +329,6 @@ def _truncated_mean_rows(draws: np.ndarray, mu1: np.ndarray, alpha: np.ndarray) 
     return means
 
 
-def _two_stage_rows(sources, spec: ApproxSpec, plan: StagePlan):
-    """The two-stage estimator, one run per source.
-
-    Each source gives k*m stage-1 draws, then n stage-2 draws, in two takes.
-    Returns the arrays (mu1, alpha, mu_hat), one entry per source.
-    """
-    return _two_stage_reduce(
-        _fill_rows(sources, plan.samples_stage1, "stage 1"), _fill_rows(sources, plan.n, "stage 2"), spec, plan
-    )
-
-
 def _two_stage_reduce(stage1: np.ndarray, stage2: np.ndarray, spec: ApproxSpec, plan: StagePlan):
     """(mu1, alpha, mu_hat) per row of the rows x k*m stage-1 and rows x n
     stage-2 draws, which may be column views of one matrix.  Each row gets
@@ -392,7 +380,9 @@ def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> Estimat
     P(|mu_hat - mean| > epsilon * mean) <= delta.
     """
     plan = build_plan(spec, mode)
-    mu1, alpha, mu_hat = _two_stage_rows([source], spec, plan)
+    stage1 = _fill_rows([source], plan.samples_stage1, "stage 1")
+    stage2 = _fill_rows([source], plan.n, "stage 2")
+    mu1, alpha, mu_hat = _two_stage_reduce(stage1, stage2, spec, plan)
     return EstimateReport(
         mu1=float(mu1[0]),
         alpha=TruncationScale(float(alpha[0])),

@@ -28,18 +28,20 @@ takes, whatever the distribution.
 A run splits its replicates into contiguous slices of whole chunks, one
 per worker.  The first slice runs in the calling process and each other
 one in a child made with os.fork, which pickles its slice of the
-estimates, or its first error, back through a pipe.  The parent binds each
-child to a CPU other than its own, where Linux names them, right after
-the fork, so the child need not first wait for the parent's timeslice.
+estimates, or the error that stopped it, back through a pipe.  The parent
+binds each child to a CPU other than its own, where Linux names them,
+right after the fork, so the child need not first wait for the parent's
+timeslice.
 compare_estimators makes one such round for all three estimators: each
 slice draws each chunk once and runs them all on it, into an R x 3 array
 of estimates.  The worker count is worked out, never set: min(usable
 CPUs, R * draws per replicate // _MIN_SLICE_DRAWS), with the draws the run
 makes, and 1 where os.fork is missing or another Python thread runs.
-Estimates are placed by replicate index, and the error raised is the one
-with the lowest (estimator, replicate), where a failed take is the first
-estimator's: the serial run's, so reports and errors do not depend on the
-worker count.
+Estimates are placed by replicate index.  A slice stops at its first
+error, as the serial run does, and the slices are read in replicate
+order, so the first failing slice's error is the serial run's: it is
+raised as soon as it is read, and the slices still running are killed.
+Reports and errors thus do not depend on the worker count.
 The gain was measured on Linux only.  Python 3.12 and later warn
 (DeprecationWarning) on fork() in a process with more than one OS thread,
 and numpy's BLAS may hold such a thread; not verified, for want of numpy
@@ -215,14 +217,13 @@ def _portable(exc: BaseException, lo: int, hi: int) -> BaseException:
 
 def _fork_slice(values: np.ndarray, fill, lo: int, hi: int, cpu: int | None):
     """Start a child that runs fill(lo, hi) and pickles values[lo:hi], or
-    the failure fill returned or the exception it raised, into a pipe.
-    Returns (pid, the pipe's read end, lo, hi).  This process binds the
-    child to `cpu`, if one is given, right after the fork: a new child
-    starts on its parent's CPU and waits there for the parent's timeslice,
-    so a call of its own would come late.  The child leaves through
-    os._exit, so it runs no exit handler and flushes no buffer it shares
-    with this process; its exit code is 0 only once the whole result is
-    written."""
+    the exception fill raised, into a pipe.  Returns (pid, the pipe's read
+    end, lo, hi).  This process binds the child to `cpu`, if one is given,
+    right after the fork: a new child starts on its parent's CPU and waits
+    there for the parent's timeslice, so a call of its own would come late.
+    The child leaves through os._exit, so it runs no exit handler and
+    flushes no buffer it shares with this process; its exit code is 0 only
+    once the whole result is written."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -235,8 +236,8 @@ def _fork_slice(values: np.ndarray, fill, lo: int, hi: int, cpu: int | None):
         try:
             os.close(read_fd)
             try:
-                failure = fill(lo, hi)
-                result = values[lo:hi] if failure is None else (failure[0], _portable(failure[1], lo, hi))
+                fill(lo, hi)
+                result = values[lo:hi]
             except BaseException as exc:  # noqa: BLE001 - re-raised by the parent
                 result = _portable(exc, lo, hi)
             with open(write_fd, "wb") as pipe:
@@ -254,29 +255,27 @@ def _fork_slice(values: np.ndarray, fill, lo: int, hi: int, cpu: int | None):
 
 
 def _run_slices(values: np.ndarray, fill, bounds: list[int]) -> None:
-    """Run fill(lo, hi), which writes values[lo:hi], over each slice
-    [bounds[i], bounds[i + 1]).  fill stops at its first error and returns
-    it as (key, exception), else None.
+    """Run fill(lo, hi), which writes values[lo:hi] and raises at its first
+    error, over each slice [bounds[i], bounds[i + 1]).
 
     The first slice runs in this process and each other one in a forked
     child.  Results come back through a pipe, not a shared mmap: an
     exception needs a channel anyway, and a slice's values are 8 bytes per
     replicate and estimator.  Side effects of a child's fill, on the
-    distribution object for one, stay in the child.  Every child is read
-    before an error is raised, and the error raised is the one with the
-    lowest key, which is the serial run's, since that run stops at its
-    lowest failing key.  A child that dies without a result is a
-    RuntimeError naming its slice, and an exception fill raises instead of
-    returning is raised as soon as it is met.  Every child is reaped before
-    this returns or raises; on a raise, Ctrl-C included, the children still
-    running are killed first.
+    distribution object for one, stay in the child.  The slices are read
+    in replicate order, this process's own first, and the first error met
+    is raised at once: that slice's first error, which is the serial
+    run's, since the slices before it ran clean.  A child that dies
+    without a result is a RuntimeError naming its slice.  Every child is
+    reaped before this returns or raises; on a raise, Ctrl-C included, the
+    children still running are killed first.
     """
     children = []  # (pid, pipe, lo, hi), in slice order, not yet reaped
     cpus = _other_cpus() if len(bounds) > 2 else []
     try:
         for i, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:])):
             children.append(_fork_slice(values, fill, lo, hi, cpus[i % len(cpus)] if cpus else None))
-        failures = [fill(bounds[0], bounds[1])]  # None where a slice had no error
+        fill(bounds[0], bounds[1])
         while children:
             pid, pipe, lo, hi = children[0]
             payload = pipe.read()
@@ -290,13 +289,7 @@ def _run_slices(values: np.ndarray, fill, bounds: list[int]) -> None:
             result = pickle.loads(payload)  # written by this program's own child
             if isinstance(result, BaseException):
                 raise result
-            if isinstance(result, tuple):
-                failures.append(result)
-            else:
-                values[lo:hi] = result
-        failures = [failure for failure in failures if failure is not None]
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
+            values[lo:hi] = result
     finally:
         for pid, pipe, _, _ in children:
             pipe.close()
@@ -327,9 +320,10 @@ def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
     read), from one plan, one pass of replicate seeds and one round of
     slices.  Each chunk of replicates is drawn once, with the takes of the
     first kind that takes the most draws, and every kind reduces those rows
-    into its column j of an R x len(kinds) array.  Each slice stops at its
-    first error, keyed (kind, replicate) as in the serial run; a failed
-    take is kind 0's."""
+    into its column j of an R x len(kinds) array.  fill raises at its
+    slice's first error, the one a serial run over the slice would raise:
+    a chunk's takes come before its reductions, and the kinds reduce in
+    order."""
     spec = config.spec
     plan = build_plan(spec, config.mode)
     estimators = [_estimator(kind, spec, plan) for kind in kinds]
@@ -339,21 +333,17 @@ def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
     values = np.empty((replications, len(kinds)))
     seed_words = _replicate_seed_words(config.seed, np.arange(replications))
 
-    def fill(lo: int, hi: int):
+    def fill(lo: int, hi: int) -> None:
         for start in range(lo, hi, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, hi)
             rows = np.empty((stop - start, width))
-            j = column = 0
-            try:
-                sources = [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
-                for take, stage in takes:
-                    _fill_rows(sources, take, stage, rows[:, column : column + take])
-                    column += take
-                for j, (_, reduce) in enumerate(estimators):
-                    values[start:stop, j] = reduce(rows)
-            except Exception as exc:  # noqa: BLE001 - raised by _run_slices in key order
-                return (j, start), exc
-        return None
+            sources = [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
+            column = 0
+            for take, stage in takes:
+                _fill_rows(sources, take, stage, rows[:, column : column + take])
+                column += take
+            for j, (_, reduce) in enumerate(estimators):
+                values[start:stop, j] = reduce(rows)
 
     workers = _worker_count(replications, width)
     _run_slices(values, fill, _slice_bounds(replications, workers))

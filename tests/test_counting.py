@@ -377,7 +377,7 @@ def test_approx_count_deterministic():
 
 def test_approx_count_rejects_a_plan_larger_than_memory():
     # m = 1 on six elements: c^2 = expm1(30) and a 3.7e15-draw plan, whose
-    # indicators (9.11 PiB) are refused before the chain is built
+    # indicators (9.11 PiB) are refused before any product is drawn
     c = math.sqrt(math.expm1(30.0))
     with pytest.raises(ValueError) as info:
         linext_approx_count(Poset.antichain(6), 0.2, 0.1, 1, seed=0)
@@ -394,7 +394,8 @@ def test_approx_count_rejects_a_plan_larger_than_memory():
 def test_approx_count_memory_check_reads_physical_memory(monkeypatch):
     p = Poset.antichain(3)
     expected = linext_approx_count(p, 0.2, 0.1, 100, seed=12)
-    draws = counting.build_plan(counting.ApproxSpec(0.2, 0.1, counting._chain_c(3, 100))).total_samples
+    spec = counting.ApproxSpec(0.2, 0.1, counting._chain_c(linext_chain(p), 100))
+    draws = counting.build_plan(spec).total_samples
     # 13 bytes per indicator: an int64 rank, its bool flag and a float32 copy
     monkeypatch.setattr(counting, "_physical_memory", lambda: draws * 100 * 13)
     assert linext_approx_count(p, 0.2, 0.1, 100, seed=12) == expected
@@ -407,7 +408,7 @@ def test_approx_count_memory_check_reads_physical_memory(monkeypatch):
 
 
 def _indicators(n, m):
-    spec = counting.ApproxSpec(0.2, 0.1, counting._chain_c(n, m))
+    spec = counting.ApproxSpec(0.2, 0.1, counting._chain_c(linext_chain(Poset.antichain(n)), m))
     return counting.build_plan(spec).total_samples * m
 
 

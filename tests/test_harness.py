@@ -400,6 +400,38 @@ def test_broken_take_in_a_compare_raises_the_serial_error(monkeypatch, cpus, bro
     assert str(parallel.value) == str(serial.value)
 
 
+@pytest.mark.parametrize("cpus", [2, 5])
+@pytest.mark.parametrize("failing", [96, 304])
+def test_a_later_kind_failing_in_an_earlier_chunk_raises_the_serial_error(monkeypatch, cpus, failing):
+    # the median-of-means reduction fails on the chunk of replicate `failing`,
+    # and replicate 900's stage-1 take, the first kind's, comes up short
+    # later in the stream: the serial run stops at the reduction
+    marker = _replicate_rng(0, failing).normal(100.0, 50.0, 1)[0]  # the replicate's first draw
+    estimator = harness._estimator
+
+    def failing_estimator(kind, spec, plan):
+        takes, reduce = estimator(kind, spec, plan)
+        if kind is not EstimatorKind.MEDIAN_OF_MEANS_ONLY:
+            return takes, reduce
+
+        def reduce_or_fail(rows):
+            if (rows[:, 0] == marker).any():
+                raise ValueError(f"median of means fails at replicate {failing}")
+            return reduce(rows)
+
+        return takes, reduce_or_fail
+
+    monkeypatch.setattr(harness, "_estimator", failing_estimator)
+    config = CoverageConfig(SPEC, _ShortAt(0, [900]), 1000, seed=0)
+    with pytest.raises(ValueError) as serial:
+        _run(monkeypatch, config, SERIAL, compare=True)
+    with pytest.raises(ValueError) as parallel:
+        _run(monkeypatch, config, PARALLEL, cpus, compare=True)
+    assert type(serial.value) is ValueError
+    assert str(serial.value) == f"median of means fails at replicate {failing}"
+    assert type(parallel.value) is ValueError and str(parallel.value) == str(serial.value)
+
+
 @pytest.mark.parametrize("kind", [None, *EstimatorKind], ids=["compare", *(kind.value for kind in EstimatorKind)])
 def test_a_compare_opens_each_replicate_stream_once(monkeypatch, kind):
     # a comparison makes the two-stage takes of each replicate, once; a
@@ -493,6 +525,29 @@ def test_an_interrupt_kills_and_reaps_the_children(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         _run(monkeypatch, config, PARALLEL, 3)
     assert time.monotonic() - start < 15
+
+
+class _ShortInParent(_DiesInChild):
+    """Every take in the process that built it comes up one draw short; a
+    child blocks for 30 s at its first take, then exits."""
+
+    def sample(self, rng, n):
+        if os.getpid() == self._pid:
+            return rng.normal(100.0, 50.0, n - 1)
+        time.sleep(30)
+        os._exit(4)
+
+
+def test_a_failing_first_slice_raises_at_once_and_kills_the_children(monkeypatch):
+    # _run checks that no child outlives the run
+    config = CoverageConfig(SPEC, _ShortInParent(), 1000, seed=0)
+    with pytest.raises(SourceContractError) as serial:
+        _run(monkeypatch, config, SERIAL)
+    start = time.monotonic()
+    with pytest.raises(SourceContractError) as parallel:
+        _run(monkeypatch, config, PARALLEL, 3)
+    assert time.monotonic() - start < 15
+    assert str(parallel.value) == str(serial.value)
 
 
 def test_worker_count_rule(monkeypatch):
