@@ -38,7 +38,7 @@ from .estimator import (
     lower_bound_samples,
     theorem1_total,
 )
-from .harness import CoverageConfig, EstimatorKind, compare_estimators, run_coverage, write_csv
+from .harness import CoverageConfig, compare_estimators, run_coverage, write_csv
 from .sources import RNG_ALGORITHM, LogNormal, SampleSource, Scaled, _read_ascii, parse_distribution
 
 
@@ -100,7 +100,7 @@ def _cmd_estimate(args) -> dict:
 def _cmd_coverage(args) -> dict:
     spec = ApproxSpec(args.epsilon, args.delta, args.c)
     dist = parse_distribution(args.dist)
-    report = run_coverage(CoverageConfig(spec, dist, args.reps, args.seed, args.mode, args.estimator))
+    report = run_coverage(CoverageConfig(spec, dist, args.reps, args.seed, args.mode))
     if args.out:
         write_csv([report], args.out)
     return _payload(args, args.c, report=asdict(report))
@@ -209,12 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         subparsers[name] = sub.add_parser(name, help=help_text, parents=[spec, *parents])
         subparsers[name].set_defaults(handler=handler)
 
-    subparsers["coverage"].add_argument(
-        "--estimator",
-        choices=[kind.value for kind in EstimatorKind],
-        default=EstimatorKind.TWO_STAGE.value,
-        help="which estimator to certify (default twostage)",
-    )
     linext = subparsers["linext"]
     linext.add_argument("--poset", required=True, help="poset file: first line n, then `i j` pairs")
     linext.add_argument("--m-per-level", type=int, default=100, help="draws per chain level (default 100)")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable
@@ -25,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .estimator import ApproxSpec, Mode, _check_accuracy, build_plan, estimate_mean
-from .sources import _integer, _replicate_rng
+from .sources import _float_sized, _integer, _replicate_rng
 
 DESK_SCALE_LIMIT = 10
 
@@ -107,13 +106,6 @@ def _product_draws(chain: NestedChain, rng: np.random.Generator, n: int, m_per_l
     for sampler in chain.samplers:
         out *= sampler(rng, n, m_per_level)
     return out
-
-
-def _float_sized(name: str, value: int) -> int:
-    """`value`, if it is at most the largest float: the closed forms divide by it."""
-    if value > sys.float_info.max:
-        raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}, got a {value.bit_length()}-bit integer")
-    return value
 
 
 def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psi import TruncationScale, _repair_tails, _scaled_psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
-from .sources import _integer
+from .sources import _float_sized, _integer
 
 __all__ = [
     "Mode",
@@ -27,7 +27,6 @@ __all__ = [
     "ApproxSpec",
     "StagePlan",
     "EstimateReport",
-    "stage2_params",
     "stage2_count_real",
     "build_plan",
     "theorem1_total",
@@ -179,17 +178,12 @@ def stage2_count_real(spec: ApproxSpec) -> float:
     )
 
 
-def stage2_params(spec: ApproxSpec) -> int:
-    """Number of truncated draws in stage 2: the ceiling of stage2_count_real."""
-    return math.ceil(stage2_count_real(spec))
-
-
 def build_plan(spec: ApproxSpec, mode: Mode = Mode.STRICT) -> StagePlan:
     """Derive every stage parameter for the given spec and budget mode.
 
     epsilon1 = sqrt(epsilon c^2 / (1 + c^2)), k = ceil(8 c^2 / epsilon1^2)
     draws per group, m groups sized from the stage-1 budget (delta in
-    PAPER_EXACT mode, delta / 2 in STRICT mode), and n = stage2_params.
+    PAPER_EXACT mode, delta / 2 in STRICT mode), and n = ceil(stage2_count_real).
     """
     mode = Mode(mode)
     epsilon1_sq = _epsilon1_sq(spec)
@@ -201,7 +195,7 @@ def build_plan(spec: ApproxSpec, mode: Mode = Mode.STRICT) -> StagePlan:
         epsilon1_sq=epsilon1_sq,
         k=k,
         m=m,
-        n=stage2_params(spec),
+        n=math.ceil(stage2_count_real(spec)),
         mode=mode,
     )
 
@@ -209,7 +203,7 @@ def build_plan(spec: ApproxSpec, mode: Mode = Mode.STRICT) -> StagePlan:
 def theorem1_total(spec: ApproxSpec) -> int:
     """Headline total draw count of the scheme at its printed parameters.
 
-    Equals stage2_params plus k*m with the stage-1 group count taken at the
+    Equals the plan's n plus k*m with the stage-1 group count taken at the
     full delta budget (PAPER_EXACT), so the value matches the closed-form
     total regardless of which mode a run actually uses.
     """
@@ -224,7 +218,7 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
     """
     if not (0.0 < nu_sq < 0.5):
         raise ValueError(f"nu_sq must lie in (0, 1/2), got {nu_sq!r}")
-    r = _integer("r", r, 1)
+    r = _float_sized("r", _integer("r", r, 1))
     q = nu_sq * (1.0 - nu_sq)
     return q / (math.sqrt(math.pi * r) * (1.0 - 2.0 * nu_sq)) * (4.0 * q) ** r
 
@@ -360,13 +354,14 @@ def median_of_means(source, k: int, m: int) -> float:
 
 
 def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, TruncationScale]:
-    """Average of truncated draws centred at mu1; returns (mu_hat, alpha).
+    """Average of the plan's n truncated draws, centred at mu1; returns
+    (mu_hat, alpha).
 
     Each draw x contributes mu1 + psi(alpha (x - mu1)) / alpha with
     alpha = epsilon / (c^2 mu1).
     """
     alpha = _truncation_scale(mu1, spec)
-    draws = _fill_rows([source], stage2_params(spec), "stage 2")
+    draws = _fill_rows([source], build_plan(spec).n, "stage 2")
     mu_hat = _truncated_mean_rows(draws, np.array([mu1], dtype=float), np.array([alpha.alpha]))
     return float(mu_hat[0]), alpha
 

@@ -11,19 +11,14 @@ and so are the PCG64 seeds of all R replicate streams, in one vectorised
 pass that matches numpy's SeedSequence bit for bit (sources.py states the
 derivation).  Replicate r keeps its own stream (seed, r).  Each chunk's
 rows are drawn once, through the take-contract gate _fill_rows, with the
-takes of the estimator that reads the most draws: for the two-stage, a
-take of k*m draws ("stage 1") and one of n ("stage 2"), written side by
-side into one rows x budget matrix.  Each estimator then reduces its own
-prefix of those rows: the two-stage through _two_stage_reduce, the kernel
-estimate_mean runs on its own two takes, with the arithmetic of a single
-run, so a coverage report is bit-identical to one replicate-at-a-time
-loop.  A comparison thus reads each replicate's draws once and opens R
-streams, not one per estimator; the baselines read a prefix of the
-two-stage draws.  Its report for an estimator equals run_coverage's for
-that estimator only if the distribution's sample splits freely (sample(rng,
-a) then sample(rng, b) gives the draws of sample(rng, a + b)), as every
-built-in distribution's does; run_coverage makes its own estimator's
-takes, whatever the distribution.
+takes estimate_mean makes: one of k*m draws ("stage 1") and one of n
+("stage 2"), written side by side into one rows x budget matrix.  Each
+estimator then reduces its own prefix of those rows: the two-stage through
+_two_stage_reduce, the kernel estimate_mean runs on its own two takes,
+with the arithmetic of a single run, so a coverage report is bit-identical
+to one replicate-at-a-time loop.  run_coverage certifies the two-stage
+estimator; the baselines are rows of compare_estimators, which reads each
+replicate's draws once and opens R streams, not one per estimator.
 
 A run splits its replicates into contiguous slices of whole chunks, one
 per worker.  The first slice runs in the calling process and each other
@@ -35,8 +30,8 @@ timeslice.
 compare_estimators makes one such round for all three estimators: each
 slice draws each chunk once and runs them all on it, into an R x 3 array
 of estimates.  The worker count is worked out, never set: min(usable
-CPUs, R * draws per replicate // _MIN_SLICE_DRAWS), with the draws the run
-makes, and 1 where os.fork is missing or another Python thread runs.
+CPUs, R * budget // _MIN_SLICE_DRAWS), with the two-stage draw budget,
+and 1 where os.fork is missing or another Python thread runs.
 Estimates are placed by replicate index.  A slice stops at its first
 error, as the serial run does, and the slices are read in replicate
 order, so the first failing slice's error is the serial run's: it is
@@ -85,15 +80,14 @@ class EstimatorKind(enum.Enum):
 @dataclass(frozen=True)
 class CoverageConfig:
     """One coverage run, checked whole on construction: counts become ints,
-    mode and estimator their enums (their string values are accepted), and
-    the distribution's c bound must fit the spec."""
+    mode its enum (its string value is accepted), and the distribution's c
+    bound must fit the spec."""
 
     spec: ApproxSpec
     dist: object
     replications: int
     seed: int
     mode: Mode = Mode.STRICT
-    estimator: EstimatorKind = EstimatorKind.TWO_STAGE
 
     def __post_init__(self) -> None:
         replications = _integer("replications", self.replications)
@@ -110,7 +104,6 @@ class CoverageConfig:
                 "replays one fixed sequence in every replicate"
             )
         object.__setattr__(self, "mode", Mode(self.mode))
-        object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
         c_bound = self.dist.facts().c_bound
         if c_bound > self.spec.c:
             raise ValueError(
@@ -298,37 +291,31 @@ def _run_slices(values: np.ndarray, fill, bounds: list[int]) -> None:
 
 
 def _estimator(kind: EstimatorKind, spec: ApproxSpec, plan):
-    """(takes, reduce) of `kind` at the plan's draw budget: the (width,
-    stage) takes that make each replicate's draws, in stream order, and a
-    function from a matrix whose rows start with those draws to one
-    estimate per row.  reduce reads only its own columns, so the kinds can
-    share the rows of the kind that takes the most."""
-    budget = plan.total_samples
+    """The reducer of `kind` at the plan's draw budget: a function from a
+    matrix of two-stage rows (each replicate's k*m stage-1 draws, then its
+    n stage-2 draws) to one estimate per row.  The baselines read a prefix
+    of the rows."""
     if kind is EstimatorKind.TWO_STAGE:
         k_m = plan.samples_stage1
-        takes = ((k_m, "stage 1"), (plan.n, "stage 2"))
-        return takes, lambda rows: _two_stage_reduce(rows[:, :k_m], rows[:, k_m:budget], spec, plan)[2]
+        return lambda rows: _two_stage_reduce(rows[:, :k_m], rows[:, k_m:], spec, plan)[2]
     if kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
-        mom_k, mom_m = _mom_baseline_params(spec, budget)
-        width = mom_k * mom_m
-        return ((width, "median of means"),), lambda rows: _median_rows(rows[:, :width], mom_k, mom_m)
-    return ((budget, "naive mean"),), lambda rows: rows[:, :budget].mean(axis=1)
+        mom_k, mom_m = _mom_baseline_params(spec, plan.total_samples)
+        return lambda rows: _median_rows(rows[:, : mom_k * mom_m], mom_k, mom_m)
+    return lambda rows: rows.mean(axis=1)
 
 
 def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
-    """One report per estimator kind in `kinds` (config.estimator is not
-    read), from one plan, one pass of replicate seeds and one round of
-    slices.  Each chunk of replicates is drawn once, with the takes of the
-    first kind that takes the most draws, and every kind reduces those rows
-    into its column j of an R x len(kinds) array.  fill raises at its
-    slice's first error, the one a serial run over the slice would raise:
-    a chunk's takes come before its reductions, and the kinds reduce in
-    order."""
+    """One report per estimator kind in `kinds`, from one plan, one pass of
+    replicate seeds and one round of slices.  Each chunk of replicates is
+    drawn once, with the two takes of estimate_mean, and every kind reduces
+    those rows into its column j of an R x len(kinds) array.  fill raises
+    at its slice's first error, the one a serial run over the slice would
+    raise: a chunk's takes come before its reductions, and the kinds reduce
+    in order."""
     spec = config.spec
     plan = build_plan(spec, config.mode)
-    estimators = [_estimator(kind, spec, plan) for kind in kinds]
-    takes = max((takes for takes, _ in estimators), key=lambda takes: sum(take for take, _ in takes))
-    width = sum(take for take, _ in takes)
+    reducers = [_estimator(kind, spec, plan) for kind in kinds]
+    k_m, budget = plan.samples_stage1, plan.total_samples
     replications = config.replications
     values = np.empty((replications, len(kinds)))
     seed_words = _replicate_seed_words(config.seed, np.arange(replications))
@@ -336,16 +323,14 @@ def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
     def fill(lo: int, hi: int) -> None:
         for start in range(lo, hi, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, hi)
-            rows = np.empty((stop - start, width))
+            rows = np.empty((stop - start, budget))
             sources = [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
-            column = 0
-            for take, stage in takes:
-                _fill_rows(sources, take, stage, rows[:, column : column + take])
-                column += take
-            for j, (_, reduce) in enumerate(estimators):
+            _fill_rows(sources, k_m, "stage 1", rows[:, :k_m])
+            _fill_rows(sources, plan.n, "stage 2", rows[:, k_m:])
+            for j, reduce in enumerate(reducers):
                 values[start:stop, j] = reduce(rows)
 
-    workers = _worker_count(replications, width)
+    workers = _worker_count(replications, budget)
     _run_slices(values, fill, _slice_bounds(replications, workers))
 
     mu = config.dist.facts().true_mean
@@ -363,7 +348,7 @@ def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
                 mode=config.mode.value,
                 R=replications,
                 seed=config.seed,
-                samples_per_run=plan.total_samples,
+                samples_per_run=budget,
                 failures=failures,
                 failure_rate=failures / replications,
                 binomial_3sigma=3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / replications),
@@ -374,14 +359,14 @@ def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
 
 
 def run_coverage(config: CoverageConfig) -> CoverageReport:
-    """Replicate the configured estimator and tabulate its failure frequency.
+    """Replicate the two-stage estimator and tabulate its failure frequency.
 
     Failures are judged against the source's exact mean, never an estimate.
     Deterministic: replicate r always uses the stream (seed, replicate r).
     The config checked every argument when it was built, so the only errors
     left are those of the draws themselves.
     """
-    return _coverage(config, [config.estimator])[0]
+    return _coverage(config, [EstimatorKind.TWO_STAGE])[0]
 
 
 def compare_estimators(
@@ -394,10 +379,8 @@ def compare_estimators(
     """One coverage report per estimator, all at the two-stage draw budget.
 
     Each replicate's draws are made once, by the two-stage takes, and every
-    estimator reads its prefix of them.  Each report equals the
-    run_coverage report of its kind when the distribution's sample splits
-    freely (sample(rng, a) then sample(rng, b) gives the draws of
-    sample(rng, a + b)), as every built-in distribution's does.
+    estimator reads its prefix of them; the two-stage row equals
+    run_coverage's report.
     """
     return _coverage(CoverageConfig(spec, dist, replications, seed, mode), list(EstimatorKind))
 

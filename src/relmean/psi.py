@@ -103,18 +103,26 @@ def psi(u):
     return _match_input(_scaled_psi(1.0, _finite_array(u)), u)
 
 
+def _upper(arr: np.ndarray) -> np.ndarray:
+    """ln(1 + u + u^2/2) per entry of a float array, as a new array.  Where
+    u^2/2 overflows, the entry is psi's tail 2 ln|u| - ln 2, repaired as
+    psi's are: on |u|, whose tail term is positive."""
+    out = np.empty_like(arr)  # an array even for 0-d input, which the repair writes
+    with np.errstate(over="ignore"):
+        np.log1p(arr + 0.5 * arr * arr, out=out)
+    _repair_tails(out, np.abs(arr), 1.0)
+    return out
+
+
 def psi_upper(u):
-    """Upper envelope ln(1 + u + u^2/2); the argument of the log is >= 1/2."""
-    arr = _finite_array(u)
-    out = np.log1p(arr + 0.5 * arr * arr)
-    return _match_input(out, u)
+    """Upper envelope ln(1 + u + u^2/2); the argument of the log is >= 1/2.
+    Where u^2/2 overflows it is 2 ln|u| - ln 2, finite."""
+    return _match_input(_upper(_finite_array(u)), u)
 
 
 def psi_lower(u):
-    """Lower envelope -ln(1 - u + u^2/2)."""
-    arr = _finite_array(u)
-    out = -np.log1p(-arr + 0.5 * arr * arr)
-    return _match_input(out, u)
+    """Lower envelope -ln(1 - u + u^2/2), that is -psi_upper(-u)."""
+    return _match_input(-_upper(-_finite_array(u)), u)
 
 
 def scaled_psi(scale, u):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,6 +316,13 @@ def _integer(name: str, value, low: int = 0) -> int:
         kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return number
+
+
+def _float_sized(name: str, value: int) -> int:
+    """`value`, if it is at most the largest float: the closed forms turn it into a float."""
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}, got a {value.bit_length()}-bit integer")
+    return value
 
 
 def _hashmix(hash_const: int, multiplier: int):

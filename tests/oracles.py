@@ -140,10 +140,11 @@ def median_of_means_reference(draws, k: int, m: int) -> float:
     return sorted(means)[m // 2]
 
 
-def coverage_reference(config) -> tuple[int, float]:
-    """(failures, mean_abs_rel_error) of a coverage run, computed one
-    replicate at a time on one-dimensional arrays, with the baselines'
-    parameters re-derived here."""
+def coverage_reference(config, kind) -> tuple[int, float]:
+    """(failures, mean_abs_rel_error) of the EstimatorKind `kind` on a
+    coverage run's config, computed one replicate at a time on
+    one-dimensional arrays, each kind on its own takes of a fresh stream,
+    with the baselines' parameters re-derived here."""
     spec = config.spec
     plan = build_plan(spec, config.mode)
     budget = plan.k * plan.m + plan.n
@@ -159,11 +160,11 @@ def coverage_reference(config) -> tuple[int, float]:
     errors = np.empty(config.replications)
     for r in range(config.replications):
         source = SampleSource(config.dist, config.seed, replicate_index=r)
-        if config.estimator.value == "twostage":
+        if kind.value == "twostage":
             mu1 = median_of_means(source.take(plan.k * plan.m), plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
             alpha = spec.epsilon / (spec.c * spec.c * mu1)
             value = np.mean(mu1 + scaled_psi(alpha, source.take(plan.n) - mu1))
-        elif config.estimator.value == "mom":
+        elif kind.value == "mom":
             value = median_of_means(source.take(mom_k * mom_m), mom_k, mom_m)
         else:
             value = np.mean(source.take(budget))

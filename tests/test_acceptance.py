@@ -37,7 +37,6 @@ from relmean import (
     psi_lower,
     psi_upper,
     run_coverage,
-    stage2_params,
     theorem1_total,
 )
 from relmean.counting import NestedChain, ProductEstimateSource
@@ -62,7 +61,7 @@ def _criterion(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_sample_count_fidelity():
     total = theorem1_total(BASE_SPEC)
-    n2 = stage2_params(BASE_SPEC)
+    n2 = build_plan(BASE_SPEC).n
     _criterion(1, "sample-count fidelity", total == 1454 and n2 == 974, f"total={total} n2={n2}")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -227,6 +228,11 @@ def test_unknown_flag_and_subcommand_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+    # coverage certifies the two-stage estimator; the baselines are compare rows
+    argv = ["coverage", "--dist", "normal:100,50", "--epsilon", "0.2", "--delta", "0.1", "--c", "0.5"]
+    code, out, err = run_cli(capsys, *argv, "--reps", "100", "--estimator", "mom")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --estimator mom" in err
 
 
 def test_runtime_error_exits_1(capsys, tmp_path):
@@ -409,12 +415,12 @@ SUBCOMMAND_FLAGS = {
     "samplesize": SPEC_FLAGS | {"--c"},
     "lowerbound": SPEC_FLAGS | {"--c"},
     "estimate": SPEC_FLAGS | {"--c", "--seed", "--dist"},
-    "coverage": SPEC_FLAGS | {"--c", "--seed", "--dist", "--reps", "--out", "--estimator"},
+    "coverage": SPEC_FLAGS | {"--c", "--seed", "--dist", "--reps", "--out"},
     "compare": SPEC_FLAGS | {"--c", "--seed", "--dist", "--reps", "--out"},
     "linext": SPEC_FLAGS | {"--seed", "--poset", "--m-per-level"},
     "gibbs": SPEC_FLAGS | {"--seed"},
 }
-FLAG_CHOICES = {"--mode": "{paper,strict}", "--estimator": "{twostage,mom,naive}"}
+FLAG_CHOICES = {"--mode": "{paper,strict}"}
 FLAG_DEFAULTS = {"--seed": 0, "--reps": 1000, "--m-per-level": 100}
 REQUIRED_VALUES = {"--epsilon": "0.2", "--delta": "0.1", "--c": "1", "--dist": "constant:2", "--poset": "p.txt"}
 
@@ -440,7 +446,21 @@ def test_subcommand_flags_pinned(capsys, monkeypatch, sub):
         else:
             assert dest not in parsed, flag
     assert parsed["mode"] == "strict"
-    assert parsed.get("estimator") == ("twostage" if "--estimator" in flags else None)
+    assert "estimator" not in parsed
+
+
+def test_readme_commands_parse():
+    # every command of README's "Command line" block, continuations joined,
+    # parses, so a removed flag cannot linger in the docs
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.startswith("relmean ")]
+    assert {argv[0] for argv in commands} == set(SUBCOMMAND_FLAGS)
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: relmean {shlex.join(argv)}")
 
 
 def test_module_entry_point():

@@ -15,7 +15,6 @@ from relmean import (
     build_plan,
     lower_bound_samples,
     mom_failure_bound,
-    stage2_params,
     theorem1_total,
 )
 from relmean.estimator import stage2_count_real
@@ -108,9 +107,9 @@ def test_group_count_is_odd_and_at_least_three():
             assert m >= 3 and m % 2 == 1
 
 
-def test_stage2_params_pinned():
-    assert stage2_params(BASE) == oracles.N_BASE
-    assert stage2_params(SECOND) == oracles.N_SECOND
+def test_stage2_count_pinned():
+    assert build_plan(BASE).n == oracles.N_BASE
+    assert build_plan(SECOND).n == oracles.N_SECOND
 
 
 def test_stage2_halving_identity():
@@ -133,7 +132,7 @@ def test_theorem1_total_consistency_grid():
             for c in [0.3, 1.0, 4.0]:
                 spec = ApproxSpec(eps, delta, c)
                 plan = build_plan(spec, Mode.PAPER_EXACT)
-                assert theorem1_total(spec) == stage2_params(spec) + plan.k * plan.m
+                assert theorem1_total(spec) == build_plan(spec).n + plan.k * plan.m
 
 
 def test_theorem1_total_monotonicity():
@@ -158,7 +157,7 @@ def test_plan_invariants():
     plan = build_plan(BASE, Mode.STRICT)
     assert math.isclose(plan.epsilon1**2, BASE.epsilon * BASE.c**2 / (1 + BASE.c**2), rel_tol=1e-12)
     assert plan.epsilon1 < 1.0
-    assert plan.n == stage2_params(BASE)
+    assert plan.n == oracles.N_BASE
     assert plan.mode is Mode.STRICT
     assert 8.0 * BASE.c**2 / plan.epsilon1_sq <= plan.k
 
@@ -187,6 +186,13 @@ def test_mom_failure_bound_domain():
             mom_failure_bound(bad_nu, 1)
     with pytest.raises(ValueError):
         mom_failure_bound(0.125, 0)
+
+
+def test_mom_failure_bound_rejects_r_beyond_the_float_range_by_name():
+    # the closed form turns r into a float; 10**400 raised OverflowError there
+    assert mom_failure_bound(0.25, int(sys.float_info.max)) == 0.0
+    with pytest.raises(ValueError, match=r"r must be at most 1\.79769e\+308, got a 1329-bit integer"):
+        mom_failure_bound(0.25, 10**400)
 
 
 def test_lower_bound_pinned():

@@ -25,7 +25,6 @@ from relmean import (
     median_of_means,
     scaled_psi,
     stage2_estimate,
-    stage2_params,
     theorem1_total,
 )
 from relmean.estimator import _BLOCK, _truncated_mean_rows
@@ -102,7 +101,7 @@ def test_stage2_estimate_single_draw_formula():
     # alpha = eps / (c^2 mu1) = 1 at mu1 = 1, and every draw is 2, so each
     # transformed draw equals 1 + psi(1)
     spec = ApproxSpec(0.5, 0.5, math.sqrt(0.5))
-    n = stage2_params(spec)
+    n = build_plan(spec).n
     src = SampleSource(Recorded((2.0,) * n), seed=0)
     mu_hat, alpha = stage2_estimate(src, 1.0, spec)
     assert math.isclose(alpha.alpha, 1.0, rel_tol=1e-12)
@@ -115,7 +114,7 @@ def test_stage2_transform_increasing_in_draw():
     xs = np.linspace(-50.0, 60.0, 301)
     values = []
     for x in xs:
-        n = stage2_params(spec)
+        n = build_plan(spec).n
         src = SampleSource(Recorded((float(x),) * n), seed=0)
         values.append(stage2_estimate(src, mu1, spec)[0])
     assert all(a < b for a, b in zip(values, values[1:]))

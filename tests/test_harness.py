@@ -77,6 +77,15 @@ def _parse_csv(path):
     return parsed
 
 
+def _kind_report(config, kind):
+    """The report of `kind` on the config's run: run_coverage's for the
+    two-stage, the kind's compare_estimators row for a baseline."""
+    if kind is EstimatorKind.TWO_STAGE:
+        return run_coverage(config)
+    rows = compare_estimators(config.spec, config.dist, config.replications, config.seed, config.mode)
+    return rows[list(EstimatorKind).index(kind)]
+
+
 def test_constant_source_never_fails():
     config = CoverageConfig(ApproxSpec(0.1, 0.05, 1.0), Constant(5.0), 100, seed=0)
     report = run_coverage(config)
@@ -145,9 +154,9 @@ def test_coverage_rejects_replay_sources(dist):
 def test_batched_coverage_matches_reference_loop(kind, dist, mode, replications):
     # 101 leaves a partial chunk of replicate rows; 1000 is the benchmark's R
     spec = ApproxSpec(0.2, 0.1, dist.facts().c_bound)
-    config = CoverageConfig(spec, dist, replications, seed=2024, mode=mode, estimator=kind)
-    report = run_coverage(config)
-    assert (report.failures, report.mean_abs_rel_error) == oracles.coverage_reference(config)
+    config = CoverageConfig(spec, dist, replications, seed=2024, mode=mode)
+    report = _kind_report(config, kind)
+    assert (report.failures, report.mean_abs_rel_error) == oracles.coverage_reference(config, kind)
 
 
 @pytest.mark.parametrize("replications", [101, 1000])
@@ -160,9 +169,9 @@ def test_batched_coverage_matches_reference_loop_across_seed_widths(seed, kind, 
     # seeds of one, two and three 32-bit words: the run seeds its streams in
     # one batch, the reference opens each SampleSource(dist, seed, r) alone
     spec = ApproxSpec(0.2, 0.1, dist.facts().c_bound)
-    config = CoverageConfig(spec, dist, replications, seed=seed, estimator=kind)
-    report = run_coverage(config)
-    assert (report.failures, report.mean_abs_rel_error) == oracles.coverage_reference(config)
+    config = CoverageConfig(spec, dist, replications, seed=seed)
+    report = _kind_report(config, kind)
+    assert (report.failures, report.mean_abs_rel_error) == oracles.coverage_reference(config, kind)
 
 
 @pytest.mark.parametrize("replications", [101, 1000])
@@ -184,10 +193,10 @@ def test_compare_matches_the_reference_loop_of_each_kind(dist, mode, replication
     # those draws; the reference takes each kind's draws from a fresh stream,
     # so this pins that a built-in distribution's draws split freely
     spec = ApproxSpec(0.2, 0.1, dist.facts().c_bound or 0.5)
+    config = CoverageConfig(spec, dist, replications, seed=2024, mode=mode)
     reports = compare_estimators(spec, dist, replications, seed=2024, mode=mode)
     for kind, report in zip(EstimatorKind, reports):
-        config = CoverageConfig(spec, dist, replications, seed=2024, mode=mode, estimator=kind)
-        failures, mean_abs_rel_error = oracles.coverage_reference(config)
+        failures, mean_abs_rel_error = oracles.coverage_reference(config, kind)
         assert (report.failures, report.mean_abs_rel_error.hex()) == (failures, mean_abs_rel_error.hex())
 
 
@@ -202,27 +211,28 @@ class _Misbehaving:
         return Normal(100.0, 50.0).facts()
 
 
-@pytest.mark.parametrize(
-    "sample, problem",
-    [
-        (lambda rng, n: rng.normal(100.0, 50.0, max(n - 1, 0)), "returned"),
-        (lambda rng, n: np.full(n, np.nan), "non-finite"),
-    ],
-    ids=["short", "nan"],
-)
-@pytest.mark.parametrize(
-    "kind, stage",
-    [
-        (EstimatorKind.TWO_STAGE, "stage 1"),
-        (EstimatorKind.MEDIAN_OF_MEANS_ONLY, "median of means"),
-        (EstimatorKind.NAIVE_MEAN, "naive mean"),
-    ],
-    ids=["twostage", "mom", "naive"],
-)
-def test_coverage_names_a_broken_take(sample, problem, kind, stage):
-    # every estimator kind draws through the one take-contract gate
-    with pytest.raises(SourceContractError, match=f"{stage}: take.*{problem}"):
-        run_coverage(CoverageConfig(SPEC, _Misbehaving(sample), 100, seed=0, estimator=kind))
+# each two-stage take at SPEC: (draws of the stream before it, its width)
+_PLAN = build_plan(SPEC)
+_TAKES = {"stage 1": (0, _PLAN.samples_stage1), "stage 2": (_PLAN.samples_stage1, _PLAN.n)}
+
+
+@pytest.mark.parametrize("problem", ["returned", "non-finite"], ids=["short", "nan"])
+@pytest.mark.parametrize("stage", _TAKES, ids=["stage-1", "stage-2"])
+@pytest.mark.parametrize("compare", [False, True], ids=["coverage", "compare"])
+def test_coverage_names_a_broken_take(problem, stage, compare):
+    # every draw passes the one take-contract gate, which names the take; a
+    # comparison makes run_coverage's two takes, whichever kinds read them
+    width = _TAKES[stage][1]
+    assert _PLAN.samples_stage1 != _PLAN.n  # each width names its stage
+
+    def sample(rng, n):
+        if n != width:
+            return rng.normal(100.0, 50.0, n)
+        return rng.normal(100.0, 50.0, n - 1) if problem == "returned" else np.full(n, np.nan)
+
+    dist = _Misbehaving(sample)
+    with pytest.raises(SourceContractError, match=rf"{stage}: take\({width}\).*{problem}"):
+        compare_estimators(SPEC, dist, 100, seed=0) if compare else run_coverage(CoverageConfig(SPEC, dist, 100, seed=0))
 
 
 # --- replicate slices in forked children ---------------------------------
@@ -260,10 +270,9 @@ def _run(monkeypatch, config, min_slice_draws, cpus=None, compare=False):
 
 @pytest.mark.parametrize("cpus", [None, 5])
 @pytest.mark.parametrize("seed", [3, 2**32 + 3, 2**64 + 3], ids=["1word", "2words", "3words"])
-@pytest.mark.parametrize("kind", list(EstimatorKind))
 @pytest.mark.parametrize("replications", [100, 101, 1000, 1001])
-def test_parallel_coverage_is_bit_identical_to_serial(monkeypatch, replications, kind, seed, cpus):
-    config = CoverageConfig(SPEC, DIST, replications, seed=seed, estimator=kind)
+def test_parallel_coverage_is_bit_identical_to_serial(monkeypatch, replications, seed, cpus):
+    config = CoverageConfig(SPEC, DIST, replications, seed=seed)
     serial = _run(monkeypatch, config, SERIAL)
     parallel = _run(monkeypatch, config, PARALLEL, cpus)
     assert parallel == serial
@@ -271,16 +280,17 @@ def test_parallel_coverage_is_bit_identical_to_serial(monkeypatch, replications,
 
 
 @pytest.mark.parametrize("cpus", [None, 5])
+@pytest.mark.parametrize("seed", [11, 3, 2**32 + 3, 2**64 + 3], ids=["11", "1word", "2words", "3words"])
 @pytest.mark.parametrize("replications", [100, 101, 1000, 1001])
-def test_parallel_compare_forks_once_and_is_bit_identical_to_serial(monkeypatch, replications, cpus):
-    # one round of slices computes all three kinds, each equal to its own run
-    config = CoverageConfig(SPEC, DIST, replications, seed=11)
+def test_parallel_compare_forks_once_and_is_bit_identical_to_serial(monkeypatch, replications, seed, cpus):
+    # one round of slices computes all three kinds; the two-stage row is
+    # run_coverage's report
+    config = CoverageConfig(SPEC, DIST, replications, seed=seed)
     serial = _run(monkeypatch, config, SERIAL, compare=True)
     parallel = _run(monkeypatch, config, PARALLEL, cpus, compare=True)
     assert parallel == serial
     assert [r.mean_abs_rel_error.hex() for r in parallel] == [r.mean_abs_rel_error.hex() for r in serial]
-    for kind, report in zip(EstimatorKind, serial):
-        assert run_coverage(CoverageConfig(SPEC, DIST, replications, seed=11, estimator=kind)) == report
+    assert run_coverage(config) == serial[0]
 
 
 def test_the_parent_places_each_child_and_the_child_does_not(monkeypatch):
@@ -356,22 +366,17 @@ class _ShortAt:
     [(None, (900, 600), 600), (None, (700, 300), 300), (5, (950, 620, 990), 620)],
     ids=["child", "parent-and-child", "two-children"],
 )
-@pytest.mark.parametrize("kind", list(EstimatorKind))
-def test_broken_take_in_a_slice_raises_the_serial_error(monkeypatch, kind, cpus, broken, first):
-    config = CoverageConfig(SPEC, _ShortAt(0, broken), 1000, seed=0, estimator=kind)
+@pytest.mark.parametrize("compare", [False, True], ids=["coverage", "compare"])
+def test_broken_take_in_a_slice_raises_the_serial_error(monkeypatch, compare, cpus, broken, first):
+    config = CoverageConfig(SPEC, _ShortAt(0, broken), 1000, seed=0)
     with pytest.raises(SourceContractError) as serial:
-        _run(monkeypatch, config, SERIAL)
+        _run(monkeypatch, config, SERIAL, compare=compare)
     with pytest.raises(SourceContractError) as parallel:
-        _run(monkeypatch, config, PARALLEL, cpus)
+        _run(monkeypatch, config, PARALLEL, cpus, compare=compare)
     # the message names the lowest broken replicate by its shortfall
     width = int(re.search(r"take\((\d+)\)", str(serial.value)).group(1))
     assert f"returned {width - broken.index(first) - 1} draws" in str(serial.value)
     assert str(parallel.value) == str(serial.value)
-
-
-# each two-stage take at SPEC: (draws of the stream before it, its width)
-_PLAN = build_plan(SPEC)
-_TAKES = {"stage 1": (0, _PLAN.samples_stage1), "stage 2": (_PLAN.samples_stage1, _PLAN.n)}
 
 
 @pytest.mark.parametrize("cpus", [None, 5])
@@ -410,16 +415,16 @@ def test_a_later_kind_failing_in_an_earlier_chunk_raises_the_serial_error(monkey
     estimator = harness._estimator
 
     def failing_estimator(kind, spec, plan):
-        takes, reduce = estimator(kind, spec, plan)
+        reduce = estimator(kind, spec, plan)
         if kind is not EstimatorKind.MEDIAN_OF_MEANS_ONLY:
-            return takes, reduce
+            return reduce
 
         def reduce_or_fail(rows):
             if (rows[:, 0] == marker).any():
                 raise ValueError(f"median of means fails at replicate {failing}")
             return reduce(rows)
 
-        return takes, reduce_or_fail
+        return reduce_or_fail
 
     monkeypatch.setattr(harness, "_estimator", failing_estimator)
     config = CoverageConfig(SPEC, _ShortAt(0, [900]), 1000, seed=0)
@@ -432,10 +437,10 @@ def test_a_later_kind_failing_in_an_earlier_chunk_raises_the_serial_error(monkey
     assert type(parallel.value) is ValueError and str(parallel.value) == str(serial.value)
 
 
-@pytest.mark.parametrize("kind", [None, *EstimatorKind], ids=["compare", *(kind.value for kind in EstimatorKind)])
-def test_a_compare_opens_each_replicate_stream_once(monkeypatch, kind):
-    # a comparison makes the two-stage takes of each replicate, once; a
-    # single kind makes its own takes
+@pytest.mark.parametrize("compare", [True, False], ids=["compare", "coverage"])
+def test_a_compare_opens_each_replicate_stream_once(monkeypatch, compare):
+    # a comparison makes the two-stage takes of each replicate, once, as
+    # run_coverage does
     opened, takes = [], []
 
     class Counted(harness.SampleSource):
@@ -450,18 +455,12 @@ def test_a_compare_opens_each_replicate_stream_once(monkeypatch, kind):
     monkeypatch.setattr(harness, "SampleSource", Counted)
     monkeypatch.setattr(harness, "_MIN_SLICE_DRAWS", SERIAL)
     replications = 101
-    if kind is None:
+    if compare:
         compare_estimators(SPEC, DIST, replications, seed=4)
     else:
-        run_coverage(CoverageConfig(SPEC, DIST, replications, seed=4, estimator=kind))
-    widths = {
-        None: [_PLAN.samples_stage1, _PLAN.n],
-        EstimatorKind.TWO_STAGE: [_PLAN.samples_stage1, _PLAN.n],
-        EstimatorKind.MEDIAN_OF_MEANS_ONLY: [math.prod(harness._mom_baseline_params(SPEC, _PLAN.total_samples))],
-        EstimatorKind.NAIVE_MEAN: [_PLAN.total_samples],
-    }[kind]
+        run_coverage(CoverageConfig(SPEC, DIST, replications, seed=4))
     assert opened == list(range(replications))
-    assert sorted(takes) == sorted(widths * replications)
+    assert sorted(takes) == sorted([_PLAN.samples_stage1, _PLAN.n] * replications)
 
 
 class _DiesInChild:

@@ -132,16 +132,17 @@ def test_real_arguments_beyond_the_float_range_are_checked_by_name(entry):
         call(10**400)
 
 
-def test_coverage_config_takes_mode_and_estimator_by_value():
-    by_value = relmean.CoverageConfig(SPEC, DIST, 100, 3, mode="paper", estimator="mom")
-    by_enum = relmean.CoverageConfig(
-        SPEC, DIST, 100, 3, relmean.Mode.PAPER_EXACT, relmean.EstimatorKind.MEDIAN_OF_MEANS_ONLY
-    )
+def test_coverage_config_takes_mode_by_value():
+    by_value = relmean.CoverageConfig(SPEC, DIST, 100, 3, mode="paper")
+    by_enum = relmean.CoverageConfig(SPEC, DIST, 100, 3, relmean.Mode.PAPER_EXACT)
     assert by_value == by_enum
     assert relmean.run_coverage(by_value) == relmean.run_coverage(by_enum)
-    assert relmean.run_coverage(by_value).estimator == "mom"
+    assert relmean.run_coverage(by_value).estimator == "twostage"
     with pytest.raises(ValueError, match="bogus"):
         relmean.CoverageConfig(SPEC, DIST, 100, 3, mode="bogus")
+    # the baselines are compare_estimators rows, not coverage options
+    with pytest.raises(TypeError, match="estimator"):
+        relmean.CoverageConfig(SPEC, DIST, 100, 3, estimator="mom")
 
 
 def test_compare_estimators_takes_mode_by_value():
