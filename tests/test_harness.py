@@ -200,6 +200,31 @@ def test_compare_matches_the_reference_loop_of_each_kind(dist, mode, replication
         assert (report.failures, report.mean_abs_rel_error.hex()) == (failures, mean_abs_rel_error.hex())
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Constant(5.0),
+        Normal(100.0, 50.0),
+        LogNormal(1.0),
+        ScaledBernoulli(0.5, 2.0),
+        ParetoShape(2.5),
+        Scaled(LogNormal(1.0), 3.0),
+    ],
+    ids=lambda d: d.spec_string,
+)
+def test_coverage_is_the_two_stage_row_of_a_compare(dist, mode):
+    # run_coverage certifies the two-stage estimator alone; a comparison
+    # reports it as its first row, from the same draws
+    spec = ApproxSpec(0.2, 0.1, dist.facts().c_bound or 0.5)
+    config = CoverageConfig(spec, dist, 101, seed=2024, mode=mode)
+    report = run_coverage(config)
+    row = compare_estimators(spec, dist, 101, seed=2024, mode=mode)[0]
+    assert report.estimator == EstimatorKind.TWO_STAGE.value
+    assert report == row
+    assert report.mean_abs_rel_error.hex() == row.mean_abs_rel_error.hex()
+
+
 class _Misbehaving:
     """A distribution whose draws break the take contract."""
 
@@ -270,9 +295,11 @@ def _run(monkeypatch, config, min_slice_draws, cpus=None, compare=False):
 
 @pytest.mark.parametrize("cpus", [None, 5])
 @pytest.mark.parametrize("seed", [3, 2**32 + 3, 2**64 + 3], ids=["1word", "2words", "3words"])
+@pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("replications", [100, 101, 1000, 1001])
-def test_parallel_coverage_is_bit_identical_to_serial(monkeypatch, replications, seed, cpus):
-    config = CoverageConfig(SPEC, DIST, replications, seed=seed)
+def test_parallel_coverage_is_bit_identical_to_serial(monkeypatch, replications, mode, seed, cpus):
+    # each mode gives the two takes of a replicate their own widths
+    config = CoverageConfig(SPEC, DIST, replications, seed=seed, mode=mode)
     serial = _run(monkeypatch, config, SERIAL)
     parallel = _run(monkeypatch, config, PARALLEL, cpus)
     assert parallel == serial
