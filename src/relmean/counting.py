@@ -430,10 +430,12 @@ def _check_indicator_memory(chain: NestedChain, m_per_level: int, spec: ApproxSp
     """Reject a count whose product draws cannot fit in physical memory.
 
     Each draw holds m_per_level indicators per level, and a take counts one
-    level's block at a time at _INDICATOR_BYTES per indicator; the check
-    charges every draw of the plan at once.  A small m_per_level makes
-    c^2 = expm1(n (n - 1) / m) explode, and with it the draw count, while a
-    large one makes every draw wide.  The ceilings in the plan make the
+    level's block at a time at _INDICATOR_BYTES per indicator.  The check
+    charges every draw of the plan at once, which is conservative: the
+    estimator takes a stage in takes of at most estimator._BLOCK draws, so
+    a take holds the indicators of at most that many.  A small m_per_level
+    makes c^2 = expm1(n (n - 1) / m) explode, and with it the draw count,
+    while a large one makes every draw wide.  The ceilings in the plan make the
     indicator count jagged from one m_per_level to the next, so the message
     advises halving or doubling m_per_level, whichever plans fewer
     indicators, and a looser epsilon or delta when neither does.

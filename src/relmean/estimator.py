@@ -248,10 +248,70 @@ def _fill_rows(sources, width: int, stage: str, out=None) -> np.ndarray:
     return rows
 
 
-def _median_rows(draws: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Per row of a rows x k*m matrix: the median of m group means, each over
-    k consecutive draws."""
-    group_means = np.add.reduce(draws.reshape(len(draws), m, k), axis=2) / k
+# A stage's draws reach its kernel through a reader: read(lo, hi) returns
+# draws [lo, hi) of the stage, one row per run, and is called on consecutive
+# segments in order.  A single run reads its source, one gated take per
+# call; a coverage chunk reads column views of the matrix it has filled.
+
+
+def _source_reader(source, stage: str):
+    """The reader of one source's next draws: one take per call, through
+    the take-contract gate, which names `stage`."""
+    return lambda lo, hi: _fill_rows([source], hi - lo, stage)
+
+
+def _column_reader(draws: np.ndarray):
+    """The reader of a rows x width matrix, by column views."""
+    return lambda lo, hi: draws[:, lo:hi]
+
+
+# Draws per take, and elements per evaluated stage-2 leaf: a take, its terms
+# and the evaluator's two scratch arrays stay in cache.
+_BLOCK = 16384
+
+
+def _tree_sum(n: int, limit: int, leaf, lo: int = 0):
+    """numpy's float64 add.reduce over the n elements from lo on, bit for
+    bit, from the sums leaf(a, b) of segments [a, b) of at most
+    max(limit, 128) elements; a leaf returns a float or an array of row
+    sums.
+
+    add.reduce sums pairwise (numpy's pairwise_sum): a run of more than 128
+    elements is the sum of its first n2 elements, n // 2 rounded down to a
+    multiple of 8, plus the sum of the rest, each summed alike; shorter
+    runs are summed in one loop.  The walk makes the same cuts, calls leaf
+    on the segments in order and adds the results left + right, so the
+    result does not depend on the limit.  It recurses through this
+    module-level function, not a nested one, which would be a reference
+    cycle holding every array the leaf reads from until the garbage
+    collector runs.
+    """
+    if n <= max(limit, 128):
+        return leaf(lo, lo + n)
+    half = n // 2 - n // 2 % 8
+    return _tree_sum(half, limit, leaf, lo) + _tree_sum(n - half, limit, leaf, lo + half)
+
+
+def _median_rows(read, k: int, m: int) -> np.ndarray:
+    """Per row: the median of m group means, each over k consecutive draws
+    of the reader `read` (k*m draws).
+
+    A read holds whole groups, up to _BLOCK draws; a group of more than
+    _BLOCK draws is read leaf by leaf of its pairwise sum.  Either way each
+    group sum is add.reduce's over the group.
+    """
+    sums = []
+    if k <= _BLOCK:
+        groups = _BLOCK // k
+        for g in range(0, m, groups):
+            draws = read(g * k, min(g + groups, m) * k)
+            sums.append(np.add.reduce(draws.reshape(len(draws), -1, k), axis=2))
+    else:
+        for start in range(0, k * m, k):
+            group = _tree_sum(k, _BLOCK, lambda lo, hi, s=start: np.add.reduce(read(s + lo, s + hi), axis=1))
+            sums.append(group[:, None])
+    group_means = np.concatenate(sums, axis=1) if len(sums) > 1 else sums[0]
+    group_means /= k
     group_means.sort(axis=1)
     return group_means[:, m // 2]
 
@@ -278,65 +338,67 @@ def _truncation_scale(mu1: float, spec: ApproxSpec) -> TruncationScale:
     return TruncationScale(alpha)
 
 
-# elements per stage-2 block: the block and its two scratch arrays stay in cache
-_BLOCK = 16384
-
-
 @np.errstate(over="ignore", invalid="ignore")  # see the last paragraph below
-def _truncated_mean_rows(draws: np.ndarray, mu1: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Per row: the mean of mu1 + psi(alpha (x - mu1)) / alpha over its draws.
+def _truncated_mean_rows(read, n: int, mu1: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Per row: the mean of mu1 + psi(alpha (x - mu1)) / alpha over the n
+    draws x of the reader `read`.
 
-    The terms are written into one rows x n output, a block of about _BLOCK
-    elements at a time, with two block-sized scratch arrays, so no other
-    full-row temporary exists and draws is never written.  Rows that fit in
-    one block are evaluated whole, unsliced, on scratch numpy allocates
-    itself, which is cheaper at a few hundred draws.  Each term is the value
-    an unblocked evaluation gives, and one reduce over the full rows sums
-    them in the same pairwise order, so the means are bit-identical to it.
+    The draws are read leaf by leaf of their pairwise sum (_tree_sum), a
+    leaf of about _BLOCK elements over all rows.  Each leaf's terms are
+    evaluated on scratch of the leaf's size and summed while in cache, and
+    the draws read are never written, so the memory beyond them is a few
+    leaves whatever n is.  Each term is the value an unblocked evaluation
+    gives, and the walk sums them in add.reduce's order, so the means are
+    bit-identical to one reduce over the full rows.
 
     Where alpha (x - mu1) or its square overflows, the term is infinite and
-    a row of +inf and -inf terms sums to NaN; psi's _repair_tails then
-    replaces those terms in each non-finite row, so the kernel silences
-    numpy's overflow and invalid-value warnings.  A mean that stays
-    non-finite after the repair (draws or a centre mu1 within a few orders
-    of magnitude of the largest float) is returned as it is.
+    a leaf of +inf and -inf terms sums to NaN; psi's _repair_tails then
+    replaces those terms in each row whose leaf sum is non-finite, so the
+    kernel silences numpy's overflow and invalid-value warnings.  A mean
+    that stays non-finite after the repair (draws or a centre mu1 within a
+    few orders of magnitude of the largest float) is returned as it is.
     """
-    rows, n = draws.shape
     mu1, alpha = mu1[:, None], alpha[:, None]
-    width = max(1, _BLOCK // rows)
-    if n <= width:
-        out = draws - mu1
-        _scaled_psi_into(out, alpha)
-        out += mu1
-    else:
-        out = np.empty((rows, n))
-        t, u = np.empty((rows, width)), np.empty((rows, width))
-        for lo in range(0, n, width):
-            w = np.subtract(draws[:, lo : lo + width], mu1, out=out[:, lo : lo + width])
-            _scaled_psi_into(w, alpha, t[:, : w.shape[1]], u[:, : w.shape[1]])
-            w += mu1
-    means = np.add.reduce(out, axis=1) / n
-    for i, mean in enumerate(means.tolist()):
-        if not math.isfinite(mean):
-            _repair_tails(out[i], draws[i], alpha[i], mu1[i])
-            means[i] = np.add.reduce(out[i]) / n
-    return means
+
+    def leaf(lo: int, hi: int) -> np.ndarray:
+        draws = read(lo, hi)
+        terms = draws - mu1
+        _scaled_psi_into(terms, alpha)
+        terms += mu1
+        sums = np.add.reduce(terms, axis=1)
+        for i, total in enumerate(sums.tolist()):
+            if not math.isfinite(total):
+                _repair_tails(terms[i], draws[i], alpha[i], mu1[i])
+                sums[i] = np.add.reduce(terms[i])
+        return sums
+
+    return _tree_sum(n, _BLOCK // len(mu1), leaf) / n
 
 
-def _two_stage_reduce(stage1: np.ndarray, stage2: np.ndarray, spec: ApproxSpec, plan: StagePlan):
-    """(mu1, alpha, mu_hat) per row of the rows x k*m stage-1 and rows x n
-    stage-2 draws, which may be column views of one matrix.  Each row gets
-    exactly the arithmetic of a single run, so results do not depend on how
-    runs are grouped into calls.
+def _two_stage_reduce(read1, read2, spec: ApproxSpec, plan: StagePlan):
+    """(mu1, alpha, mu_hat) per row of the plan's k*m stage-1 draws, read by
+    read1, and its n stage-2 draws, read by read2.  Each row gets exactly
+    the arithmetic of a single run, so results do not depend on how runs
+    are grouped into calls, nor on how a stage is split into reads.
+
+    Every stage-2 draw is read before an error of the stage-1 centre is
+    raised, so a stage-2 take that breaks the contract is named first, as
+    when both stages were taken whole before either was reduced.
     """
     # stage 1: the median of means / (1 - epsilon1^2); the correction turns a
     # bound on |estimate/mean - 1| into the one on |mean/estimate - 1| that
     # stage 2's truncation scale needs
-    mu1 = _median_rows(stage1, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
+    mu1 = _median_rows(read1, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
     # per-row checks in Python: cheaper than array tests at a few rows, and
     # they raise exactly what a single run raises
-    alpha = np.array([_truncation_scale(_positive_centre(v), spec).alpha for v in mu1.tolist()])
-    return mu1, alpha, _truncated_mean_rows(stage2, mu1, alpha)
+    try:
+        alpha = np.array([_truncation_scale(_positive_centre(v), spec).alpha for v in mu1.tolist()])
+    except (NonpositiveEstimateError, ValueError) as exc:
+        centre_error = exc
+    else:
+        return mu1, alpha, _truncated_mean_rows(read2, plan.n, mu1, alpha)
+    _tree_sum(plan.n, _BLOCK // len(mu1), lambda lo, hi: read2(lo, hi).size)
+    raise centre_error
 
 
 def median_of_means(source, k: int, m: int) -> float:
@@ -350,7 +412,7 @@ def median_of_means(source, k: int, m: int) -> float:
     m = _integer("group count m", m, 1)
     if m % 2 == 0:
         raise ValueError(f"group count m must be odd, got {m}")
-    return float(_median_rows(_fill_rows([source], k * m, "median of means"), k, m)[0])
+    return float(_median_rows(_source_reader(source, "median of means"), k, m)[0])
 
 
 def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, TruncationScale]:
@@ -361,8 +423,8 @@ def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, Trunca
     alpha = epsilon / (c^2 mu1).
     """
     alpha = _truncation_scale(mu1, spec)
-    draws = _fill_rows([source], build_plan(spec).n, "stage 2")
-    mu_hat = _truncated_mean_rows(draws, np.array([mu1], dtype=float), np.array([alpha.alpha]))
+    read = _source_reader(source, "stage 2")
+    mu_hat = _truncated_mean_rows(read, build_plan(spec).n, np.array([mu1], dtype=float), np.array([alpha.alpha]))
     return float(mu_hat[0]), alpha
 
 
@@ -370,14 +432,16 @@ def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> Estimat
     """Run both stages on fresh draws from one stream and report the result.
 
     The source must provide iid draws through take(n); stage 2 never reuses
-    stage-1 draws.  When the source's mean is positive and its relative
-    standard deviation is at most spec.c, the reported mu_hat satisfies
+    stage-1 draws.  Each stage is taken in takes of at most _BLOCK draws,
+    reduced as they arrive, so memory does not grow with the plan.  When
+    the source's mean is positive and its relative standard deviation is at
+    most spec.c, the reported mu_hat satisfies
     P(|mu_hat - mean| > epsilon * mean) <= delta.
     """
     plan = build_plan(spec, mode)
-    stage1 = _fill_rows([source], plan.samples_stage1, "stage 1")
-    stage2 = _fill_rows([source], plan.n, "stage 2")
-    mu1, alpha, mu_hat = _two_stage_reduce(stage1, stage2, spec, plan)
+    mu1, alpha, mu_hat = _two_stage_reduce(
+        _source_reader(source, "stage 1"), _source_reader(source, "stage 2"), spec, plan
+    )
     return EstimateReport(
         mu1=float(mu1[0]),
         alpha=TruncationScale(float(alpha[0])),

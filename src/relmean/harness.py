@@ -10,15 +10,17 @@ Replicates run in chunks of a few rows.  The plan is built once per run,
 and so are the PCG64 seeds of all R replicate streams, in one vectorised
 pass that matches numpy's SeedSequence bit for bit (sources.py states the
 derivation).  Replicate r keeps its own stream (seed, r).  Each chunk's
-rows are drawn once, through the take-contract gate _fill_rows, with the
-takes estimate_mean makes: one of k*m draws ("stage 1") and one of n
-("stage 2"), written side by side into one rows x budget matrix.  Each
-estimator then reduces its own prefix of those rows: the two-stage through
-_two_stage_reduce, the kernel estimate_mean runs on its own two takes,
-with the arithmetic of a single run, so a coverage report is bit-identical
-to one replicate-at-a-time loop.  run_coverage certifies the two-stage
-estimator; the baselines are rows of compare_estimators, which reads each
-replicate's draws once and opens R streams, not one per estimator.
+rows are drawn once, through the take-contract gate _fill_rows, one take
+of k*m draws ("stage 1") and one of n ("stage 2") per replicate, written
+side by side into one rows x budget matrix; a SampleSource's takes
+concatenate, so these are the draws estimate_mean makes in its bounded
+takes.  Each estimator then reduces its own prefix of those rows, read by
+column views: the two-stage through _two_stage_reduce, the kernel
+estimate_mean runs on its source, with the arithmetic of a single run, so
+a coverage report is bit-identical to one replicate-at-a-time loop.
+run_coverage certifies the two-stage estimator; the baselines are rows of
+compare_estimators, which reads each replicate's draws once and opens R
+streams, not one per estimator.
 
 A run splits its replicates into contiguous slices of whole chunks, one
 per worker.  The first slice runs in the calling process and each other
@@ -56,7 +58,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimator import ApproxSpec, Mode, _fill_rows, _median_rows, _two_stage_reduce, build_plan
+from .estimator import ApproxSpec, Mode, _column_reader, _fill_rows, _median_rows, _two_stage_reduce, build_plan
 from .estimator import estimate_mean, median_of_means  # noqa: F401 - bench/tracing.py wraps them here
 from .sources import SampleSource, _integer, _replays, _replicate_seed_words
 
@@ -297,21 +299,22 @@ def _estimator(kind: EstimatorKind, spec: ApproxSpec, plan):
     of the rows."""
     if kind is EstimatorKind.TWO_STAGE:
         k_m = plan.samples_stage1
-        return lambda rows: _two_stage_reduce(rows[:, :k_m], rows[:, k_m:], spec, plan)[2]
+        return lambda rows: _two_stage_reduce(
+            _column_reader(rows[:, :k_m]), _column_reader(rows[:, k_m:]), spec, plan
+        )[2]
     if kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
         mom_k, mom_m = _mom_baseline_params(spec, plan.total_samples)
-        return lambda rows: _median_rows(rows[:, : mom_k * mom_m], mom_k, mom_m)
+        return lambda rows: _median_rows(_column_reader(rows), mom_k, mom_m)
     return lambda rows: rows.mean(axis=1)
 
 
 def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
     """One report per estimator kind in `kinds`, from one plan, one pass of
     replicate seeds and one round of slices.  Each chunk of replicates is
-    drawn once, with the two takes of estimate_mean, and every kind reduces
-    those rows into its column j of an R x len(kinds) array.  fill raises
-    at its slice's first error, the one a serial run over the slice would
-    raise: a chunk's takes come before its reductions, and the kinds reduce
-    in order."""
+    drawn once, one take per stage, and every kind reduces those rows into
+    its column j of an R x len(kinds) array.  fill raises at its slice's
+    first error, the one a serial run over the slice would raise: a chunk's
+    takes come before its reductions, and the kinds reduce in order."""
     spec = config.spec
     plan = build_plan(spec, config.mode)
     reducers = [_estimator(kind, spec, plan) for kind in kinds]

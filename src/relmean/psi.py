@@ -12,8 +12,10 @@ overflow repair, ``_repair_tails``: where alpha w or its square overflows,
 the evaluator gives infinity, and the repair replaces just those entries
 by the finite tail formula.  ``psi`` (alpha = 1) and ``scaled_psi`` run
 both on a copy of their input; the estimator's stage-2 kernel runs the
-evaluator block by block on its own output and the repair on its
-non-finite rows, so all three agree bit for bit.
+evaluator on each leaf of draws it reads, at most about 16k at a time,
+and the repair on each row of a leaf whose sum is non-finite, so all three
+agree bit for bit.  The envelopes are rounded outward, so that
+psi_lower(u) <= psi(u) <= psi_upper(u) holds in floating point too.
 """
 
 from __future__ import annotations
@@ -104,14 +106,22 @@ def psi(u):
 
 
 def _upper(arr: np.ndarray) -> np.ndarray:
-    """ln(1 + u + u^2/2) per entry of a float array, as a new array.  Where
-    u^2/2 overflows, the entry is psi's tail 2 ln|u| - ln 2, repaired as
-    psi's are: on |u|, whose tail term is positive."""
+    """ln(1 + u + u^2/2) per entry of a float array, as a new array, rounded
+    outward to at least psi(u).  Where u^2/2 overflows, the entry is psi's
+    tail 2 ln|u| - ln 2, repaired as psi's are: on |u|, whose tail term is
+    positive.
+
+    psi(u) <= ln(1 + u + u^2/2) holds exactly: they are equal at u >= 0,
+    and apart by ln(1 + u^4/4) at u < 0.  Near zero that gap is far below
+    an ulp, so the two roundings may invert by one; the maximum keeps the
+    envelope above psi, and psi_lower(u) = -psi_upper(-u) below it, since
+    psi is exactly odd."""
+    arr = np.asarray(arr)  # psi_lower negates a 0-d array into a scalar
     out = np.empty_like(arr)  # an array even for 0-d input, which the repair writes
     with np.errstate(over="ignore"):
         np.log1p(arr + 0.5 * arr * arr, out=out)
     _repair_tails(out, np.abs(arr), 1.0)
-    return out
+    return np.maximum(out, _scaled_psi(1.0, arr), out=out)
 
 
 def psi_upper(u):

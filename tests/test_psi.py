@@ -106,13 +106,22 @@ def _at_most(value: float, limit: float, ulps: int = 2) -> bool:
 @example(sys.float_info.max)
 @example(-sys.float_info.max)
 def test_envelope_property(u):
-    # near zero the true gaps shrink like u^4/4, far below one ulp of the
-    # values themselves, so the float evaluations may invert by an ulp;
+    # the envelopes are rounded outward, so the ordering holds exactly even
+    # near zero, where the true gaps (u^4/4 and below) are far under an ulp;
     # where u^2/2 overflows, each envelope has psi's finite tail
     low, high = psi_lower(u), psi_upper(u)
     assert math.isfinite(low) and math.isfinite(high)
-    assert _at_most(low, psi(u))
-    assert _at_most(psi(u), high)
+    assert low <= psi(u) <= high
+
+
+def test_envelope_ordering_is_exact_where_the_gap_is_below_an_ulp():
+    # |u| in [2.9e-9, 7.8e-6], where the unrounded formulas put psi above
+    # psi_upper or below psi_lower by one ulp for about 1 input in 5
+    rng = np.random.default_rng(20261019)
+    u = rng.choice([-1.0, 1.0], 200_000) * np.exp(rng.uniform(math.log(2.9e-9), math.log(7.8e-6), 200_000))
+    values = psi(u)
+    assert np.all(psi_lower(u) <= values) and np.all(values <= psi_upper(u))
+    assert np.array_equal(psi_lower(u), -psi_upper(-u))
 
 
 @settings(max_examples=200, derandomize=True)
