@@ -134,7 +134,7 @@ class ProductEstimateSource:
     """
 
     def __init__(self, chain: NestedChain, m_per_level: int, seed: int, replicate_index: int = 0):
-        self.m_per_level = _integer("m_per_level", m_per_level, 1)
+        self.m_per_level = _float_sized("m_per_level", _integer("m_per_level", m_per_level, 1))
         self._rng = _replicate_rng(_integer("seed", seed), _integer("replicate_index", replicate_index))
         self.chain = chain
 

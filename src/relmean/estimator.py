@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psi import TruncationScale, _repair_tails, _scaled_psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
-from .sources import _float_sized, _integer
+from .sources import InsufficientSamplesError, _float_sized, _integer
 
 __all__ = [
     "Mode",
@@ -439,9 +439,13 @@ def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> Estimat
     P(|mu_hat - mean| > epsilon * mean) <= delta.
     """
     plan = build_plan(spec, mode)
-    mu1, alpha, mu_hat = _two_stage_reduce(
-        _source_reader(source, "stage 1"), _source_reader(source, "stage 2"), spec, plan
-    )
+    try:
+        mu1, alpha, mu_hat = _two_stage_reduce(
+            _source_reader(source, "stage 1"), _source_reader(source, "stage 2"), spec, plan
+        )
+    except InsufficientSamplesError as exc:
+        # a finite source runs out in one take; name the whole plan's need
+        raise InsufficientSamplesError(f"{exc}; the plan takes {plan.total_samples} draws") from exc
     return EstimateReport(
         mu1=float(mu1[0]),
         alpha=TruncationScale(float(alpha[0])),

@@ -24,20 +24,22 @@ streams, not one per estimator.
 
 A run splits its replicates into contiguous slices of whole chunks, one
 per worker.  The first slice runs in the calling process and each other
-one in a child made with os.fork, which pickles its slice of the
-estimates, or the error that stopped it, back through a pipe.  The parent
-binds each child to a CPU other than its own, where Linux names them,
-right after the fork, so the child need not first wait for the parent's
-timeslice.
+one in a child made with os.fork, which writes its slice of the
+estimates into memory shared with the parent.  The parent binds each
+child to a CPU other than its own, where Linux names them, right after
+the fork, so the child need not first wait for the parent's timeslice.
 compare_estimators makes one such round for all three estimators: each
 slice draws each chunk once and runs them all on it, into an R x 3 array
 of estimates.  The worker count is worked out, never set: min(usable
 CPUs, R * budget // _MIN_SLICE_DRAWS), with the two-stage draw budget,
 and 1 where os.fork is missing or another Python thread runs.
 Estimates are placed by replicate index.  A slice stops at its first
-error, as the serial run does, and the slices are read in replicate
-order, so the first failing slice's error is the serial run's: it is
-raised as soon as it is read, and the slices still running are killed.
+error, as the serial run does.  The parent waits for the slices in
+replicate order, and runs a slice whose child failed, or was killed,
+again itself: every slice before it ran clean, so the rerun raises the
+serial run's own exception, type, message and traceback, and the slices
+still running are killed.  A child killed for want of memory is so
+retried once in the parent, as the serial run would have run its slice.
 Reports and errors thus do not depend on the worker count.
 The gain was measured on Linux only.  Python 3.12 and later warn
 (DeprecationWarning) on fork() in a process with more than one OS thread,
@@ -50,8 +52,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import mmap
 import os
-import pickle
 import signal
 import threading
 from dataclasses import dataclass, fields
@@ -157,10 +159,10 @@ def _mom_baseline_params(spec: ApproxSpec, budget: int) -> tuple[int, int]:
 # Replicate rows per chunk.  Smaller chunks pay the kernel's per-call cost
 # more often; bigger ones run no faster and only hold more draws at once.
 _CHUNK_ROWS = 8
-# Fewest draws for which one more process pays for its fork and its result
-# pipe.  On a 2-vCPU Xeon, with the parent placing each child, two workers
-# tied with one at 100k draws per run and won from 125k on (normal draws,
-# the cheapest per draw); 75k, two workers from 150k, keeps a margin.
+# Fewest draws for which one more process pays for its fork.  On a 2-vCPU
+# Xeon, with the parent placing each child, two workers tied with one at
+# 100k draws per run and won from 125k on (normal draws, the cheapest per
+# draw); 75k, two workers from 150k, keeps a margin.
 _MIN_SLICE_DRAWS = 75_000
 
 
@@ -200,94 +202,65 @@ def _other_cpus() -> list[int]:
         return []
 
 
-def _portable(exc: BaseException, lo: int, hi: int) -> BaseException:
-    """exc if it survives a pickle round trip, else a RuntimeError naming
-    its slice, type and message."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:  # noqa: BLE001 - any exception may fail to pickle
-        return RuntimeError(f"coverage replicates {lo}..{hi - 1}: {type(exc).__name__}: {exc}")
-    return exc
+def _shared_empty(shape) -> np.ndarray:
+    """An uninitialised float array in anonymous shared memory: what a
+    child forked after this call writes into it, this process reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), float).reshape(shape)
 
 
-def _fork_slice(values: np.ndarray, fill, lo: int, hi: int, cpu: int | None):
-    """Start a child that runs fill(lo, hi) and pickles values[lo:hi], or
-    the exception fill raised, into a pipe.  Returns (pid, the pipe's read
-    end, lo, hi).  This process binds the child to `cpu`, if one is given,
-    right after the fork: a new child starts on its parent's CPU and waits
-    there for the parent's timeslice, so a call of its own would come late.
-    The child leaves through os._exit, so it runs no exit handler and
-    flushes no buffer it shares with this process; its exit code is 0 only
-    once the whole result is written."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+def _fork_slice(fill, lo: int, hi: int, cpu: int | None) -> int:
+    """Start a child that runs fill(lo, hi), and return its pid.  This
+    process binds the child to `cpu`, if one is given, right after the
+    fork: a new child starts on its parent's CPU and waits there for the
+    parent's timeslice, so a call of its own would come late.  The child
+    leaves through os._exit, so it runs no exit handler and flushes no
+    buffer it shares with this process; its exit code is 0 once fill
+    returns, 1 if fill raised."""
+    pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            os.close(read_fd)
-            try:
-                fill(lo, hi)
-                result = values[lo:hi]
-            except BaseException as exc:  # noqa: BLE001 - re-raised by the parent
-                result = _portable(exc, lo, hi)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(result, pipe)
+            fill(lo, hi)
             code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)
     if cpu is not None:
         try:
             os.sched_setaffinity(pid, {cpu})
         except OSError:
             pass  # placement only: the slice runs wherever it is
-    return pid, open(read_fd, "rb"), lo, hi
+    return pid
 
 
-def _run_slices(values: np.ndarray, fill, bounds: list[int]) -> None:
-    """Run fill(lo, hi), which writes values[lo:hi] and raises at its first
-    error, over each slice [bounds[i], bounds[i + 1]).
+def _run_slices(fill, bounds: list[int]) -> None:
+    """Run fill(lo, hi), which writes its replicates' estimates into
+    shared memory and raises at its first error, over each slice
+    [bounds[i], bounds[i + 1]).
 
     The first slice runs in this process and each other one in a forked
-    child.  Results come back through a pipe, not a shared mmap: an
-    exception needs a channel anyway, and a slice's values are 8 bytes per
-    replicate and estimator.  Side effects of a child's fill, on the
-    distribution object for one, stay in the child.  The slices are read
-    in replicate order, this process's own first, and the first error met
-    is raised at once: that slice's first error, which is the serial
-    run's, since the slices before it ran clean.  A child that dies
-    without a result is a RuntimeError naming its slice.  Every child is
-    reaped before this returns or raises; on a raise, Ctrl-C included, the
-    children still running are killed first.
+    child.  Side effects of a child's fill, on the distribution object for
+    one, stay in the child.  The children are waited for in replicate
+    order, after this process's own slice.  A slice whose child failed, or
+    was killed, runs again here: slices are deterministic and every slice
+    before it ran clean, so the rerun raises the serial run's error, its
+    own object with its traceback, or fills the slice as the serial run
+    would.  Every child is reaped before this returns or raises; on a
+    raise, Ctrl-C included, the children still running are killed first.
     """
-    children = []  # (pid, pipe, lo, hi), in slice order, not yet reaped
+    children = []  # (pid, lo, hi), in slice order, not yet reaped
     cpus = _other_cpus() if len(bounds) > 2 else []
     try:
         for i, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:])):
-            children.append(_fork_slice(values, fill, lo, hi, cpus[i % len(cpus)] if cpus else None))
+            children.append((_fork_slice(fill, lo, hi, cpus[i % len(cpus)] if cpus else None), lo, hi))
         fill(bounds[0], bounds[1])
         while children:
-            pid, pipe, lo, hi = children[0]
-            payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid, lo, hi = children[0]
+            status = os.waitpid(pid, 0)[1]
             children.pop(0)
-            pipe.close()
-            if code != 0:
-                raise RuntimeError(
-                    f"coverage worker for replicates {lo}..{hi - 1} died without a result (exit code {code})"
-                )
-            result = pickle.loads(payload)  # written by this program's own child
-            if isinstance(result, BaseException):
-                raise result
-            values[lo:hi] = result
+            if os.waitstatus_to_exitcode(status) != 0:
+                fill(lo, hi)
     finally:
-        for pid, pipe, _, _ in children:
-            pipe.close()
+        for pid, _, _ in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -312,15 +285,16 @@ def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
     """One report per estimator kind in `kinds`, from one plan, one pass of
     replicate seeds and one round of slices.  Each chunk of replicates is
     drawn once, one take per stage, and every kind reduces those rows into
-    its column j of an R x len(kinds) array.  fill raises at its slice's
-    first error, the one a serial run over the slice would raise: a chunk's
-    takes come before its reductions, and the kinds reduce in order."""
+    its column j of an R x len(kinds) array in shared memory.  fill raises
+    at its slice's first error, the one a serial run over the slice would
+    raise: a chunk's takes come before its reductions, and the kinds
+    reduce in order."""
     spec = config.spec
     plan = build_plan(spec, config.mode)
     reducers = [_estimator(kind, spec, plan) for kind in kinds]
     k_m, budget = plan.samples_stage1, plan.total_samples
     replications = config.replications
-    values = np.empty((replications, len(kinds)))
+    values = _shared_empty((replications, len(kinds)))
     seed_words = _replicate_seed_words(config.seed, np.arange(replications))
 
     def fill(lo: int, hi: int) -> None:
@@ -334,7 +308,7 @@ def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
                 values[start:stop, j] = reduce(rows)
 
     workers = _worker_count(replications, budget)
-    _run_slices(values, fill, _slice_bounds(replications, workers))
+    _run_slices(fill, _slice_bounds(replications, workers))
 
     mu = config.dist.facts().true_mean
     reports = []

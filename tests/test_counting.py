@@ -451,6 +451,14 @@ def test_approx_count_rejects_m_per_level_beyond_the_float_range():
         product_variance_bound(10**400, 2.0, 3)
 
 
+def test_product_source_rejects_m_per_level_beyond_the_float_range():
+    # 10**400 used to be accepted, and take failed inside numpy
+    chain = linext_chain(Poset.antichain(3))
+    with pytest.raises(ValueError, match=r"^m_per_level must be at most 1\.79769e\+308, got a 1329-bit integer$"):
+        ProductEstimateSource(chain, 10**400, 0)
+    assert ProductEstimateSource(chain, 2, 0).take(3).shape == (3,)
+
+
 def test_physical_memory_skips_a_missing_sysconf(monkeypatch):
     assert counting._physical_memory() > 0
     monkeypatch.delattr(counting.os, "sysconf")

@@ -196,6 +196,20 @@ def test_estimate_mean_propagates_exhaustion():
         estimate_mean(SampleSource(Recorded((1.0, 2.0, 3.0)), seed=0), spec)
 
 
+def test_exhaustion_names_the_draws_the_plan_takes():
+    # a stage takes its draws a block at a time, so the take that runs out
+    # needs only a part of the plan
+    from relmean import InsufficientSamplesError
+
+    spec = ApproxSpec(0.003, 1e-3, 0.5)
+    total = build_plan(spec).total_samples
+    assert total == 512_178
+    values = tuple(float(v) for v in range(1, 1001))
+    message = rf"^recorded source holds 1000 values, needed \d+; the plan takes {total} draws$"
+    with pytest.raises(InsufficientSamplesError, match=message):
+        estimate_mean(SampleSource(Recorded(values), seed=0), spec)
+
+
 class _ScriptedSource:
     """Replays one prepared array per take call, whatever count is asked for."""
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import pickle
 import re
+import signal
 import threading
 import time
 from dataclasses import fields
@@ -273,24 +275,45 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _run(monkeypatch, config, min_slice_draws, cpus=None, compare=False):
+def _run(monkeypatch, config, min_slice_draws, cpus=None, compare=False, reruns=()):
     """run_coverage (or compare_estimators on the config's arguments) at the
     given slice threshold and CPU count; checks that a parallel run forked
-    once per extra worker and that no child outlives the run."""
+    once per extra worker, that no child outlives the run and, when the run
+    succeeds, that this process ran slice 0 and only the slices listed in
+    `reruns`, in order: a child that fails is rerun here, so a broken child
+    would otherwise only make the run slower."""
     monkeypatch.setattr(harness, "_MIN_SLICE_DRAWS", min_slice_draws)
     if cpus is not None:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     forks = []
     fork_slice = harness._fork_slice
     monkeypatch.setattr(harness, "_fork_slice", lambda *args: forks.append(args) or fork_slice(*args))
+    here, parent, rounds = [], os.getpid(), []
+    run_slices = harness._run_slices
+
+    def counted_run_slices(fill, bounds):
+        rounds.append(bounds)
+
+        def counted_fill(lo, hi):
+            if os.getpid() == parent:
+                here.append((lo, hi))
+            fill(lo, hi)
+
+        run_slices(counted_fill, bounds)
+
+    monkeypatch.setattr(harness, "_run_slices", counted_run_slices)
     try:
         if compare:
-            return compare_estimators(config.spec, config.dist, config.replications, config.seed, config.mode)
-        return run_coverage(config)
+            result = compare_estimators(config.spec, config.dist, config.replications, config.seed, config.mode)
+        else:
+            result = run_coverage(config)
     finally:
         _assert_no_children()
         workers = harness._usable_cpus() if min_slice_draws == PARALLEL else 1
         assert len(forks) == len(harness._slice_bounds(config.replications, workers)) - 2
+    [bounds] = rounds
+    assert here == [(bounds[i], bounds[i + 1]) for i in [0, *reruns]]
+    return result
 
 
 @pytest.mark.parametrize("cpus", [None, 5])
@@ -320,14 +343,17 @@ def test_parallel_compare_forks_once_and_is_bit_identical_to_serial(monkeypatch,
     assert run_coverage(config) == serial[0]
 
 
-def test_the_parent_places_each_child_and_the_child_does_not(monkeypatch):
+def test_the_parent_places_each_child_and_the_child_does_not(monkeypatch, tmp_path):
     parent = os.getpid()
     calls, pids = [], []
+    # a child's own call is written to a file, which outlives the child
+    child_calls = os.open(tmp_path / "child-calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def sched_setaffinity(pid, cpus):
         if os.getpid() != parent:
-            os._exit(5)  # a child's own call: its slice dies without a result
-        calls.append((pid, set(cpus)))
+            os.write(child_calls, b".")
+        else:
+            calls.append((pid, set(cpus)))
 
     def fork(real_fork=os.fork):
         pid = real_fork()
@@ -339,9 +365,13 @@ def test_the_parent_places_each_child_and_the_child_does_not(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(harness, "_other_cpus", lambda: [7, 8])
     config = CoverageConfig(SPEC, DIST, 1000, seed=0)
-    assert _run(monkeypatch, config, PARALLEL, 3) == _run(monkeypatch, config, SERIAL)
+    try:
+        assert _run(monkeypatch, config, PARALLEL, 3) == _run(monkeypatch, config, SERIAL)
+    finally:
+        os.close(child_calls)
     assert len(pids) == 2
     assert calls == [(pids[0], {7}), (pids[1], {8})]
+    assert (tmp_path / "child-calls").read_bytes() == b""
 
 
 @pytest.mark.parametrize("replications, workers", [(100, 2), (101, 5), (1000, 3), (1001, 4), (16, 7)])
@@ -350,14 +380,15 @@ def test_slices_are_placed_by_replicate_index(replications, workers):
     assert bounds[0] == 0 and bounds[-1] == replications
     assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
     assert all(b % harness._CHUNK_ROWS == 0 for b in bounds[:-1])
-    values = np.full(replications, np.nan)
+    values = harness._shared_empty((replications,))
+    values[:] = np.nan
     here = []
 
     def fill(lo, hi):
         here.append((lo, hi))  # a child's append stays in the child
         values[lo:hi] = np.arange(lo, hi) * 1.5
 
-    harness._run_slices(values, fill, bounds)
+    harness._run_slices(fill, bounds)
     _assert_no_children()
     assert here == [(bounds[0], bounds[1])]
     assert values.tolist() == (np.arange(replications) * 1.5).tolist()
@@ -508,11 +539,28 @@ class _DiesInChild:
         return DIST.facts()
 
 
-def test_a_child_dying_without_a_result_is_named(monkeypatch):
-    config = CoverageConfig(SPEC, _DiesInChild(), 1000, seed=0)
-    bounds = harness._slice_bounds(1000, 2)
-    with pytest.raises(RuntimeError, match=f"replicates {bounds[1]}..999 died without a result .exit code 3"):
-        _run(monkeypatch, config, PARALLEL, 2)
+class _KilledInChild(_DiesInChild):
+    """Normal draws in the process that built it; a forked child that
+    draws from it is killed by SIGKILL."""
+
+    spec_string = "killed-in-child"
+
+    def sample(self, rng, n):
+        if os.getpid() != self._pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rng.normal(100.0, 50.0, n)
+
+
+@pytest.mark.parametrize("compare", [False, True], ids=["coverage", "compare"])
+@pytest.mark.parametrize("cpus", [2, 5])
+@pytest.mark.parametrize("dist", [_DiesInChild, _KilledInChild], ids=["exits", "killed"])
+def test_a_slice_whose_child_dies_runs_in_the_parent(monkeypatch, dist, cpus, compare):
+    config = CoverageConfig(SPEC, dist(), 1000, seed=0)
+    serial = _run(monkeypatch, config, SERIAL, compare=compare)
+    children = range(1, len(harness._slice_bounds(1000, cpus)) - 1)
+    parallel = _run(monkeypatch, config, PARALLEL, cpus, compare=compare, reruns=children)
+    assert parallel == serial
+    assert repr(parallel) == repr(serial)  # float reprs round-trip: bit for bit
 
 
 class _UnpicklableError(Exception):
@@ -520,18 +568,38 @@ class _UnpicklableError(Exception):
         super().__init__(f"{detail} ({code})")
 
 
-class _RaisesInChild(_DiesInChild):
+class _FailsAt:
+    """Normal(100, 50) draws, except that the first take of one replicate
+    stream raises an exception that does not survive a pickle round trip,
+    in every process."""
+
+    spec_string = "fails-at"
+
+    def __init__(self, seed, replicate):
+        self._state = _ShortAt._state(_replicate_rng(seed, replicate))
+
     def sample(self, rng, n):
-        if os.getpid() != self._pid:
+        if _ShortAt._state(rng) == self._state:
             raise _UnpicklableError("no pickle", 7)
         return rng.normal(100.0, 50.0, n)
 
+    def facts(self):
+        return DIST.facts()
 
-def test_an_exception_that_cannot_cross_the_pipe_keeps_its_type_and_message(monkeypatch):
-    config = CoverageConfig(SPEC, _RaisesInChild(), 1000, seed=0)
-    bounds = harness._slice_bounds(1000, 2)
-    with pytest.raises(RuntimeError, match=rf"replicates {bounds[1]}\.\.999: _UnpicklableError: no pickle \(7\)"):
-        _run(monkeypatch, config, PARALLEL, 2)
+
+@pytest.mark.parametrize("compare", [False, True], ids=["coverage", "compare"])
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_an_unpicklable_exception_is_the_serial_runs_own(monkeypatch, workers, compare):
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(_UnpicklableError("no pickle", 7)))
+    config = CoverageConfig(SPEC, _FailsAt(0, 900), 1000, seed=0)
+    with pytest.raises(_UnpicklableError, match=r"^no pickle \(7\)$") as raised:
+        _run(monkeypatch, config, PARALLEL, workers, compare=compare)  # one usable CPU: one worker
+    assert type(raised.value) is _UnpicklableError
+    tb = raised.value.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code is _FailsAt.sample.__code__  # the failing frame, not the runner's
 
 
 class _InterruptedInParent(_DiesInChild):
