@@ -223,13 +223,15 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
     return q / (math.sqrt(math.pi * r) * (1.0 - 2.0 * nu_sq)) * (4.0 * q) ** r
 
 
-def _fill_rows(sources, width: int, stage: str, out=None) -> np.ndarray:
+def _fill_rows(sources, width: int, stage: str, out=None, stage2_from=None) -> np.ndarray:
     """Row i: the next `width` draws of sources[i].  Every estimator draw
     passes this gate of the take contract: take(width) returns exactly
     `width` draws, all finite, or SourceContractError names the stage (and,
-    for a non-finite draw, the source's distribution spec string).  The rows
-    are written into `out`, a len(sources) x width matrix or view; without
-    one, the single source's take is the one row, uncopied."""
+    for a non-finite draw, the source's distribution spec string).  A take
+    that holds both stages of a run gives stage2_from, its first stage-2
+    column: a non-finite draw is then named by the stage of its column.
+    The rows are written into `out`, a len(sources) x width matrix or view;
+    without one, the single source's take is the one row, uncopied."""
     rows = out
     for i, source in enumerate(sources):
         draws = np.asarray(source.take(width), dtype=float)
@@ -242,8 +244,11 @@ def _fill_rows(sources, width: int, stage: str, out=None) -> np.ndarray:
         else:
             rows[i] = draws
     if not np.isfinite(rows).all():
-        source = sources[int(np.argmin(np.isfinite(rows).all(axis=1)))]
-        name = getattr(getattr(source, "dist", None), "spec_string", type(source).__name__)
+        finite = np.isfinite(rows)
+        i = int(np.argmin(finite.all(axis=1)))
+        if stage2_from is not None:
+            stage = "stage 1" if np.argmin(finite[i]) < stage2_from else "stage 2"
+        name = getattr(getattr(sources[i], "dist", None), "spec_string", type(sources[i]).__name__)
         raise SourceContractError(f"{stage}: take({width}) returned a non-finite draw from {name}")
     return rows
 
@@ -292,6 +297,14 @@ def _tree_sum(n: int, limit: int, leaf, lo: int = 0):
     return _tree_sum(half, limit, leaf, lo) + _tree_sum(n - half, limit, leaf, lo + half)
 
 
+def _overflow_error(stage: str, terms: str, count: int) -> ValueError:
+    """The error of a stage whose sum of `terms`, `count` of them, overflowed
+    a float: it names the largest draw magnitude such a sum holds."""
+    return ValueError(
+        f"{stage}: {terms} overflows; it holds draws of magnitude up to {sys.float_info.max / count:.3g}"
+    )
+
+
 def _median_rows(read, k: int, m: int) -> np.ndarray:
     """Per row: the median of m group means, each over k consecutive draws
     of the reader `read` (k*m draws).
@@ -299,6 +312,15 @@ def _median_rows(read, k: int, m: int) -> np.ndarray:
     A read holds whole groups, up to _BLOCK draws; a group of more than
     _BLOCK draws is read leaf by leaf of its pairwise sum.  Either way each
     group sum is add.reduce's over the group.
+
+    The draws are finite, so a group sum is non-finite only where it
+    overflowed (to inf, or to NaN where its partial sums overflowed both
+    ways); such a row's median is NaN, whichever rank the group holds, for
+    the caller to name.  Since an overflow shows in the results, callers
+    run the kernel with numpy's overflow and invalid-value warnings off
+    (np.errstate), once for both stages' kernels rather than in each:
+    entering that state costs about as much as the checks of a one-row
+    call.
     """
     sums = []
     if k <= _BLOCK:
@@ -313,7 +335,14 @@ def _median_rows(read, k: int, m: int) -> np.ndarray:
     group_means = np.concatenate(sums, axis=1) if len(sums) > 1 else sums[0]
     group_means /= k
     group_means.sort(axis=1)
-    return group_means[:, m // 2]
+    medians = group_means[:, m // 2]
+    # sorting puts a row's non-finite group means at its ends: -inf first,
+    # +inf and NaN last; checked in Python, cheaper than an array test at a
+    # few rows
+    for i, (lo, hi) in enumerate(zip(group_means[:, 0].tolist(), group_means[:, -1].tolist())):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            medians[i] = math.nan
+    return medians
 
 
 def _positive_centre(mu1: float) -> float:
@@ -338,7 +367,6 @@ def _truncation_scale(mu1: float, spec: ApproxSpec) -> TruncationScale:
     return TruncationScale(alpha)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # see the last paragraph below
 def _truncated_mean_rows(read, n: int, mu1: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Per row: the mean of mu1 + psi(alpha (x - mu1)) / alpha over the n
     draws x of the reader `read`.
@@ -353,10 +381,12 @@ def _truncated_mean_rows(read, n: int, mu1: np.ndarray, alpha: np.ndarray) -> np
 
     Where alpha (x - mu1) or its square overflows, the term is infinite and
     a leaf of +inf and -inf terms sums to NaN; psi's _repair_tails then
-    replaces those terms in each row whose leaf sum is non-finite, so the
-    kernel silences numpy's overflow and invalid-value warnings.  A mean
-    that stays non-finite after the repair (draws or a centre mu1 within a
-    few orders of magnitude of the largest float) is returned as it is.
+    replaces those terms in each row whose leaf sum is non-finite, so
+    callers run the kernel with numpy's overflow and invalid-value warnings
+    off, as for _median_rows.  A sum that stays non-finite after the repair
+    (n terms whose sum exceeds the largest float, or draws or a centre mu1
+    within a few orders of magnitude of it) raises a ValueError that names
+    stage 2, n and the largest draw magnitude such a sum holds.
     """
     mu1, alpha = mu1[:, None], alpha[:, None]
 
@@ -372,9 +402,13 @@ def _truncated_mean_rows(read, n: int, mu1: np.ndarray, alpha: np.ndarray) -> np
                 sums[i] = np.add.reduce(terms[i])
         return sums
 
-    return _tree_sum(n, _BLOCK // len(mu1), leaf) / n
+    sums = _tree_sum(n, _BLOCK // len(mu1), leaf)
+    if not all(map(math.isfinite, sums.tolist())):
+        raise _overflow_error("stage 2", f"the sum of n = {n} terms", n)
+    return sums / n
 
 
+@np.errstate(over="ignore", invalid="ignore")  # for both kernels: see _median_rows
 def _two_stage_reduce(read1, read2, spec: ApproxSpec, plan: StagePlan):
     """(mu1, alpha, mu_hat) per row of the plan's k*m stage-1 draws, read by
     read1, and its n stage-2 draws, read by read2.  Each row gets exactly
@@ -383,38 +417,62 @@ def _two_stage_reduce(read1, read2, spec: ApproxSpec, plan: StagePlan):
 
     Every stage-2 draw is read before an error of the stage-1 centre is
     raised, so a stage-2 take that breaks the contract is named first, as
-    when both stages were taken whole before either was reduced.
+    when both stages were taken whole before either was reduced.  A centre
+    that is not finite comes from a stage-1 group sum that overflowed.  The
+    error raised is that of the first row that fails in a run of its own.
     """
     # stage 1: the median of means / (1 - epsilon1^2); the correction turns a
     # bound on |estimate/mean - 1| into the one on |mean/estimate - 1| that
     # stage 2's truncation scale needs
     mu1 = _median_rows(read1, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
-    # per-row checks in Python: cheaper than array tests at a few rows, and
-    # they raise exactly what a single run raises
+    # per-row checks in one Python loop, cheaper than array tests at a few
+    # rows: alpha = epsilon / (c^2 mu1) as _truncation_scale computes it,
+    # which runs only on a failing row, to raise what a single run raises
+    c_sq = spec.c * spec.c
+    alpha = []
     try:
-        alpha = np.array([_truncation_scale(_positive_centre(v), spec).alpha for v in mu1.tolist()])
+        for v in mu1.tolist():
+            scaled_centre = c_sq * v
+            a = spec.epsilon / scaled_centre if 0.0 < v < math.inf and scaled_centre > 0.0 else math.inf
+            if a == math.inf:
+                if not math.isfinite(v):
+                    raise _overflow_error("stage 1", f"a group sum of k = {plan.k} draws", plan.k)
+                _truncation_scale(_positive_centre(v), spec)
+            alpha.append(a)
     except (NonpositiveEstimateError, ValueError) as exc:
         centre_error = exc
     else:
+        alpha = np.array(alpha)
         return mu1, alpha, _truncated_mean_rows(read2, plan.n, mu1, alpha)
     _tree_sum(plan.n, _BLOCK // len(mu1), lambda lo, hi: read2(lo, hi).size)
+    if alpha:
+        # a single run of each row before the failing one reaches its stage
+        # 2, whose sum may overflow first; only a chunk's column reader, which
+        # reads any segment again, has more than one row
+        before = len(alpha)
+        _truncated_mean_rows(lambda lo, hi: read2(lo, hi)[:before], plan.n, mu1[:before], np.array(alpha))
     raise centre_error
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see _median_rows
 def median_of_means(source, k: int, m: int) -> float:
     """Median of m group means, each over k consecutive draws (k*m draws).
 
     Groups are consecutive blocks in stream order, so the value is a pure
     function of the source's seed.  m must be odd: the median is the exact
-    middle order statistic.
+    middle order statistic.  A group sum that overflows is a ValueError.
     """
     k = _integer("group size k", k, 1)
     m = _integer("group count m", m, 1)
     if m % 2 == 0:
         raise ValueError(f"group count m must be odd, got {m}")
-    return float(_median_rows(_source_reader(source, "median of means"), k, m)[0])
+    median = float(_median_rows(_source_reader(source, "median of means"), k, m)[0])
+    if not math.isfinite(median):
+        raise _overflow_error("median of means", f"a group sum of k = {k} draws", k)
+    return median
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see _truncated_mean_rows
 def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, TruncationScale]:
     """Average of the plan's n truncated draws, centred at mu1; returns
     (mu_hat, alpha).

@@ -6,21 +6,24 @@ window |estimate - mean| <= epsilon * mean, judged against the exact mean
 from the source's facts.  Baseline estimators run on the same total draw
 budget so sample-efficiency differences are visible at equal cost.
 
-Replicates run in chunks of a few rows.  The plan is built once per run,
-and so are the PCG64 seeds of all R replicate streams, in one vectorised
-pass that matches numpy's SeedSequence bit for bit (sources.py states the
+Replicates run in chunks sized by draws: up to 32 rows of at most
+_CHUNK_DRAWS = 2**16 draws in all, but at least one row, so a budget above
+that gets chunks of one row.  The plan is built once per run, and so are
+the PCG64 seeds of all R replicate streams, in one vectorised pass that
+matches numpy's SeedSequence bit for bit (sources.py states the
 derivation).  Replicate r keeps its own stream (seed, r).  Each chunk's
-rows are drawn once, through the take-contract gate _fill_rows, one take
-of k*m draws ("stage 1") and one of n ("stage 2") per replicate, written
-side by side into one rows x budget matrix; a SampleSource's takes
-concatenate, so these are the draws estimate_mean makes in its bounded
-takes.  Each estimator then reduces its own prefix of those rows, read by
-column views: the two-stage through _two_stage_reduce, the kernel
-estimate_mean runs on its source, with the arithmetic of a single run, so
-a coverage report is bit-identical to one replicate-at-a-time loop.
-run_coverage certifies the two-stage estimator; the baselines are rows of
-compare_estimators, which reads each replicate's draws once and opens R
-streams, not one per estimator.
+rows are drawn once, one take of each replicate's whole budget, its k*m
+stage-1 draws then its n stage-2 draws, into one rows x budget matrix,
+through the take-contract gate _fill_rows, which names a non-finite draw
+by the stage of its column; a SampleSource's takes concatenate, so these
+are the draws estimate_mean makes in its bounded takes.  Each estimator
+then reduces its own prefix of those rows, read by column views: the
+two-stage through _two_stage_reduce, the kernel estimate_mean runs on its
+source, with the arithmetic of a single run, so a coverage report is
+bit-identical to one replicate-at-a-time loop, and a sum that overflows
+raises the same error.  run_coverage certifies the two-stage estimator;
+the baselines are rows of compare_estimators, which reads each
+replicate's draws once and opens R streams, not one per estimator.
 
 A run splits its replicates into contiguous slices of whole chunks, one
 per worker.  The first slice runs in the calling process and each other
@@ -60,7 +63,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimator import ApproxSpec, Mode, _column_reader, _fill_rows, _median_rows, _two_stage_reduce, build_plan
+from .estimator import ApproxSpec, Mode, _column_reader, _fill_rows, _median_rows, _overflow_error, _two_stage_reduce, build_plan
 from .estimator import estimate_mean, median_of_means  # noqa: F401 - bench/tracing.py wraps them here
 from .sources import SampleSource, _integer, _replays, _replicate_seed_words
 
@@ -156,9 +159,15 @@ def _mom_baseline_params(spec: ApproxSpec, budget: int) -> tuple[int, int]:
     return k, _largest_odd_at_most(budget // k)
 
 
-# Replicate rows per chunk.  Smaller chunks pay the kernel's per-call cost
-# more often; bigger ones run no faster and only hold more draws at once.
-_CHUNK_ROWS = 8
+# Draws per chunk, and the most replicate rows one holds (_chunk_rows).  A
+# chunk pays the kernels' per-call costs once for all its rows.  On a 2-vCPU
+# Xeon, a pass of six coverage runs at R = 1000 (208 to 2764 draws per
+# replicate, two workers) took a median 223 ms at 8 rows a chunk, 198 ms at
+# 32 and 199 ms at 64, over 15 interleaved passes each; at most 32 rows in
+# chunks of at most 2**14, 2**16 or 2**18 draws took 206, 202 and 197 ms.
+# 2**16 draws are 512 KB, and a larger budget gets chunks of one row.
+_CHUNK_DRAWS = 2**16
+_MAX_CHUNK_ROWS = 32
 # Fewest draws for which one more process pays for its fork.  On a 2-vCPU
 # Xeon, with the parent placing each child, two workers tied with one at
 # 100k draws per run and won from 125k on (normal draws, the cheapest per
@@ -182,13 +191,19 @@ def _worker_count(replications: int, budget: int) -> int:
     return max(1, min(_usable_cpus(), replications * budget // _MIN_SLICE_DRAWS))
 
 
-def _slice_bounds(replications: int, workers: int) -> list[int]:
+def _chunk_rows(budget: int) -> int:
+    """Replicate rows per chunk at `budget` draws per replicate: as many as
+    hold _CHUNK_DRAWS draws, at least 1 and at most _MAX_CHUNK_ROWS."""
+    return min(_MAX_CHUNK_ROWS, max(1, _CHUNK_DRAWS // budget))
+
+
+def _slice_bounds(replications: int, workers: int, rows: int) -> list[int]:
     """Bounds of up to `workers` contiguous replicate slices with near-equal
-    chunk counts.  Each slice starts on a chunk boundary, so its chunks are
-    those of the serial run."""
-    chunks = -(-replications // _CHUNK_ROWS)
+    counts of `rows`-row chunks.  Each slice starts on a chunk boundary, so
+    its chunks are those of the serial run."""
+    chunks = -(-replications // rows)
     workers = min(workers, chunks)
-    return [min(replications, _CHUNK_ROWS * (chunks * i // workers)) for i in range(workers + 1)]
+    return [min(replications, rows * (chunks * i // workers)) for i in range(workers + 1)]
 
 
 def _other_cpus() -> list[int]:
@@ -275,40 +290,61 @@ def _estimator(kind: EstimatorKind, spec: ApproxSpec, plan):
         return lambda rows: _two_stage_reduce(
             _column_reader(rows[:, :k_m]), _column_reader(rows[:, k_m:]), spec, plan
         )[2]
+    budget = plan.total_samples
     if kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
-        mom_k, mom_m = _mom_baseline_params(spec, plan.total_samples)
-        return lambda rows: _median_rows(_column_reader(rows), mom_k, mom_m)
-    return lambda rows: rows.mean(axis=1)
+        mom_k, mom_m = _mom_baseline_params(spec, budget)
+        return _checked(
+            lambda rows: _median_rows(_column_reader(rows), mom_k, mom_m),
+            "median of means",
+            f"a group sum of k = {mom_k} draws",
+            mom_k,
+        )
+    return _checked(lambda rows: rows.mean(axis=1), "plain mean", f"the sum of {budget} draws", budget)
+
+
+def _checked(reduce, stage: str, terms: str, count: int):
+    """A baseline's reducer that raises the overflow error of its sum of
+    `terms`, `count` of them, for an estimate that is not finite: the
+    draws are, so only a sum that overflowed gives one."""
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def checked(rows):
+        estimates = reduce(rows)
+        if not np.isfinite(estimates).all():
+            raise _overflow_error(stage, terms, count)
+        return estimates
+
+    return checked
 
 
 def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
     """One report per estimator kind in `kinds`, from one plan, one pass of
     replicate seeds and one round of slices.  Each chunk of replicates is
-    drawn once, one take per stage, and every kind reduces those rows into
-    its column j of an R x len(kinds) array in shared memory.  fill raises
-    at its slice's first error, the one a serial run over the slice would
-    raise: a chunk's takes come before its reductions, and the kinds
-    reduce in order."""
+    drawn once, one take of k*m + n draws per replicate, and every kind
+    reduces those rows into its column j of an R x len(kinds) array in
+    shared memory.  fill raises at its slice's first error, the one a
+    serial run over the slice would raise: a chunk's takes come before its
+    reductions, and the kinds reduce in order."""
     spec = config.spec
     plan = build_plan(spec, config.mode)
     reducers = [_estimator(kind, spec, plan) for kind in kinds]
-    k_m, budget = plan.samples_stage1, plan.total_samples
+    budget = plan.total_samples
+    chunk = _chunk_rows(budget)
     replications = config.replications
     values = _shared_empty((replications, len(kinds)))
     seed_words = _replicate_seed_words(config.seed, np.arange(replications))
 
     def fill(lo: int, hi: int) -> None:
-        for start in range(lo, hi, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, hi)
+        for start in range(lo, hi, chunk):
+            stop = min(start + chunk, hi)
             rows = np.empty((stop - start, budget))
             sources = [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
-            _fill_rows(sources, k_m, "stage 1", rows[:, :k_m])
-            _fill_rows(sources, plan.n, "stage 2", rows[:, k_m:])
+            _fill_rows(sources, budget, "stages 1 and 2", rows, stage2_from=plan.samples_stage1)
             for j, reduce in enumerate(reducers):
                 values[start:stop, j] = reduce(rows)
 
     workers = _worker_count(replications, budget)
-    _run_slices(fill, _slice_bounds(replications, workers))
+    _run_slices(fill, _slice_bounds(replications, workers, chunk))
 
     mu = config.dist.facts().true_mean
     reports = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,35 @@ def test_stage1_centre_too_small_for_a_finite_truncation_scale_is_named():
         stage2_estimate(SampleSource(Constant(1.0), 0), 1e-310, spec)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (1e306, "stage 2: the sum of n = 974 terms overflows; it holds draws of magnitude up to 1.85e+305"),
+        (5e306, "stage 1: a group sum of k = 160 draws overflows; it holds draws of magnitude up to 1.12e+306"),
+        (-5e306, "stage 1: a group sum of k = 160 draws overflows; it holds draws of magnitude up to 1.12e+306"),
+    ],
+)
+def test_a_stage_sum_that_overflows_is_named_without_a_warning(value, message):
+    # every draw is finite, but a stage sums more of them than a float holds
+    spec = ApproxSpec(0.1, 0.05, 1.0)
+    plan = build_plan(spec)
+    assert (plan.k, plan.n) == (160, 974)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            estimate_mean(SampleSource(Constant(value), 1), spec)
+        assert str(raised.value) == message
+        # just below the magnitude the stage-2 sum holds, the estimate is finite
+        assert math.isfinite(estimate_mean(SampleSource(Constant(1.8e305), 1), spec).mu_hat)
+
+
+def test_median_of_means_and_stage2_name_a_sum_that_overflows():
+    with pytest.raises(ValueError, match=r"^median of means: a group sum of k = 200 draws overflows; .* 8\.99e\+305$"):
+        median_of_means(SampleSource(Constant(1e306), 0), 200, 3)
+    with pytest.raises(ValueError, match=r"^stage 2: the sum of n = 974 terms overflows; .* 1\.85e\+305$"):
+        stage2_estimate(SampleSource(Constant(1e306), 0), 1e306, ApproxSpec(0.1, 0.05, 1.0))
+
+
 def test_estimate_mean_constant_always_within_epsilon():
     for mu0 in [0.01, 1.0, 250.0]:
         for eps, delta, c in [(0.1, 0.05, 1.0), (0.2, 0.1, 10.0), (0.5, 0.3, 0.2)]:
@@ -259,6 +289,22 @@ def test_stage2_draws_far_beyond_the_truncation_scale_give_a_finite_estimate():
     report = estimate_mean(_ScriptedSource(np.ones(plan.k * plan.m), tail), spec)
     assert math.isfinite(report.mu_hat)
     assert report.mu_hat == np.mean(report.mu1 + scaled_psi(report.alpha, tail - report.mu1))
+
+
+def test_a_group_whose_partial_sums_overflow_both_ways_is_named():
+    # numpy sums a group of at most 128 draws in 8 interleaved partial sums:
+    # draws 0 and 8 take one to +inf, draws 1 and 9 another to -inf, so the
+    # group sum is NaN, which sorts last.  The true group mean (0.95) is the
+    # lowest, and a median that took NaN for the highest would read 3.0
+    spec = ApproxSpec(0.2, 0.1, 1.0)
+    plan = build_plan(spec)
+    assert (plan.k, plan.m) == (80, 3)
+    stage1 = np.repeat([1.0, 2.0, 3.0], plan.k)
+    stage1[[0, 8]], stage1[[1, 9]] = 1e308, -1e308
+    message = "stage 1: a group sum of k = 80 draws overflows; it holds draws of magnitude up to 2.25e+306"
+    with pytest.raises(ValueError) as raised:
+        estimate_mean(_ScriptedSource(stage1, np.ones(plan.n)), spec)
+    assert str(raised.value) == message
 
 
 def test_estimate_mean_on_scaled_recorded_source():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import pickle
@@ -27,11 +28,13 @@ from relmean import (
     Normal,
     ParetoShape,
     Recorded,
+    SampleSource,
     Scaled,
     ScaledBernoulli,
     SourceContractError,
     build_plan,
     compare_estimators,
+    estimate_mean,
     run_coverage,
     theorem1_total,
     write_csv,
@@ -238,28 +241,37 @@ class _Misbehaving:
         return Normal(100.0, 50.0).facts()
 
 
-# each two-stage take at SPEC: (draws of the stream before it, its width)
+# the columns of each stage in a replicate's one take at SPEC
 _PLAN = build_plan(SPEC)
-_TAKES = {"stage 1": (0, _PLAN.samples_stage1), "stage 2": (_PLAN.samples_stage1, _PLAN.n)}
+_BUDGET = _PLAN.total_samples
+_STAGES = {"stage 1": range(0, _PLAN.samples_stage1), "stage 2": range(_PLAN.samples_stage1, _BUDGET)}
 
 
 @pytest.mark.parametrize("problem", ["returned", "non-finite"], ids=["short", "nan"])
-@pytest.mark.parametrize("stage", _TAKES, ids=["stage-1", "stage-2"])
+@pytest.mark.parametrize("stage", _STAGES, ids=["stage-1", "stage-2"])
 @pytest.mark.parametrize("compare", [False, True], ids=["coverage", "compare"])
 def test_coverage_names_a_broken_take(problem, stage, compare):
-    # every draw passes the one take-contract gate, which names the take; a
-    # comparison makes run_coverage's two takes, whichever kinds read them
-    width = _TAKES[stage][1]
-    assert _PLAN.samples_stage1 != _PLAN.n  # each width names its stage
+    # every draw passes the one take-contract gate: a replicate's one take of
+    # k*m + n draws, whichever kinds read them.  A take that ends inside the
+    # stage is short, and names both stages; a NaN in the stage's columns
+    # names the stage
+    columns = _STAGES[stage]
 
     def sample(rng, n):
-        if n != width:
-            return rng.normal(100.0, 50.0, n)
-        return rng.normal(100.0, 50.0, n - 1) if problem == "returned" else np.full(n, np.nan)
+        assert n == _BUDGET
+        if problem == "returned":
+            return rng.normal(100.0, 50.0, columns[-1])
+        draws = rng.normal(100.0, 50.0, n)
+        draws[columns] = np.nan
+        return draws
 
     dist = _Misbehaving(sample)
-    with pytest.raises(SourceContractError, match=rf"{stage}: take\({width}\).*{problem}"):
+    with pytest.raises(SourceContractError) as raised:
         compare_estimators(SPEC, dist, 100, seed=0) if compare else run_coverage(CoverageConfig(SPEC, dist, 100, seed=0))
+    if problem == "returned":
+        assert str(raised.value) == f"stages 1 and 2: take({_BUDGET}) returned {columns[-1]} draws in shape ({columns[-1]},)"
+    else:
+        assert str(raised.value) == f"{stage}: take({_BUDGET}) returned a non-finite draw from misbehaving"
 
 
 # --- replicate slices in forked children ---------------------------------
@@ -273,6 +285,12 @@ SERIAL, PARALLEL = 2**62, 1
 def _assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _bounds(config, workers):
+    """The slice bounds of a run of `config` on `workers` workers."""
+    rows = harness._chunk_rows(build_plan(config.spec, config.mode).total_samples)
+    return harness._slice_bounds(config.replications, workers, rows)
 
 
 def _run(monkeypatch, config, min_slice_draws, cpus=None, compare=False, reruns=()):
@@ -310,7 +328,7 @@ def _run(monkeypatch, config, min_slice_draws, cpus=None, compare=False, reruns=
     finally:
         _assert_no_children()
         workers = harness._usable_cpus() if min_slice_draws == PARALLEL else 1
-        assert len(forks) == len(harness._slice_bounds(config.replications, workers)) - 2
+        assert len(forks) == len(_bounds(config, workers)) - 2
     [bounds] = rounds
     assert here == [(bounds[i], bounds[i + 1]) for i in [0, *reruns]]
     return result
@@ -321,7 +339,7 @@ def _run(monkeypatch, config, min_slice_draws, cpus=None, compare=False, reruns=
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("replications", [100, 101, 1000, 1001])
 def test_parallel_coverage_is_bit_identical_to_serial(monkeypatch, replications, mode, seed, cpus):
-    # each mode gives the two takes of a replicate their own widths
+    # the two modes give a replicate's take, and its two stages, other widths
     config = CoverageConfig(SPEC, DIST, replications, seed=seed, mode=mode)
     serial = _run(monkeypatch, config, SERIAL)
     parallel = _run(monkeypatch, config, PARALLEL, cpus)
@@ -341,6 +359,29 @@ def test_parallel_compare_forks_once_and_is_bit_identical_to_serial(monkeypatch,
     assert parallel == serial
     assert [r.mean_abs_rel_error.hex() for r in parallel] == [r.mean_abs_rel_error.hex() for r in serial]
     assert run_coverage(config) == serial[0]
+
+
+@functools.cache
+def _reference(replications):
+    """Each kind's (failures, mean_abs_rel_error hex) on DIST at SPEC, seed 6."""
+    config = CoverageConfig(SPEC, DIST, replications, seed=6)
+    return [(f, e.hex()) for f, e in (oracles.coverage_reference(config, kind) for kind in EstimatorKind)]
+
+
+@pytest.mark.parametrize("cpus", [None, 2], ids=["serial", "two-workers"])
+@pytest.mark.parametrize("replications", [101, 1000])
+@pytest.mark.parametrize("rows", [1, 3, 32])
+def test_chunk_size_does_not_change_results(monkeypatch, rows, replications, cpus):
+    # a chunk holds _CHUNK_DRAWS // budget rows, at most 32; 101 replicates
+    # leave a partial last chunk at 3 and 32 rows
+    monkeypatch.setattr(harness, "_CHUNK_DRAWS", rows * _BUDGET)
+    assert harness._chunk_rows(_BUDGET) == rows
+    config = CoverageConfig(SPEC, DIST, replications, seed=6)
+    min_slice_draws = SERIAL if cpus is None else PARALLEL
+    report = _run(monkeypatch, config, min_slice_draws, cpus)
+    reports = _run(monkeypatch, config, min_slice_draws, cpus, compare=True)
+    assert [(r.failures, r.mean_abs_rel_error.hex()) for r in reports] == _reference(replications)
+    assert (report.failures, report.mean_abs_rel_error.hex()) == _reference(replications)[0]
 
 
 def test_the_parent_places_each_child_and_the_child_does_not(monkeypatch, tmp_path):
@@ -376,10 +417,12 @@ def test_the_parent_places_each_child_and_the_child_does_not(monkeypatch, tmp_pa
 
 @pytest.mark.parametrize("replications, workers", [(100, 2), (101, 5), (1000, 3), (1001, 4), (16, 7)])
 def test_slices_are_placed_by_replicate_index(replications, workers):
-    bounds = harness._slice_bounds(replications, workers)
-    assert bounds[0] == 0 and bounds[-1] == replications
-    assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
-    assert all(b % harness._CHUNK_ROWS == 0 for b in bounds[:-1])
+    for rows in (1, 3, 8, 32):
+        bounds = harness._slice_bounds(replications, workers, rows)
+        assert bounds[0] == 0 and bounds[-1] == replications
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+        assert all(b % rows == 0 for b in bounds[:-1])
+        assert len(bounds) - 1 == min(workers, -(-replications // rows))
     values = harness._shared_empty((replications,))
     values[:] = np.nan
     here = []
@@ -394,26 +437,31 @@ def test_slices_are_placed_by_replicate_index(replications, workers):
     assert values.tolist() == (np.arange(replications) * 1.5).tolist()
 
 
-class _ShortAt:
-    """Normal(100, 50) draws, except that one take of each listed replicate
-    stream comes up short, by a count that names the replicate: replicate i
-    comes up short at the take that starts after skips[i] of its draws (by
-    default its first take)."""
+class _BrokenAt:
+    """Normal(100, 50) draws, except that the first take of each listed
+    replicate stream breaks: the take of the i-th listed replicate comes up
+    short by i + 1 draws, a count that names the replicate, or, where
+    columns are given, holds a NaN in its column columns[i]."""
 
-    def __init__(self, seed, replicates, skips=None):
-        self.spec_string = "short-at"
-        self._short = {}
-        for i, (r, skip) in enumerate(zip(replicates, skips or [0] * len(replicates))):
-            rng = _replicate_rng(seed, r)
-            rng.normal(100.0, 50.0, skip)  # normal draws split freely: a + b draws = a, then b
-            self._short[self._state(rng)] = i + 1
+    def __init__(self, seed, replicates, columns=None):
+        self.spec_string = "broken-at"
+        self._broken = {}
+        for i, (r, column) in enumerate(zip(replicates, columns or [None] * len(replicates))):
+            self._broken[self._state(_replicate_rng(seed, r))] = (i, column)
 
     @staticmethod
     def _state(rng):
         return rng.bit_generator.state["state"]["state"]
 
     def sample(self, rng, n):
-        return rng.normal(100.0, 50.0, n - self._short.get(self._state(rng), 0))
+        if self._state(rng) not in self._broken:
+            return rng.normal(100.0, 50.0, n)
+        i, column = self._broken[self._state(rng)]
+        if column is None:
+            return rng.normal(100.0, 50.0, n - i - 1)
+        draws = rng.normal(100.0, 50.0, n)
+        draws[column] = np.nan
+        return draws
 
     def facts(self):
         return DIST.facts()
@@ -426,7 +474,7 @@ class _ShortAt:
 )
 @pytest.mark.parametrize("compare", [False, True], ids=["coverage", "compare"])
 def test_broken_take_in_a_slice_raises_the_serial_error(monkeypatch, compare, cpus, broken, first):
-    config = CoverageConfig(SPEC, _ShortAt(0, broken), 1000, seed=0)
+    config = CoverageConfig(SPEC, _BrokenAt(0, broken), 1000, seed=0)
     with pytest.raises(SourceContractError) as serial:
         _run(monkeypatch, config, SERIAL, compare=compare)
     with pytest.raises(SourceContractError) as parallel:
@@ -444,22 +492,25 @@ def test_broken_take_in_a_slice_raises_the_serial_error(monkeypatch, compare, cp
         (((900, "stage 1"), (10, "stage 2")), 1),
         (((900, "stage 2"), (100, "stage 1")), 1),
         (((950, "stage 1"), (600, "stage 2")), 1),
-        (((300, "stage 2"), (950, "stage 1"), (10, "stage 2")), 2),
+        (((300, "stage 1"), (950, "stage 1"), (10, "stage 2")), 2),
     ],
     ids=["slice-0-stage-2-beats-a-child", "slice-0-stage-1-beats-a-child", "children-only", "lowest-replicate"],
 )
 def test_broken_take_in_a_compare_raises_the_serial_error(monkeypatch, cpus, broken, first):
-    # a comparison draws each replicate once, with the two-stage takes; the
-    # serial run stops at its first chunk's error, each slice at its own
-    # first, and the parent raises the lowest of them
+    # a comparison draws each replicate once, in one take; each listed
+    # replicate has a NaN in the first column of its stage, and the lowest
+    # one's stage is the only one its message can name.  The serial run
+    # stops at its first chunk's error, each slice at its own first, and
+    # the parent raises the lowest of them
     replicates, stages = zip(*broken)
-    config = CoverageConfig(SPEC, _ShortAt(0, replicates, [_TAKES[stage][0] for stage in stages]), 1000, seed=0)
+    assert [stage for stage in stages if stage == stages[first]] == [stages[first]]
+    columns = [_STAGES[stage][0] for stage in stages]
+    config = CoverageConfig(SPEC, _BrokenAt(0, replicates, columns), 1000, seed=0)
     with pytest.raises(SourceContractError) as serial:
         _run(monkeypatch, config, SERIAL, compare=True)
     with pytest.raises(SourceContractError) as parallel:
         _run(monkeypatch, config, PARALLEL, cpus, compare=True)
-    width = _TAKES[stages[first]][1]
-    assert f"{stages[first]}: take({width}) returned {width - first - 1} draws" in str(serial.value)
+    assert str(serial.value) == f"{stages[first]}: take({_BUDGET}) returned a non-finite draw from broken-at"
     assert str(parallel.value) == str(serial.value)
 
 
@@ -467,8 +518,8 @@ def test_broken_take_in_a_compare_raises_the_serial_error(monkeypatch, cpus, bro
 @pytest.mark.parametrize("failing", [96, 304])
 def test_a_later_kind_failing_in_an_earlier_chunk_raises_the_serial_error(monkeypatch, cpus, failing):
     # the median-of-means reduction fails on the chunk of replicate `failing`,
-    # and replicate 900's stage-1 take, the first kind's, comes up short
-    # later in the stream: the serial run stops at the reduction
+    # and replicate 900's take comes up short later in the stream: the
+    # serial run stops at the reduction
     marker = _replicate_rng(0, failing).normal(100.0, 50.0, 1)[0]  # the replicate's first draw
     estimator = harness._estimator
 
@@ -485,7 +536,7 @@ def test_a_later_kind_failing_in_an_earlier_chunk_raises_the_serial_error(monkey
         return reduce_or_fail
 
     monkeypatch.setattr(harness, "_estimator", failing_estimator)
-    config = CoverageConfig(SPEC, _ShortAt(0, [900]), 1000, seed=0)
+    config = CoverageConfig(SPEC, _BrokenAt(0, [900]), 1000, seed=0)
     with pytest.raises(ValueError) as serial:
         _run(monkeypatch, config, SERIAL, compare=True)
     with pytest.raises(ValueError) as parallel:
@@ -497,8 +548,8 @@ def test_a_later_kind_failing_in_an_earlier_chunk_raises_the_serial_error(monkey
 
 @pytest.mark.parametrize("compare", [True, False], ids=["compare", "coverage"])
 def test_a_compare_opens_each_replicate_stream_once(monkeypatch, compare):
-    # a comparison makes the two-stage takes of each replicate, once, as
-    # run_coverage does
+    # a comparison makes one take of each replicate's two-stage budget,
+    # k*m + n draws, as run_coverage does
     opened, takes = [], []
 
     class Counted(harness.SampleSource):
@@ -518,7 +569,7 @@ def test_a_compare_opens_each_replicate_stream_once(monkeypatch, compare):
     else:
         run_coverage(CoverageConfig(SPEC, DIST, replications, seed=4))
     assert opened == list(range(replications))
-    assert sorted(takes) == sorted([_PLAN.samples_stage1, _PLAN.n] * replications)
+    assert takes == [_BUDGET] * replications
 
 
 class _DiesInChild:
@@ -557,7 +608,7 @@ class _KilledInChild(_DiesInChild):
 def test_a_slice_whose_child_dies_runs_in_the_parent(monkeypatch, dist, cpus, compare):
     config = CoverageConfig(SPEC, dist(), 1000, seed=0)
     serial = _run(monkeypatch, config, SERIAL, compare=compare)
-    children = range(1, len(harness._slice_bounds(1000, cpus)) - 1)
+    children = range(1, len(_bounds(config, cpus)) - 1)
     parallel = _run(monkeypatch, config, PARALLEL, cpus, compare=compare, reruns=children)
     assert parallel == serial
     assert repr(parallel) == repr(serial)  # float reprs round-trip: bit for bit
@@ -576,10 +627,10 @@ class _FailsAt:
     spec_string = "fails-at"
 
     def __init__(self, seed, replicate):
-        self._state = _ShortAt._state(_replicate_rng(seed, replicate))
+        self._state = _BrokenAt._state(_replicate_rng(seed, replicate))
 
     def sample(self, rng, n):
-        if _ShortAt._state(rng) == self._state:
+        if _BrokenAt._state(rng) == self._state:
             raise _UnpicklableError("no pickle", 7)
         return rng.normal(100.0, 50.0, n)
 
@@ -642,6 +693,75 @@ def test_a_failing_first_slice_raises_at_once_and_kills_the_children(monkeypatch
         _run(monkeypatch, config, PARALLEL, 3)
     assert time.monotonic() - start < 15
     assert str(parallel.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("compare", [False, True], ids=["coverage", "compare"])
+@pytest.mark.parametrize("value, stage", [(1e306, "stage 2"), (5e306, "stage 1")])
+def test_a_stage_sum_that_overflows_raises_the_serial_loops_error(monkeypatch, value, stage, compare):
+    # each draw is finite; coverage raises what estimate_mean raises on the
+    # first replicate, serially and in slices, with no warning
+    spec = ApproxSpec(0.1, 0.05, 1.0)
+    with pytest.raises(ValueError, match=f"^{stage}: .* overflows") as single:
+        estimate_mean(SampleSource(Constant(value), 0, 0), spec)
+    config = CoverageConfig(spec, Constant(value), 100, seed=0)
+    with pytest.raises(ValueError) as serial:
+        _run(monkeypatch, config, SERIAL, compare=compare)
+    with pytest.raises(ValueError) as parallel:
+        _run(monkeypatch, config, PARALLEL, 2, compare=compare)
+    assert str(serial.value) == str(parallel.value) == str(single.value)
+
+
+class _ByReplicate:
+    """Constant draws, of values[r] in a listed replicate r and 100 in
+    every other one."""
+
+    spec_string = "by-replicate"
+
+    def __init__(self, seed, values):
+        self._values = {_BrokenAt._state(_replicate_rng(seed, r)): v for r, v in values.items()}
+
+    def sample(self, rng, n):
+        return np.full(n, self._values.get(_BrokenAt._state(rng), 100.0))
+
+    def facts(self):
+        return Constant(100.0).facts()
+
+
+@pytest.mark.parametrize("compare", [False, True], ids=["coverage", "compare"])
+@pytest.mark.parametrize(
+    "values, error",
+    [({3: 1e306, 5: -1.0}, "stage 2: the sum of n = 974 terms overflows"), ({3: -1.0, 5: 1e306}, "not positive")],
+    ids=["overflow-first", "nonpositive-first"],
+)
+def test_the_first_failing_replicate_of_a_chunk_raises_its_own_error(monkeypatch, values, error, compare):
+    # replicates 3 and 5 share a chunk, where every centre is checked before
+    # any stage 2 is summed; a replicate-by-replicate loop meets replicate
+    # 3's error first
+    spec = ApproxSpec(0.1, 0.05, 1.0)
+    dist = _ByReplicate(0, values)
+    with pytest.raises((ValueError, RuntimeError), match=error) as single:
+        for r in range(100):
+            estimate_mean(SampleSource(dist, 0, r), spec)
+    config = CoverageConfig(spec, dist, 100, seed=0)
+    with pytest.raises(type(single.value)) as serial:
+        _run(monkeypatch, config, SERIAL, compare=compare)
+    with pytest.raises(type(single.value)) as parallel:
+        _run(monkeypatch, config, PARALLEL, 2, compare=compare)
+    assert str(serial.value) == str(parallel.value) == str(single.value)
+
+
+@pytest.mark.parametrize(
+    "value, spec, message",
+    [
+        (1e306, ApproxSpec(0.2, 0.5, 1.0), "median of means: a group sum of k = 200 draws overflows"),
+        (1.5e305, ApproxSpec(0.1, 0.05, 1.0), "plain mean: the sum of 1774 draws overflows"),
+    ],
+)
+def test_a_baseline_sum_that_overflows_is_named(value, spec, message):
+    # the two-stage estimator holds these draws; a baseline sums more of them
+    assert run_coverage(CoverageConfig(spec, Constant(value), 100, seed=0)).failures == 0
+    with pytest.raises(ValueError, match=f"^{message}; it holds draws of magnitude up to"):
+        compare_estimators(spec, Constant(value), 100, seed=0)
 
 
 def test_worker_count_rule(monkeypatch):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import relmean.estimator as estimator
+import relmean.harness as harness
 from relmean import (
     ApproxSpec,
     Constant,
@@ -170,7 +171,7 @@ def test_coverage_reports_do_not_depend_on_the_block(monkeypatch):
 
 
 def test_coverage_frees_each_chunk_before_the_next():
-    # a chunk's draws (8 x 2764 here) must not outlive its reductions, as
+    # a chunk's draws (23 x 2764 here) must not outlive its reductions, as
     # they would if the kernel's closures formed a reference cycle
     dist = LogNormal(1.0)
     config = CoverageConfig(ApproxSpec(0.1, 0.05, dist.facts().c_bound), dist, 1000, 3)
@@ -181,6 +182,23 @@ def test_coverage_frees_each_chunk_before_the_next():
     finally:
         tracemalloc.stop()
     assert peak < 2**21
+
+
+def test_a_coverage_chunk_of_a_large_budget_holds_one_row(monkeypatch):
+    # a chunk holds about _CHUNK_DRAWS draws, and one row of a budget above
+    # that, whatever the budget; the run stays in this process, where
+    # tracemalloc sees it
+    spec = ApproxSpec(0.01, 0.05, 1.0)
+    budget = build_plan(spec).total_samples
+    assert budget == 96_526 > harness._CHUNK_DRAWS
+    monkeypatch.setattr(harness, "_MIN_SLICE_DRAWS", 2**62)
+    tracemalloc.start()
+    try:
+        run_coverage(CoverageConfig(spec, Normal(100.0, 50.0), 100, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * budget
 
 
 def test_estimate_mean_peak_memory_does_not_grow_with_the_plan():
