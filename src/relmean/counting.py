@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .estimator import ApproxSpec, Mode, _check_accuracy, build_plan, estimate_mean
-from .sources import _float_sized, _integer, _replicate_rng
+from .sources import _float_sized, _integer, _real, _replicate_rng
 
 DESK_SCALE_LIMIT = 10
 
@@ -470,7 +470,7 @@ def eps_prime(epsilon: float) -> float:
     Equals (sqrt(1 + epsilon^2) - 1) / epsilon, evaluated in the
     cancellation-free form epsilon / (1 + sqrt(1 + epsilon^2)).
     """
-    if not (0.0 < epsilon <= 1.0):
+    if not (0.0 < _real("epsilon", epsilon) <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     return epsilon / (1.0 + math.sqrt(1.0 + epsilon * epsilon))
 
@@ -483,10 +483,10 @@ def gibbs_combine(mu_w: float, mu_v: float, epsilon: float) -> float:
     relative epsilon of the true quotient: the deflation compensates the
     asymmetric blow-up that division inflicts on relative errors.
     """
-    if not (math.isfinite(mu_w) and mu_w > 0.0):
+    if not (math.isfinite(_real("mu_w", mu_w)) and mu_w > 0.0):
         raise ValueError(f"mu_w must be positive and finite, got {mu_w!r}")
-    if not (math.isfinite(mu_v) and mu_v > 0.0):
+    if not (math.isfinite(_real("mu_v", mu_v)) and mu_v > 0.0):
         raise ValueError(f"mu_v must be positive and finite, got {mu_v!r}")
-    if not (0.0 <= epsilon <= 1.0):
+    if not (0.0 <= _real("epsilon", epsilon) <= 1.0):
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     return (mu_w / mu_v) / math.sqrt(1.0 + epsilon * epsilon)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psi import TruncationScale, _repair_tails, _scaled_psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
-from .sources import InsufficientSamplesError, _float_sized, _integer
+from .sources import InsufficientSamplesError, _float_sized, _integer, _real
 
 __all__ = [
     "Mode",
@@ -60,9 +60,9 @@ class SourceContractError(ValueError):
 
 def _check_accuracy(epsilon: float, delta: float) -> None:
     """ApproxSpec's check of epsilon and delta, for callers that know no c yet."""
-    if not (0.0 < epsilon < 1.0):
+    if not (0.0 < _real("epsilon", epsilon) < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not (0.0 < delta < 1.0):
+    if not (0.0 < _real("delta", delta) < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
 
@@ -77,7 +77,7 @@ class ApproxSpec:
 
     def __post_init__(self) -> None:
         _check_accuracy(self.epsilon, self.delta)
-        if not (math.isfinite(self.c) and self.c > 0.0):
+        if not (math.isfinite(_real("c", self.c)) and self.c > 0.0):
             raise ValueError(f"c must be positive and finite, got {self.c!r}")
         # the closed forms divide by c^2, epsilon^2, epsilon1^2 and delta / 2
         # (STRICT); one that underflows or overflows would surface as a
@@ -223,16 +223,16 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
     return q / (math.sqrt(math.pi * r) * (1.0 - 2.0 * nu_sq)) * (4.0 * q) ** r
 
 
-def _fill_rows(sources, width: int, stage: str, out=None, stage2_from=None) -> np.ndarray:
+def _fill_rows(sources, width: int, stage: str, stage2_from=None) -> np.ndarray:
     """Row i: the next `width` draws of sources[i].  Every estimator draw
     passes this gate of the take contract: take(width) returns exactly
     `width` draws, all finite, or SourceContractError names the stage (and,
     for a non-finite draw, the source's distribution spec string).  A take
     that holds both stages of a run gives stage2_from, its first stage-2
     column: a non-finite draw is then named by the stage of its column.
-    The rows are written into `out`, a len(sources) x width matrix or view;
-    without one, the single source's take is the one row, uncopied."""
-    rows = out
+    The rows of several sources are written into one new matrix; a single
+    source's take is the one row, uncopied."""
+    rows = np.empty((len(sources), width)) if len(sources) > 1 else None
     for i, source in enumerate(sources):
         draws = np.asarray(source.take(width), dtype=float)
         if draws.shape != (width,):
@@ -305,7 +305,7 @@ def _overflow_error(stage: str, terms: str, count: int) -> ValueError:
     )
 
 
-def _median_rows(read, k: int, m: int) -> np.ndarray:
+def _median_rows(read, k: int, m: int, stage: str) -> np.ndarray:
     """Per row: the median of m group means, each over k consecutive draws
     of the reader `read` (k*m draws).
 
@@ -315,12 +315,12 @@ def _median_rows(read, k: int, m: int) -> np.ndarray:
 
     The draws are finite, so a group sum is non-finite only where it
     overflowed (to inf, or to NaN where its partial sums overflowed both
-    ways); such a row's median is NaN, whichever rank the group holds, for
-    the caller to name.  Since an overflow shows in the results, callers
-    run the kernel with numpy's overflow and invalid-value warnings off
-    (np.errstate), once for both stages' kernels rather than in each:
-    entering that state costs about as much as the checks of a one-row
-    call.
+    ways); whichever rank the group holds, that is a ValueError naming
+    `stage`, k and the largest draw magnitude such a sum holds.  Since an
+    overflow shows in the results, callers run the kernel with numpy's
+    overflow and invalid-value warnings off (np.errstate), once for both
+    stages' kernels rather than in each: entering that state costs about
+    as much as the checks of a one-row call.
     """
     sums = []
     if k <= _BLOCK:
@@ -335,23 +335,13 @@ def _median_rows(read, k: int, m: int) -> np.ndarray:
     group_means = np.concatenate(sums, axis=1) if len(sums) > 1 else sums[0]
     group_means /= k
     group_means.sort(axis=1)
-    medians = group_means[:, m // 2]
     # sorting puts a row's non-finite group means at its ends: -inf first,
     # +inf and NaN last; checked in Python, cheaper than an array test at a
     # few rows
-    for i, (lo, hi) in enumerate(zip(group_means[:, 0].tolist(), group_means[:, -1].tolist())):
+    for lo, hi in zip(group_means[:, 0].tolist(), group_means[:, -1].tolist()):
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            medians[i] = math.nan
-    return medians
-
-
-def _positive_centre(mu1: float) -> float:
-    """A stage-1 estimate, which must be positive to centre stage 2."""
-    if not mu1 > 0.0:
-        raise NonpositiveEstimateError(
-            f"stage-1 estimate {mu1!r} is not positive; the method requires a positive mean"
-        )
-    return mu1
+            raise _overflow_error(stage, f"a group sum of k = {k} draws", k)
+    return group_means[:, m // 2]
 
 
 def _truncation_scale(mu1: float, spec: ApproxSpec) -> TruncationScale:
@@ -413,45 +403,30 @@ def _two_stage_reduce(read1, read2, spec: ApproxSpec, plan: StagePlan):
     """(mu1, alpha, mu_hat) per row of the plan's k*m stage-1 draws, read by
     read1, and its n stage-2 draws, read by read2.  Each row gets exactly
     the arithmetic of a single run, so results do not depend on how runs
-    are grouped into calls, nor on how a stage is split into reads.
-
-    Every stage-2 draw is read before an error of the stage-1 centre is
-    raised, so a stage-2 take that breaks the contract is named first, as
-    when both stages were taken whole before either was reduced.  A centre
-    that is not finite comes from a stage-1 group sum that overflowed.  The
-    error raised is that of the first row that fails in a run of its own.
+    are grouped into calls, nor on how a stage is split into reads.  The
+    first row whose centre cannot start stage 2 raises at once, before any
+    stage-2 draw is read.
     """
     # stage 1: the median of means / (1 - epsilon1^2); the correction turns a
     # bound on |estimate/mean - 1| into the one on |mean/estimate - 1| that
     # stage 2's truncation scale needs
-    mu1 = _median_rows(read1, plan.k, plan.m) / (1.0 - plan.epsilon1_sq)
+    mu1 = _median_rows(read1, plan.k, plan.m, "stage 1") / (1.0 - plan.epsilon1_sq)
     # per-row checks in one Python loop, cheaper than array tests at a few
     # rows: alpha = epsilon / (c^2 mu1) as _truncation_scale computes it,
     # which runs only on a failing row, to raise what a single run raises
     c_sq = spec.c * spec.c
     alpha = []
-    try:
-        for v in mu1.tolist():
-            scaled_centre = c_sq * v
-            a = spec.epsilon / scaled_centre if 0.0 < v < math.inf and scaled_centre > 0.0 else math.inf
-            if a == math.inf:
-                if not math.isfinite(v):
-                    raise _overflow_error("stage 1", f"a group sum of k = {plan.k} draws", plan.k)
-                _truncation_scale(_positive_centre(v), spec)
-            alpha.append(a)
-    except (NonpositiveEstimateError, ValueError) as exc:
-        centre_error = exc
-    else:
-        alpha = np.array(alpha)
-        return mu1, alpha, _truncated_mean_rows(read2, plan.n, mu1, alpha)
-    _tree_sum(plan.n, _BLOCK // len(mu1), lambda lo, hi: read2(lo, hi).size)
-    if alpha:
-        # a single run of each row before the failing one reaches its stage
-        # 2, whose sum may overflow first; only a chunk's column reader, which
-        # reads any segment again, has more than one row
-        before = len(alpha)
-        _truncated_mean_rows(lambda lo, hi: read2(lo, hi)[:before], plan.n, mu1[:before], np.array(alpha))
-    raise centre_error
+    for v in mu1.tolist():
+        if not v > 0.0:
+            raise NonpositiveEstimateError(
+                f"stage-1 estimate {v!r} is not positive; the method requires a positive mean"
+            )
+        a = spec.epsilon / (c_sq * v) if c_sq * v > 0.0 else math.inf
+        if not 0.0 < a < math.inf:
+            _truncation_scale(v, spec)
+        alpha.append(a)
+    alpha = np.array(alpha)
+    return mu1, alpha, _truncated_mean_rows(read2, plan.n, mu1, alpha)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _median_rows
@@ -466,10 +441,7 @@ def median_of_means(source, k: int, m: int) -> float:
     m = _integer("group count m", m, 1)
     if m % 2 == 0:
         raise ValueError(f"group count m must be odd, got {m}")
-    median = float(_median_rows(_source_reader(source, "median of means"), k, m)[0])
-    if not math.isfinite(median):
-        raise _overflow_error("median of means", f"a group sum of k = {k} draws", k)
-    return median
+    return float(_median_rows(_source_reader(source, "median of means"), k, m, "median of means")[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _truncated_mean_rows

@@ -7,23 +7,27 @@ from the source's facts.  Baseline estimators run on the same total draw
 budget so sample-efficiency differences are visible at equal cost.
 
 Replicates run in chunks sized by draws: up to 32 rows of at most
-_CHUNK_DRAWS = 2**16 draws in all, but at least one row, so a budget above
-that gets chunks of one row.  The plan is built once per run, and so are
-the PCG64 seeds of all R replicate streams, in one vectorised pass that
-matches numpy's SeedSequence bit for bit (sources.py states the
+_CHUNK_DRAWS = 2**16 draws in all, but at least one row, so a budget
+above that gets chunks of one row.  The plan is built once per run, and
+so are the PCG64 seeds of all R replicate streams, in one vectorised pass
+that matches numpy's SeedSequence bit for bit (sources.py states the
 derivation).  Replicate r keeps its own stream (seed, r).  Each chunk's
 rows are drawn once, one take of each replicate's whole budget, its k*m
-stage-1 draws then its n stage-2 draws, into one rows x budget matrix,
-through the take-contract gate _fill_rows, which names a non-finite draw
-by the stage of its column; a SampleSource's takes concatenate, so these
-are the draws estimate_mean makes in its bounded takes.  Each estimator
-then reduces its own prefix of those rows, read by column views: the
-two-stage through _two_stage_reduce, the kernel estimate_mean runs on its
-source, with the arithmetic of a single run, so a coverage report is
-bit-identical to one replicate-at-a-time loop, and a sum that overflows
-raises the same error.  run_coverage certifies the two-stage estimator;
-the baselines are rows of compare_estimators, which reads each
-replicate's draws once and opens R streams, not one per estimator.
+stage-1 draws then its n stage-2 draws, into one rows x budget matrix (a
+one-row chunk is its take, uncopied), through the take-contract gate
+_fill_rows, which names a non-finite draw by the stage of its column; a
+SampleSource's takes concatenate, so these are the draws estimate_mean
+makes in its bounded takes.  Each estimator then reduces its own prefix
+of those rows, read by column views: the two-stage through
+_two_stage_reduce, the kernel estimate_mean runs on its source, with the
+arithmetic of a single run, so a coverage report is bit-identical to one
+replicate-at-a-time loop.  The kernels raise at their first fault; a
+chunk that raises runs again one replicate at a time, so the error is
+that of its first failing replicate, as in such a loop, or the chunk's
+own if each replicate runs clean alone.  run_coverage certifies the
+two-stage estimator; the baselines are rows of compare_estimators, which
+reads each replicate's draws once and opens R streams, not one per
+estimator.
 
 A run splits its replicates into contiguous slices of whole chunks, one
 per worker.  The first slice runs in the calling process and each other
@@ -293,28 +297,17 @@ def _estimator(kind: EstimatorKind, spec: ApproxSpec, plan):
     budget = plan.total_samples
     if kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
         mom_k, mom_m = _mom_baseline_params(spec, budget)
-        return _checked(
-            lambda rows: _median_rows(_column_reader(rows), mom_k, mom_m),
-            "median of means",
-            f"a group sum of k = {mom_k} draws",
-            mom_k,
-        )
-    return _checked(lambda rows: rows.mean(axis=1), "plain mean", f"the sum of {budget} draws", budget)
+        reduce = lambda rows: _median_rows(_column_reader(rows), mom_k, mom_m, "median of means")
+    else:
+        def reduce(rows):
+            # the draws are finite, so only a sum that overflowed gives a
+            # mean that is not
+            means = rows.mean(axis=1)
+            if not np.isfinite(means).all():
+                raise _overflow_error("plain mean", f"the sum of {budget} draws", budget)
+            return means
 
-
-def _checked(reduce, stage: str, terms: str, count: int):
-    """A baseline's reducer that raises the overflow error of its sum of
-    `terms`, `count` of them, for an estimate that is not finite: the
-    draws are, so only a sum that overflowed gives one."""
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def checked(rows):
-        estimates = reduce(rows)
-        if not np.isfinite(estimates).all():
-            raise _overflow_error(stage, terms, count)
-        return estimates
-
-    return checked
+    return np.errstate(over="ignore", invalid="ignore")(reduce)
 
 
 def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
@@ -322,9 +315,10 @@ def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
     replicate seeds and one round of slices.  Each chunk of replicates is
     drawn once, one take of k*m + n draws per replicate, and every kind
     reduces those rows into its column j of an R x len(kinds) array in
-    shared memory.  fill raises at its slice's first error, the one a
-    serial run over the slice would raise: a chunk's takes come before its
-    reductions, and the kinds reduce in order."""
+    shared memory.  fill raises at its slice's first failing replicate: a
+    chunk that raises is filled again one replicate at a time, and the
+    first replicate that fails alone raises its own error; if none does,
+    the chunk's error is raised."""
     spec = config.spec
     plan = build_plan(spec, config.mode)
     reducers = [_estimator(kind, spec, plan) for kind in kinds]
@@ -334,14 +328,23 @@ def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:
     values = _shared_empty((replications, len(kinds)))
     seed_words = _replicate_seed_words(config.seed, np.arange(replications))
 
+    def fill_chunk(start: int, stop: int) -> None:
+        sources = [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
+        rows = _fill_rows(sources, budget, "stages 1 and 2", stage2_from=plan.samples_stage1)
+        for j, reduce in enumerate(reducers):
+            values[start:stop, j] = reduce(rows)
+
     def fill(lo: int, hi: int) -> None:
         for start in range(lo, hi, chunk):
             stop = min(start + chunk, hi)
-            rows = np.empty((stop - start, budget))
-            sources = [SampleSource(config.dist, config.seed, r, seed_words[r]) for r in range(start, stop)]
-            _fill_rows(sources, budget, "stages 1 and 2", rows, stage2_from=plan.samples_stage1)
-            for j, reduce in enumerate(reducers):
-                values[start:stop, j] = reduce(rows)
+            try:
+                fill_chunk(start, stop)
+                continue
+            except Exception as exc:
+                error = exc
+            for r in range(start, stop):
+                fill_chunk(r, r + 1)
+            raise error
 
     workers = _worker_count(replications, budget)
     _run_slices(fill, _slice_bounds(replications, workers, chunk))

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sources import _real
+
 __all__ = ["TruncationScale", "psi", "psi_lower", "psi_upper", "scaled_psi"]
 
 
@@ -35,7 +37,7 @@ class TruncationScale:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+        if not (math.isfinite(_real("alpha", self.alpha)) and self.alpha > 0.0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
@@ -147,5 +149,5 @@ def scaled_psi(scale, u):
     rounding is carried back through the division, and the result may
     exceed |u| by up to 2**-1074 / alpha more.
     """
-    alpha = scale.alpha if isinstance(scale, TruncationScale) else TruncationScale(float(scale)).alpha
+    alpha = scale.alpha if isinstance(scale, TruncationScale) else TruncationScale(_real("scale", scale)).alpha
     return _match_input(_scaled_psi(alpha, _finite_array(u)), u)

@@ -63,9 +63,11 @@ class SourceFacts:
 
 def _real(name: str, value) -> float:
     """value as a float, if it is a real number: the one check of every real
-    distribution parameter, so a str, bytes, None or complex value is
-    rejected by name, not left to fail inside math or numpy."""
-    if not isinstance(value, numbers.Real):
+    argument at the public boundary (distribution parameters, epsilon,
+    delta, c, scales), so a str, bytes, None or complex value is rejected
+    by name, not left to fail inside math or numpy.  A float skips the ABC
+    check, which costs about 0.8 us."""
+    if not (type(value) is float or isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)

@@ -750,6 +750,65 @@ def test_the_first_failing_replicate_of_a_chunk_raises_its_own_error(monkeypatch
     assert str(serial.value) == str(parallel.value) == str(single.value)
 
 
+class _NanThenShort:
+    """Normal(10, 2) draws, except that the first take of replicate 2 holds
+    a NaN in its first column and that of replicate 5 comes up one draw
+    short."""
+
+    spec_string = "normal:10,2"
+
+    def __init__(self, seed):
+        self._nan = _BrokenAt._state(_replicate_rng(seed, 2))
+        self._short = _BrokenAt._state(_replicate_rng(seed, 5))
+
+    def sample(self, rng, n):
+        state = _BrokenAt._state(rng)
+        draws = rng.normal(10.0, 2.0, n - (state == self._short))
+        if state == self._nan:
+            draws[0] = np.nan
+        return draws
+
+    def facts(self):
+        return Normal(10.0, 2.0).facts()
+
+
+@pytest.mark.parametrize("compare", [False, True], ids=["coverage", "compare"])
+@pytest.mark.parametrize("workers", [SERIAL, PARALLEL], ids=["serial", "parallel"])
+def test_a_chunk_raises_its_first_failing_replicates_error(monkeypatch, workers, compare):
+    # replicates 2 and 5 share a chunk; a replicate-by-replicate loop meets
+    # replicate 2's non-finite draw before replicate 5's short take
+    config = CoverageConfig(SPEC, _NanThenShort(0), 100, seed=0)
+    assert build_plan(SPEC).total_samples == 208 and harness._chunk_rows(208) > 5
+    with pytest.raises(SourceContractError) as raised:
+        _run(monkeypatch, config, workers, 2, compare=compare)
+    assert str(raised.value) == "stage 1: take(208) returned a non-finite draw from normal:10,2"
+
+
+class _ShortOnce:
+    """Normal(100, 50) draws, except that the first take this object makes
+    comes up one draw short."""
+
+    spec_string = "short-once"
+
+    def __init__(self):
+        self.takes = 0
+
+    def sample(self, rng, n):
+        self.takes += 1
+        return rng.normal(100.0, 50.0, n - (self.takes == 1))
+
+    def facts(self):
+        return DIST.facts()
+
+
+def test_a_chunk_whose_replicates_pass_alone_raises_its_own_error(monkeypatch):
+    # the replicates rerun one at a time all succeed, so the chunk's own
+    # error stands; the run must not return a report
+    config = CoverageConfig(SPEC, _ShortOnce(), 100, seed=0)
+    with pytest.raises(SourceContractError, match=r"^stages 1 and 2: take\(208\) returned 207 draws in shape \(207,\)$"):
+        _run(monkeypatch, config, SERIAL)
+
+
 @pytest.mark.parametrize(
     "value, spec, message",
     [

@@ -102,7 +102,7 @@ def test_integer_arguments_are_checked_by_name(entry, bad):
         call(bad)
 
 
-# (distribution constructor with the real argument as its one parameter, name in the message)
+# (call with the real argument as its one parameter, name in the message)
 REAL_ARGUMENTS = {
     "Constant.value": (lambda v: relmean.Constant(v), "constant value"),
     "Normal.mu": (lambda v: relmean.Normal(v, 1.0), "Normal mu"),
@@ -112,6 +112,15 @@ REAL_ARGUMENTS = {
     "ParetoShape.a": (lambda v: relmean.ParetoShape(v), "Pareto shape"),
     "Scaled.factor": (lambda v: relmean.Scaled(relmean.Normal(1.0, 1.0), v), "scale factor"),
     "ScaledBernoulli.scale": (lambda v: relmean.ScaledBernoulli(0.5, v), "Bernoulli scale"),
+    "ApproxSpec.epsilon": (lambda v: relmean.ApproxSpec(v, 0.05, 1.0), "epsilon"),
+    "ApproxSpec.delta": (lambda v: relmean.ApproxSpec(0.1, v, 1.0), "delta"),
+    "ApproxSpec.c": (lambda v: relmean.ApproxSpec(0.1, 0.05, v), "c"),
+    "TruncationScale.alpha": (lambda v: relmean.TruncationScale(v), "alpha"),
+    "scaled_psi.scale": (lambda v: relmean.scaled_psi(v, 1.0), "scale"),
+    "eps_prime.epsilon": (lambda v: relmean.eps_prime(v), "epsilon"),
+    "gibbs_combine.mu_w": (lambda v: relmean.gibbs_combine(v, 2.0, 0.1), "mu_w"),
+    "gibbs_combine.mu_v": (lambda v: relmean.gibbs_combine(1.0, v, 0.1), "mu_v"),
+    "gibbs_combine.epsilon": (lambda v: relmean.gibbs_combine(1.0, 2.0, v), "epsilon"),
 }
 
 

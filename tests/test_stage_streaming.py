@@ -186,19 +186,20 @@ def test_coverage_frees_each_chunk_before_the_next():
 
 def test_a_coverage_chunk_of_a_large_budget_holds_one_row(monkeypatch):
     # a chunk holds about _CHUNK_DRAWS draws, and one row of a budget above
-    # that, whatever the budget; the run stays in this process, where
-    # tracemalloc sees it
+    # that, whatever the budget: the replicate's take itself, uncopied, and
+    # freed before the next replicate's take; the run stays in this process,
+    # where tracemalloc sees it
     spec = ApproxSpec(0.01, 0.05, 1.0)
     budget = build_plan(spec).total_samples
     assert budget == 96_526 > harness._CHUNK_DRAWS
     monkeypatch.setattr(harness, "_MIN_SLICE_DRAWS", 2**62)
     tracemalloc.start()
     try:
-        run_coverage(CoverageConfig(spec, Normal(100.0, 50.0), 100, 5))
+        run_coverage(CoverageConfig(spec, Normal(10.0, 10.0), 100, 5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * budget
+    assert peak <= 1.5 * 8 * budget
 
 
 def test_estimate_mean_peak_memory_does_not_grow_with_the_plan():
@@ -255,20 +256,22 @@ def test_a_stage_1_contract_error_comes_first(small_block):
 
 
 @pytest.mark.parametrize("value", [-1.0, 1e-310], ids=["nonpositive", "alpha-overflows"])
-def test_a_stage_2_contract_error_comes_before_a_centre_error(small_block, value):
-    # stage 1 alone would raise NonpositiveEstimateError, or the overflow of
-    # alpha; a broken stage-2 take is named first, with its width
-    at = PLAN.samples_stage1 + 150  # in the second leaf, of 119 draws
-    message = rf"stage 2: take\(119\) returned a non-finite draw from constant:{value:g}"
-    with pytest.raises(SourceContractError, match=message):
-        estimate_mean(_BrokenSource(Constant(value), at), SPEC)
-    with pytest.raises(SourceContractError, match=r"stage 2: take\(119\) returned 118 draws"):
-        estimate_mean(_BrokenSource(Constant(value), at, short=True), SPEC)
+def test_a_centre_error_is_raised_before_any_stage_2_take(small_block, value):
+    # stage 1 gives a centre that cannot start stage 2: a NonpositiveEstimateError,
+    # or the overflow of alpha, raised once the k*m stage-1 draws are taken
     source = _BrokenSource(Constant(value))
     error, message = (NonpositiveEstimateError, "not positive") if value < 0.0 else (ValueError, "too small")
     with pytest.raises(error, match=message):
         estimate_mean(source, SPEC)
-    assert source.position == PLAN.total_samples  # every stage-2 take made and checked
+    assert source.position == PLAN.samples_stage1
+
+
+def test_a_broken_stage_2_take_is_named_with_its_width(small_block):
+    at = PLAN.samples_stage1 + 150  # in the second leaf, of 119 draws
+    with pytest.raises(SourceContractError, match=r"stage 2: take\(119\) returned a non-finite draw from constant:3"):
+        estimate_mean(_BrokenSource(Constant(3.0), at), SPEC)
+    with pytest.raises(SourceContractError, match=r"stage 2: take\(119\) returned 118 draws"):
+        estimate_mean(_BrokenSource(Constant(3.0), at, short=True), SPEC)
 
 
 def test_recorded_exhaustion_is_raised_from_the_take_that_runs_out(small_block):
