@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .estimator import ApproxSpec, Mode, _check_accuracy, build_plan, estimate_mean
-from .sources import _float_sized, _integer, _real, _replicate_rng
+from .sources import _float_sized, _integer, _positive, _real, _replicate_rng
 
 DESK_SCALE_LIMIT = 10
 
@@ -74,7 +74,7 @@ class NestedChain:
 
     `known_terminal` is the exact size of the final set and
     `max_inverse_ratio` bounds every level: each survival ratio is at least
-    1 / max_inverse_ratio.
+    1 / max_inverse_ratio.  Both are kept as the floats they were checked as.
     """
 
     samplers: tuple[Sampler, ...]
@@ -84,10 +84,8 @@ class NestedChain:
     def __post_init__(self) -> None:
         if len(self.samplers) < 1:
             raise ValueError("a chain needs at least one level")
-        if not self.known_terminal > 0.0:
-            raise ValueError("known_terminal must be positive")
-        if not self.max_inverse_ratio >= 1.0:
-            raise ValueError("max_inverse_ratio must be at least 1")
+        object.__setattr__(self, "known_terminal", _positive("known_terminal", self.known_terminal))
+        object.__setattr__(self, "max_inverse_ratio", _ratio_bound(self.max_inverse_ratio))
 
     @property
     def k(self) -> int:
@@ -108,14 +106,20 @@ def _product_draws(chain: NestedChain, rng: np.random.Generator, n: int, m_per_l
     return out
 
 
+def _ratio_bound(max_inverse_ratio: float) -> float:
+    """max_inverse_ratio as a float, checked real, finite and at least 1."""
+    value = _real("max_inverse_ratio", max_inverse_ratio)
+    if not 1.0 <= value < math.inf:
+        raise ValueError(f"max_inverse_ratio must be finite and at least 1, got {max_inverse_ratio!r}")
+    return value
+
+
 def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
     """Relative-variance bound exp(k (M - 1) / m) - 1 for the product estimate,
     valid whenever every level ratio is at least 1/M."""
     k = _float_sized("k", _integer("k", k, 1))
     m = _float_sized("m", _integer("m", m, 1))
-    if not max_inverse_ratio >= 1.0:
-        raise ValueError("max_inverse_ratio must be at least 1")
-    return math.expm1(k * (max_inverse_ratio - 1.0) / m)
+    return math.expm1(k * (_ratio_bound(max_inverse_ratio) - 1.0) / m)
 
 
 def _chain_c(chain: NestedChain, m_per_level: int) -> float:
@@ -472,6 +476,7 @@ def eps_prime(epsilon: float) -> float:
     """
     if not (0.0 < _real("epsilon", epsilon) <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    epsilon = float(epsilon)
     return epsilon / (1.0 + math.sqrt(1.0 + epsilon * epsilon))
 
 
@@ -483,10 +488,8 @@ def gibbs_combine(mu_w: float, mu_v: float, epsilon: float) -> float:
     relative epsilon of the true quotient: the deflation compensates the
     asymmetric blow-up that division inflicts on relative errors.
     """
-    if not (math.isfinite(_real("mu_w", mu_w)) and mu_w > 0.0):
-        raise ValueError(f"mu_w must be positive and finite, got {mu_w!r}")
-    if not (math.isfinite(_real("mu_v", mu_v)) and mu_v > 0.0):
-        raise ValueError(f"mu_v must be positive and finite, got {mu_v!r}")
+    mu_w, mu_v = _positive("mu_w", mu_w), _positive("mu_v", mu_v)
     if not (0.0 <= _real("epsilon", epsilon) <= 1.0):
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    epsilon = float(epsilon)
     return (mu_w / mu_v) / math.sqrt(1.0 + epsilon * epsilon)

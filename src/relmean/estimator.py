@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psi import TruncationScale, _repair_tails, _scaled_psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
-from .sources import InsufficientSamplesError, _float_sized, _integer, _real
+from .sources import InsufficientSamplesError, _float_sized, _integer, _positive, _real
 
 __all__ = [
     "Mode",
@@ -58,27 +58,29 @@ class SourceContractError(ValueError):
     """A source's take(n) returned other than n finite draws."""
 
 
-def _check_accuracy(epsilon: float, delta: float) -> None:
-    """ApproxSpec's check of epsilon and delta, for callers that know no c yet."""
+def _check_accuracy(epsilon: float, delta: float) -> tuple[float, float]:
+    """ApproxSpec's check of epsilon and delta, as floats, for callers that know no c yet."""
     if not (0.0 < _real("epsilon", epsilon) < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not (0.0 < _real("delta", delta) < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    return float(epsilon), float(delta)
 
 
 @dataclass(frozen=True)
 class ApproxSpec:
     """Request: P(|estimate - mean| > epsilon * mean) <= delta, assuming the
-    sampled distribution has relative standard deviation at most c."""
+    sampled distribution has relative standard deviation at most c.  The
+    fields keep the floats they were checked as: every kernel runs in float64."""
 
     epsilon: float
     delta: float
     c: float
 
     def __post_init__(self) -> None:
-        _check_accuracy(self.epsilon, self.delta)
-        if not (math.isfinite(_real("c", self.c)) and self.c > 0.0):
-            raise ValueError(f"c must be positive and finite, got {self.c!r}")
+        epsilon, delta = _check_accuracy(self.epsilon, self.delta)
+        for name, value in (("epsilon", epsilon), ("delta", delta), ("c", _positive("c", self.c))):
+            object.__setattr__(self, name, value)
         # the closed forms divide by c^2, epsilon^2, epsilon1^2 and delta / 2
         # (STRICT); one that underflows or overflows would surface as a
         # division by zero or an infinite or NaN draw count
@@ -216,8 +218,9 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
 
     Returns nu_sq (1 - nu_sq) (4 nu_sq (1 - nu_sq))^r / (sqrt(pi r) (1 - 2 nu_sq)).
     """
-    if not (0.0 < nu_sq < 0.5):
+    if not (0.0 < _real("nu_sq", nu_sq) < 0.5):
         raise ValueError(f"nu_sq must lie in (0, 1/2), got {nu_sq!r}")
+    nu_sq = float(nu_sq)
     r = _float_sized("r", _integer("r", r, 1))
     q = nu_sq * (1.0 - nu_sq)
     return q / (math.sqrt(math.pi * r) * (1.0 - 2.0 * nu_sq)) * (4.0 * q) ** r
@@ -344,17 +347,23 @@ def _median_rows(read, k: int, m: int, stage: str) -> np.ndarray:
     return group_means[:, m // 2]
 
 
-def _truncation_scale(mu1: float, spec: ApproxSpec) -> TruncationScale:
-    """alpha = epsilon / (c^2 mu1) for a positive, finite centre mu1."""
-    if not (math.isfinite(mu1) and mu1 > 0.0):
-        raise ValueError(f"mu1 must be positive and finite, got {mu1!r}")
-    scaled_centre = spec.c * spec.c * mu1
-    alpha = spec.epsilon / scaled_centre if scaled_centre > 0.0 else math.inf
-    if alpha == math.inf:
-        raise ValueError(
-            f"mu1 = {mu1!r} is too small at c = {spec.c!r}: the truncation scale epsilon / (c^2 mu1) overflows"
-        )
-    return TruncationScale(alpha)
+def _truncation_scales(mu1_rows, spec: ApproxSpec) -> np.ndarray:
+    """alpha = epsilon / (c^2 mu1) per float centre mu1, checked in one
+    Python loop, cheaper than array tests at a few rows: a centre that is
+    not positive is a NonpositiveEstimateError, and an alpha that
+    overflows, or underflows to 0, a ValueError naming mu1 and c."""
+    c_sq = spec.c * spec.c
+    alpha = []
+    for mu1 in mu1_rows:
+        if not mu1 > 0.0:
+            raise NonpositiveEstimateError(f"stage-1 estimate {mu1!r} is not positive; the method requires a positive mean")
+        scaled_centre = c_sq * mu1
+        a = spec.epsilon / scaled_centre if scaled_centre > 0.0 else math.inf
+        if not 0.0 < a < math.inf:
+            size, fault = ("small", "overflows") if a == math.inf else ("large", "underflows to 0")
+            raise ValueError(f"mu1 = {mu1!r} is too {size} at c = {spec.c!r}: the truncation scale epsilon / (c^2 mu1) {fault}")
+        alpha.append(a)
+    return np.array(alpha)
 
 
 def _truncated_mean_rows(read, n: int, mu1: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -411,21 +420,7 @@ def _two_stage_reduce(read1, read2, spec: ApproxSpec, plan: StagePlan):
     # bound on |estimate/mean - 1| into the one on |mean/estimate - 1| that
     # stage 2's truncation scale needs
     mu1 = _median_rows(read1, plan.k, plan.m, "stage 1") / (1.0 - plan.epsilon1_sq)
-    # per-row checks in one Python loop, cheaper than array tests at a few
-    # rows: alpha = epsilon / (c^2 mu1) as _truncation_scale computes it,
-    # which runs only on a failing row, to raise what a single run raises
-    c_sq = spec.c * spec.c
-    alpha = []
-    for v in mu1.tolist():
-        if not v > 0.0:
-            raise NonpositiveEstimateError(
-                f"stage-1 estimate {v!r} is not positive; the method requires a positive mean"
-            )
-        a = spec.epsilon / (c_sq * v) if c_sq * v > 0.0 else math.inf
-        if not 0.0 < a < math.inf:
-            _truncation_scale(v, spec)
-        alpha.append(a)
-    alpha = np.array(alpha)
+    alpha = _truncation_scales(mu1.tolist(), spec)
     return mu1, alpha, _truncated_mean_rows(read2, plan.n, mu1, alpha)
 
 
@@ -452,10 +447,11 @@ def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, Trunca
     Each draw x contributes mu1 + psi(alpha (x - mu1)) / alpha with
     alpha = epsilon / (c^2 mu1).
     """
-    alpha = _truncation_scale(mu1, spec)
+    mu1 = _positive("mu1", mu1)
+    alpha = _truncation_scales([mu1], spec)
     read = _source_reader(source, "stage 2")
-    mu_hat = _truncated_mean_rows(read, build_plan(spec).n, np.array([mu1], dtype=float), np.array([alpha.alpha]))
-    return float(mu_hat[0]), alpha
+    mu_hat = _truncated_mean_rows(read, build_plan(spec).n, np.array([mu1]), alpha)
+    return float(mu_hat[0]), TruncationScale(float(alpha[0]))
 
 
 def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> EstimateReport:

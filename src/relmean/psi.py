@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import _real
+from .sources import _positive
 
 __all__ = ["TruncationScale", "psi", "psi_lower", "psi_upper", "scaled_psi"]
 
@@ -37,8 +37,7 @@ class TruncationScale:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(_real("alpha", self.alpha)) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
 
 
 def _finite_array(u) -> np.ndarray:
@@ -57,9 +56,10 @@ def _scaled_psi_into(w: np.ndarray, alpha, t: np.ndarray | None = None, u: np.nd
     checks; alpha is a positive float or broadcasts against w.
 
     psi(v) = sign(v) * log1p(|v| + v^2/2); sign(v) * (rather than copysign)
-    keeps psi(-0.0) at +0.0.  t and u are scratch arrays of w's shape, which
-    numpy allocates when they are not given.  Where alpha w or its square
-    overflows, the entry comes out infinite.
+    keeps psi(-0.0) at +0.0.  t and u are scratch arrays of w's shape;
+    numpy allocates them when not given, but a 0-d w needs them given: its
+    w * 0.5 is a numpy scalar, which np.log1p(t, out=t) rejects with a
+    TypeError.  Where alpha w or its square overflows, the entry is infinite.
     """
     w *= alpha
     t = np.multiply(w, 0.5, out=t)
@@ -149,5 +149,5 @@ def scaled_psi(scale, u):
     rounding is carried back through the division, and the result may
     exceed |u| by up to 2**-1074 / alpha more.
     """
-    alpha = scale.alpha if isinstance(scale, TruncationScale) else TruncationScale(_real("scale", scale)).alpha
+    alpha = scale.alpha if isinstance(scale, TruncationScale) else _positive("scale", scale)
     return _match_input(_scaled_psi(alpha, _finite_array(u)), u)

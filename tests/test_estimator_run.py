@@ -137,6 +137,13 @@ def test_stage1_centre_too_small_for_a_finite_truncation_scale_is_named():
         stage2_estimate(SampleSource(Constant(1.0), 0), 1e-310, spec)
 
 
+def test_a_centre_too_large_for_a_nonzero_truncation_scale_is_named():
+    # c^2 mu1 = 1e310 overflows, so alpha = epsilon / (c^2 mu1) comes out 0
+    message = r"mu1 = 1e\+300 is too large at c = 100000\.0: the truncation scale epsilon / \(c\^2 mu1\) underflows to 0"
+    with pytest.raises(ValueError, match=message):
+        stage2_estimate(SampleSource(Constant(1.0), 0), 1e300, ApproxSpec(0.1, 0.05, 1e5))
+
+
 @pytest.mark.parametrize(
     "value, message",
     [

@@ -3,12 +3,16 @@ the argument checks at its entry points."""
 
 from __future__ import annotations
 
+import csv
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +125,26 @@ REAL_ARGUMENTS = {
     "gibbs_combine.mu_w": (lambda v: relmean.gibbs_combine(v, 2.0, 0.1), "mu_w"),
     "gibbs_combine.mu_v": (lambda v: relmean.gibbs_combine(1.0, v, 0.1), "mu_v"),
     "gibbs_combine.epsilon": (lambda v: relmean.gibbs_combine(1.0, 2.0, v), "epsilon"),
+    "stage2_estimate.mu1": (lambda v: relmean.stage2_estimate(_source(), v, SPEC), "mu1"),
+    "NestedChain.known_terminal": (lambda v: relmean.NestedChain(SURE_CHAIN.samplers, v, 1.0), "known_terminal"),
+    "NestedChain.max_inverse_ratio": (
+        lambda v: relmean.NestedChain(SURE_CHAIN.samplers, 1.0, v), "max_inverse_ratio"),
+    "product_variance_bound.max_inverse_ratio": (
+        lambda v: relmean.product_variance_bound(3, v, 3), "max_inverse_ratio"),
+    "mom_failure_bound.nu_sq": (lambda v: relmean.mom_failure_bound(v, 3), "nu_sq"),
 }
+
+# (constructor given one real value in every real argument, the fields that
+# must keep it as a float)
+STORED_FLOATS = {
+    "ApproxSpec": (lambda v: relmean.ApproxSpec(v, v, v), ("epsilon", "delta", "c")),
+    "TruncationScale": (lambda v: relmean.TruncationScale(v), ("alpha",)),
+    "NestedChain": (
+        lambda v: relmean.NestedChain(SURE_CHAIN.samplers, v, 1 + v), ("known_terminal", "max_inverse_ratio")),
+}
+
+# one half, as each kind of real number a caller may pass
+HALVES = [np.float32(0.5), Fraction(1, 2), 0.5]
 
 
 @pytest.mark.parametrize("bad", ["2", b"2", None, 2 + 0j])
@@ -139,6 +162,54 @@ def test_real_arguments_beyond_the_float_range_are_checked_by_name(entry):
     call, name = REAL_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=rf"{re.escape(name)} must be finite"):
         call(10**400)
+
+
+@pytest.mark.parametrize("entry", ["NestedChain.known_terminal", "NestedChain.max_inverse_ratio",
+                                   "product_variance_bound.max_inverse_ratio", "stage2_estimate.mu1"])
+def test_infinite_bounds_are_checked_by_name(entry):
+    call, name = REAL_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=rf"{re.escape(name)} must be .*finite.*, got inf"):
+        call(math.inf)
+
+
+@pytest.mark.parametrize("value", HALVES, ids=repr)
+@pytest.mark.parametrize("entry", STORED_FLOATS)
+def test_constructors_keep_the_floats_they_check(entry, value):
+    build, names = STORED_FLOATS[entry]
+    built = build(value)
+    assert [type(getattr(built, name)) for name in names] == [float] * len(names)
+    assert built == build(0.5)
+
+
+@pytest.mark.parametrize("c", HALVES, ids=repr)
+def test_a_spec_computes_alpha_in_float64(c):
+    # a float32 c used to square in float32, with an overflow warning from
+    # the spec's range check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = relmean.estimate_mean(relmean.SampleSource(relmean.Normal(10, 1), 3), relmean.ApproxSpec(0.2, 0.1, c))
+    assert report.alpha.alpha == 0.07679400704633757
+
+
+def test_a_fraction_c_is_written_as_a_float(tmp_path):
+    spec = relmean.ApproxSpec(0.2, 0.1, Fraction(1, 2))
+    report = relmean.run_coverage(relmean.CoverageConfig(spec, relmean.Normal(10, 2), 100, 1))
+    relmean.write_csv([report], tmp_path / "coverage.csv")
+    with open(tmp_path / "coverage.csv", encoding="ascii") as fh:
+        assert next(csv.DictReader(fh))["c"] == "0.5"
+
+
+@pytest.mark.parametrize("value", HALVES, ids=repr)
+def test_real_results_are_float64(value):
+    # a float32 epsilon used to give a float32 eps_prime and a quotient
+    # deflated in float32
+    results = [relmean.eps_prime(value), relmean.gibbs_combine(1.0, 2.0, value), relmean.mom_failure_bound(value / 2, 3)]
+    assert [type(result) for result in results] == [float] * 3
+    assert results == [relmean.eps_prime(0.5), relmean.gibbs_combine(1.0, 2.0, 0.5), relmean.mom_failure_bound(0.25, 3)]
+
+
+def test_a_truncation_scale_of_a_fraction_scales_as_its_float():
+    assert relmean.scaled_psi(relmean.TruncationScale(Fraction(1, 2)), 1.0) == relmean.scaled_psi(0.5, 1.0)
 
 
 def test_coverage_config_takes_mode_by_value():

@@ -53,6 +53,11 @@ def test_truncation_scale_validation():
         TruncationScale(math.inf)
 
 
+def test_scaled_psi_names_its_scale():
+    with pytest.raises(ValueError, match=r"^scale must be positive and finite, got 0\.0$"):
+        scaled_psi(0.0, 1.0)
+
+
 def test_rejects_non_finite_input():
     with pytest.raises(ValueError):
         psi(math.nan)
