@@ -116,10 +116,18 @@ def _ratio_bound(max_inverse_ratio: float) -> float:
 
 def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
     """Relative-variance bound exp(k (M - 1) / m) - 1 for the product estimate,
-    valid whenever every level ratio is at least 1/M."""
+    valid whenever every level ratio is at least 1/M.  A bound beyond the
+    largest float is a ValueError naming k, M and m."""
     k = _float_sized("k", _integer("k", k, 1))
     m = _float_sized("m", _integer("m", m, 1))
-    return math.expm1(k * (_ratio_bound(max_inverse_ratio) - 1.0) / m)
+    ratio = _ratio_bound(max_inverse_ratio)
+    try:
+        bound = math.expm1(k * (ratio - 1.0) / m)
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise ValueError(f"the product variance bound exp(k (M - 1) / m) - 1 overflows a float at k = {k}, M = {ratio!r}, m = {m}")
+    return bound
 
 
 def _chain_c(chain: NestedChain, m_per_level: int) -> float:

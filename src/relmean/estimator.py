@@ -11,6 +11,7 @@ information lower bound on how few draws any estimator could use.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -186,8 +187,14 @@ def build_plan(spec: ApproxSpec, mode: Mode = Mode.STRICT) -> StagePlan:
     epsilon1 = sqrt(epsilon c^2 / (1 + c^2)), k = ceil(8 c^2 / epsilon1^2)
     draws per group, m groups sized from the stage-1 budget (delta in
     PAPER_EXACT mode, delta / 2 in STRICT mode), and n = ceil(stage2_count_real).
+    Plans are cached per (spec, mode): a plan is a pure function of the two,
+    and all three are frozen.
     """
-    mode = Mode(mode)
+    return _cached_plan(spec, Mode(mode))
+
+
+@functools.lru_cache
+def _cached_plan(spec: ApproxSpec, mode: Mode) -> StagePlan:
     epsilon1_sq = _epsilon1_sq(spec)
     k = math.ceil(_group_size_real(spec, epsilon1_sq))
     d = spec.delta if mode is Mode.PAPER_EXACT else spec.delta / 2.0
@@ -424,6 +431,37 @@ def _two_stage_reduce(read1, read2, spec: ApproxSpec, plan: StagePlan):
     return mu1, alpha, _truncated_mean_rows(read2, plan.n, mu1, alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # for both stages: see _median_rows
+def _one_block_run(source, spec: ApproxSpec, plan: StagePlan) -> tuple[float, float, float]:
+    """(mu1, alpha, mu_hat) of a run on `source` whose stages each fit one
+    take: _two_stage_reduce's arithmetic on one row, as floats, with each
+    stage taken and reduced as one block.
+
+    The group sums are the one add.reduce the streamed kernel makes over a
+    take of k*m draws, and the stage-2 sum its one leaf of n terms, so the
+    results are bit-identical to it; so are its errors, raised in its order.
+    """
+    k, m, n = plan.k, plan.m, plan.n
+    group_means = np.add.reduce(_fill_rows([source], k * m, "stage 1").reshape(m, k), axis=1)
+    group_means /= k
+    group_means.sort()
+    if not (math.isfinite(group_means[0]) and math.isfinite(group_means[-1])):
+        raise _overflow_error("stage 1", f"a group sum of k = {k} draws", k)
+    mu1 = float(group_means[m // 2]) / (1.0 - plan.epsilon1_sq)
+    alpha = float(_truncation_scales([mu1], spec)[0])
+    draws = _fill_rows([source], n, "stage 2")[0]
+    terms = draws - mu1
+    _scaled_psi_into(terms, alpha)
+    terms += mu1
+    total = np.add.reduce(terms)
+    if not math.isfinite(total):
+        _repair_tails(terms, draws, alpha, mu1)
+        total = np.add.reduce(terms)
+        if not math.isfinite(total):
+            raise _overflow_error("stage 2", f"the sum of n = {n} terms", n)
+    return mu1, alpha, float(total) / n
+
+
 @np.errstate(over="ignore", invalid="ignore")  # see _median_rows
 def median_of_means(source, k: int, m: int) -> float:
     """Median of m group means, each over k consecutive draws (k*m draws).
@@ -458,26 +496,26 @@ def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> Estimat
     """Run both stages on fresh draws from one stream and report the result.
 
     The source must provide iid draws through take(n); stage 2 never reuses
-    stage-1 draws.  Each stage is taken in takes of at most _BLOCK draws,
-    reduced as they arrive, so memory does not grow with the plan.  When
-    the source's mean is positive and its relative standard deviation is at
+    stage-1 draws.  A plan whose stages each fit one take of _BLOCK draws is
+    reduced in one block per stage; a larger stage is taken in takes of at
+    most _BLOCK draws, reduced as they arrive, so memory does not grow with
+    the plan.  Either way the sums are bit for bit those of one add.reduce
+    over the whole stage.  Plans come from build_plan's cache.  When the
+    source's mean is positive and its relative standard deviation is at
     most spec.c, the reported mu_hat satisfies
     P(|mu_hat - mean| > epsilon * mean) <= delta.
     """
     plan = build_plan(spec, mode)
     try:
-        mu1, alpha, mu_hat = _two_stage_reduce(
-            _source_reader(source, "stage 1"), _source_reader(source, "stage 2"), spec, plan
-        )
+        if plan.samples_stage1 <= _BLOCK and plan.n <= _BLOCK:
+            mu1, alpha, mu_hat = _one_block_run(source, spec, plan)
+        else:
+            rows = _two_stage_reduce(_source_reader(source, "stage 1"), _source_reader(source, "stage 2"), spec, plan)
+            mu1, alpha, mu_hat = (float(row[0]) for row in rows)
     except InsufficientSamplesError as exc:
         # a finite source runs out in one take; name the whole plan's need
         raise InsufficientSamplesError(f"{exc}; the plan takes {plan.total_samples} draws") from exc
-    return EstimateReport(
-        mu1=float(mu1[0]),
-        alpha=TruncationScale(float(alpha[0])),
-        mu_hat=float(mu_hat[0]),
-        plan=plan,
-    )
+    return EstimateReport(mu1=mu1, alpha=TruncationScale(alpha), mu_hat=mu_hat, plan=plan)
 
 
 def lower_bound_samples(spec: ApproxSpec) -> float:

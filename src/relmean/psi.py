@@ -14,7 +14,10 @@ by the finite tail formula.  ``psi`` (alpha = 1) and ``scaled_psi`` run
 both on a copy of their input; the estimator's stage-2 kernel runs the
 evaluator on each leaf of draws it reads, at most about 16k at a time,
 and the repair on each row of a leaf whose sum is non-finite, so all three
-agree bit for bit.  The envelopes are rounded outward, so that
+agree bit for bit, but for the sign of a zero: the evaluator keeps the
+sign of alpha w, so a -0.0 stays -0.0, and only ``psi`` and
+``scaled_psi`` turn it into +0.0 (the kernel adds a positive centre to
+each entry).  The envelopes are rounded outward, so that
 psi_lower(u) <= psi(u) <= psi_upper(u) holds in floating point too.
 """
 
@@ -55,11 +58,13 @@ def _scaled_psi_into(w: np.ndarray, alpha, t: np.ndarray | None = None, u: np.nd
     """Overwrite the float array w with psi(alpha w) / alpha, without input
     checks; alpha is a positive float or broadcasts against w.
 
-    psi(v) = sign(v) * log1p(|v| + v^2/2); sign(v) * (rather than copysign)
-    keeps psi(-0.0) at +0.0.  t and u are scratch arrays of w's shape;
-    numpy allocates them when not given, but a 0-d w needs them given: its
-    w * 0.5 is a numpy scalar, which np.log1p(t, out=t) rejects with a
-    TypeError.  Where alpha w or its square overflows, the entry is infinite.
+    psi(v) = sign(v) * log1p(|v| + v^2/2), written by copysign, so an entry
+    -0.0 stays -0.0: _scaled_psi turns it into +0.0, and a kernel term
+    mu1 + psi / alpha, with mu1 > 0, is never a signed zero.  t and u are
+    scratch arrays of w's shape; numpy allocates them when not given, but a
+    0-d w needs them given: its w * 0.5 is a numpy scalar, which
+    np.log1p(t, out=t) rejects with a TypeError.  Where alpha w or its
+    square overflows, the entry is infinite.
     """
     w *= alpha
     t = np.multiply(w, 0.5, out=t)
@@ -67,7 +72,7 @@ def _scaled_psi_into(w: np.ndarray, alpha, t: np.ndarray | None = None, u: np.nd
     u = np.abs(w, out=u)
     t += u
     np.log1p(t, out=t)
-    np.multiply(np.sign(w, out=u), t, out=w)
+    np.copysign(t, w, out=w)
     w /= alpha
 
 
@@ -88,11 +93,14 @@ def _repair_tails(terms: np.ndarray, x: np.ndarray, alpha, centre=0.0) -> None:
 
 def _scaled_psi(alpha: float, arr: np.ndarray) -> np.ndarray:
     """psi(alpha * arr) / alpha for a float array, by the one evaluator on a
-    copy, with its overflowed entries repaired."""
+    copy, with its overflowed entries repaired and -0.0 turned into +0.0
+    (-0.0 + 0.0 is +0.0; every other entry is unchanged), so psi(-0.0) is
+    +0.0."""
     w = arr.copy()  # a copy of a 0-d array stays an array, which the evaluator writes
     with np.errstate(over="ignore"):
         _scaled_psi_into(w, alpha, np.empty_like(w), np.empty_like(w))
     _repair_tails(w, arr, alpha)
+    w += 0.0
     return w
 
 

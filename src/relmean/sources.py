@@ -90,11 +90,13 @@ class Constant:
     value: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(_real("constant value", self.value)):
+        value = _real("constant value", self.value)
+        if not math.isfinite(value):
             raise ValueError(f"constant value must be finite, got {self.value!r}")
+        object.__setattr__(self, "value", value)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, float(self.value))
+        return np.full(n, self.value)
 
     def facts(self) -> SourceFacts:
         return SourceFacts(_positive("constant value", self.value), 0.0, 0.0)
@@ -113,6 +115,8 @@ class Normal:
         mu, sigma = _real("Normal mu", self.mu), _real("Normal sigma", self.sigma)
         if not (math.isfinite(mu) and math.isfinite(sigma) and sigma >= 0.0):
             raise ValueError("Normal requires finite mu and sigma >= 0")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mu, self.sigma, n)
@@ -137,6 +141,7 @@ class LogNormal:
         s = _real("LogNormal s", self.s)
         if not (math.isfinite(s) and s >= 0.0):
             raise ValueError("LogNormal requires s >= 0")
+        object.__setattr__(self, "s", s)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.lognormal(0.0, self.s, n)
@@ -158,9 +163,11 @@ class ScaledBernoulli:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < _real("Bernoulli probability", self.p) <= 1.0):
+        p = _real("Bernoulli probability", self.p)
+        if not 0.0 < p <= 1.0:
             raise ValueError("Bernoulli probability must lie in (0, 1]")
-        _positive("Bernoulli scale", self.scale)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "scale", _positive("Bernoulli scale", self.scale))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale * (rng.random(n) < self.p).astype(float)
@@ -185,7 +192,7 @@ class ParetoShape:
     a: float
 
     def __post_init__(self) -> None:
-        _positive("Pareto shape", self.a)
+        object.__setattr__(self, "a", _positive("Pareto shape", self.a))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return 1.0 + rng.pareto(self.a, n)
@@ -254,7 +261,7 @@ class Scaled:
     factor: float
 
     def __post_init__(self) -> None:
-        _positive("scale factor", self.factor)
+        object.__setattr__(self, "factor", _positive("scale factor", self.factor))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.factor * self.inner.sample(rng, n)

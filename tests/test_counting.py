@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,23 @@ def test_variance_bound_values():
         product_variance_bound(0, 2.0, 10)
     with pytest.raises(ValueError):
         product_variance_bound(3, 0.5, 10)
+
+
+@pytest.mark.parametrize(
+    "k, max_inverse_ratio, m", [(1, 1000.0, 1), (3, 238.0, 1), (10**300, 1e300, 1)], ids=["one-level", "three-levels", "infinite-exponent"]
+)
+def test_a_variance_bound_beyond_the_float_range_is_named(k, max_inverse_ratio, m):
+    # exp(k (M - 1) / m) overflows, or its exponent does: math.expm1 raised
+    # a bare OverflowError, or returned inf
+    with pytest.raises(ValueError, match=re.escape(f"overflows a float at k = {k}, M = {max_inverse_ratio!r}, m = {m}")):
+        product_variance_bound(k, max_inverse_ratio, m)
+
+
+def test_a_chain_whose_variance_bound_overflows_is_named():
+    assert product_variance_bound(3, 238.0, 2) == math.expm1(355.5)
+    chain = NestedChain((bernoulli_sampler(0.5),) * 3, 1.0, 238.0)
+    with pytest.raises(ValueError, match=r"overflows a float at k = 3, M = 238\.0, m = 1$"):
+        counting._chain_c(chain, 1)
 
 
 def test_empirical_relvar_respects_bound():

@@ -226,10 +226,14 @@ def test_estimate_mean_scale_equivariance_single_case():
 
 
 def test_estimate_mean_propagates_exhaustion():
+    # a plan whose stages each fit one take names its draws too
     from relmean import InsufficientSamplesError
 
     spec = ApproxSpec(0.2, 0.1, 1.0)
-    with pytest.raises(InsufficientSamplesError):
+    total = build_plan(spec).total_samples
+    assert total == 471
+    message = rf"^recorded source holds 3 values, needed 240; the plan takes {total} draws$"
+    with pytest.raises(InsufficientSamplesError, match=message):
         estimate_mean(SampleSource(Recorded((1.0, 2.0, 3.0)), seed=0), spec)
 
 

@@ -135,12 +135,21 @@ REAL_ARGUMENTS = {
 }
 
 # (constructor given one real value in every real argument, the fields that
-# must keep it as a float)
+# must keep it as a float); the distributions also write it in spec strings
+STORED_DISTRIBUTION_FLOATS = {
+    "Constant": (lambda v: relmean.Constant(v), ("value",)),
+    "Normal": (lambda v: relmean.Normal(v, v), ("mu", "sigma")),
+    "LogNormal": (lambda v: relmean.LogNormal(v), ("s",)),
+    "ScaledBernoulli": (lambda v: relmean.ScaledBernoulli(v, v), ("p", "scale")),
+    "ParetoShape": (lambda v: relmean.ParetoShape(v), ("a",)),
+    "Scaled": (lambda v: relmean.Scaled(relmean.Constant(1.0), v), ("factor",)),
+}
 STORED_FLOATS = {
     "ApproxSpec": (lambda v: relmean.ApproxSpec(v, v, v), ("epsilon", "delta", "c")),
     "TruncationScale": (lambda v: relmean.TruncationScale(v), ("alpha",)),
     "NestedChain": (
         lambda v: relmean.NestedChain(SURE_CHAIN.samplers, v, 1 + v), ("known_terminal", "max_inverse_ratio")),
+    **STORED_DISTRIBUTION_FLOATS,
 }
 
 # one half, as each kind of real number a caller may pass
@@ -179,6 +188,15 @@ def test_constructors_keep_the_floats_they_check(entry, value):
     built = build(value)
     assert [type(getattr(built, name)) for name in names] == [float] * len(names)
     assert built == build(0.5)
+
+
+@pytest.mark.parametrize("value", HALVES, ids=repr)
+@pytest.mark.parametrize("entry", STORED_DISTRIBUTION_FLOATS)
+def test_distributions_write_their_spec_strings_from_floats(entry, value):
+    # a Fraction parameter used to reach the spec string's format, which
+    # raised a TypeError
+    build, _ = STORED_DISTRIBUTION_FLOATS[entry]
+    assert build(value).spec_string == build(0.5).spec_string
 
 
 @pytest.mark.parametrize("c", HALVES, ids=repr)

@@ -23,6 +23,7 @@ from relmean import (
     ParetoShape,
     Recorded,
     SampleSource,
+    Scaled,
     ScaledBernoulli,
     SourceContractError,
     build_plan,
@@ -289,3 +290,110 @@ def test_leaves_with_opposite_infinite_terms_are_repaired_without_a_warning(smal
     report = estimate_mean(source, SPEC)
     assert math.isfinite(report.mu_hat)
     assert report.mu_hat == np.mean(report.mu1 + scaled_psi(report.alpha, tail - report.mu1))
+
+
+# --- a plan whose stages each fit one take -----------------------------------
+#
+# estimate_mean reduces such a plan in one block per stage; _two_stage_reduce,
+# on one reader per stage, is the reference it must equal bit for bit, in its
+# results and in the type and message of its errors.
+
+ONE_TAKE_DISTS = DISTS[:-1] + (
+    Scaled(ParetoShape(2.5), 3.0),
+    Recorded(tuple(SampleSource(LogNormal(0.5), 99).take(8000).tolist())),
+)
+ONE_TAKE_SPECS = (
+    ApproxSpec(0.2, 1e-6, 0.5),
+    ApproxSpec(0.1, 0.05, 1.0),
+    ApproxSpec(0.3, 0.2, 2.0),
+    ApproxSpec(0.05, 0.01, 0.3),
+    ApproxSpec(0.5, 0.3, 0.2),  # n = 2
+    ApproxSpec(0.15, 1e-3, 1.5),
+    ApproxSpec(0.99, 0.5, 4.0),  # n = 6790
+)
+
+
+def _outcome(run):
+    """The floats run() returns, as hex strings (which tell -0.0 from 0.0),
+    or the type and message of the exception it raises."""
+    try:
+        return [float(value).hex() for value in run()]
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is any error's type and message
+        return type(exc), str(exc)
+
+
+def _assert_one_block_is_streamed(make_source, spec, mode):
+    """estimate_mean on make_source() equals _two_stage_reduce on another
+    make_source(); the only difference allowed is the draw count estimate_mean
+    adds to an exhausted source's message."""
+    plan = build_plan(spec, mode)
+    assert plan.samples_stage1 <= estimator._BLOCK and plan.n <= estimator._BLOCK
+
+    def streamed():
+        source = make_source()
+        read1, read2 = estimator._source_reader(source, "stage 1"), estimator._source_reader(source, "stage 2")
+        return [row[0] for row in estimator._two_stage_reduce(read1, read2, spec, plan)]
+
+    def one_block():
+        report = estimate_mean(make_source(), spec, mode)
+        return report.mu1, report.alpha.alpha, report.mu_hat
+
+    want = _outcome(streamed)
+    if want[0] is InsufficientSamplesError:
+        want = (want[0], f"{want[1]}; the plan takes {plan.total_samples} draws")
+    assert _outcome(one_block) == want
+    return want
+
+
+@pytest.mark.parametrize("dist", ONE_TAKE_DISTS, ids=lambda d: d.spec_string)
+def test_one_block_runs_equal_the_streamed_kernel(dist):
+    for spec in ONE_TAKE_SPECS:
+        for mode in Mode:
+            for seed in (0, 1, 2**40 + 3):
+                outcome = _assert_one_block_is_streamed(lambda: SampleSource(dist, seed), spec, mode)
+                assert isinstance(outcome, list), (spec, mode, seed, outcome)
+
+
+def _stages(stage1, stage2):
+    """A recording of SPEC's k*m = 240 stage-1 and n = 231 stage-2 draws,
+    ones but where `stage1` and `stage2` (position: value) say otherwise."""
+    draws = np.ones(PLAN.total_samples)
+    for at, value in stage1.items():
+        draws[at] = value
+    for at, value in stage2.items():
+        draws[PLAN.samples_stage1 + at] = value
+    return SampleSource(Recorded(tuple(draws.tolist())), 0)
+
+
+# (spec, source factory, the error the reference raises or None); SPEC's plan
+# is k = 80, m = 3, n = 231 in both modes
+ONE_TAKE_FAULTS = {
+    "nonpositive-centre": (SPEC, lambda: SampleSource(Constant(-1.0), 0), NonpositiveEstimateError),
+    "alpha-overflows": (SPEC, lambda: SampleSource(Constant(1e-310), 0), ValueError),
+    # c^2 mu1 overflows while the group sums, of k = 138 draws, do not
+    "alpha-underflows": (ApproxSpec(0.99, 0.5, 4.0), lambda: SampleSource(Constant(1e306), 0), ValueError),
+    # the first group sums to +inf, -inf or NaN, which is not the median
+    "group-sum-overflows-up": (SPEC, lambda: _stages(dict.fromkeys(range(80), 1e308), {}), ValueError),
+    "group-sum-overflows-down": (SPEC, lambda: _stages(dict.fromkeys(range(80), -1e308), {}), ValueError),
+    "group-sum-overflows-both-ways": (
+        SPEC, lambda: _stages({0: 1e308, 8: 1e308, 1: -1e308, 9: -1e308}, {}), ValueError),
+    "stage-2-sum-overflows": (ApproxSpec(0.1, 0.05, 1.0), lambda: SampleSource(Constant(1e306), 0), ValueError),
+    "repaired-tails": (SPEC, lambda: _stages({}, {3: 1e300, 5: 1e160, 7: -1e300, 200: -1e300}), None),
+    "nan-in-stage-1": (SPEC, lambda: _BrokenSource(Constant(3.0), at=100), SourceContractError),
+    "nan-in-stage-2": (SPEC, lambda: _BrokenSource(Constant(3.0), at=470), SourceContractError),
+    "short-stage-1": (SPEC, lambda: _BrokenSource(Constant(3.0), at=0, short=True), SourceContractError),
+    "short-stage-2": (SPEC, lambda: _BrokenSource(Constant(3.0), at=240, short=True), SourceContractError),
+    "exhausted-in-stage-1": (SPEC, lambda: SampleSource(Recorded((1.0, 2.0, 3.0)), 0), InsufficientSamplesError),
+    "exhausted-in-stage-2": (SPEC, lambda: SampleSource(Recorded((2.0,) * 470), 0), InsufficientSamplesError),
+}
+
+
+@pytest.mark.parametrize("mode", Mode)
+@pytest.mark.parametrize("fault", ONE_TAKE_FAULTS)
+def test_one_block_runs_fail_as_the_streamed_kernel_does(fault, mode):
+    spec, make_source, error = ONE_TAKE_FAULTS[fault]
+    outcome = _assert_one_block_is_streamed(make_source, spec, mode)
+    if error is None:
+        assert isinstance(outcome, list) and math.isfinite(float.fromhex(outcome[2]))
+    else:
+        assert outcome[0] is error, outcome
