@@ -358,7 +358,11 @@ def _level_sampler(preds: tuple[int, ...], count: Callable[[int], int], rest: in
 
 
 # Recounts reuse the chain: at n = 10 a rebuild costs ~2 ms against a ~4.4 ms recount.
-@lru_cache(maxsize=64)
+# The cache holds the 8 chains last used.  One chain of antichain(10) holds
+# about 4 MB of flag tables, so the cache pins at most about 32 MB (64
+# chains could pin about 250 MB); a recount right after its count, as the
+# linext benchmark makes them, still hits.
+@lru_cache(maxsize=8)
 def linext_chain(p: Poset) -> NestedChain:
     """Self-reduction chain for counting linear extensions.
 

@@ -33,26 +33,25 @@ R streams, not one per estimator.
 A run splits its replicates into contiguous slices of whole chunks, one
 per worker.  The first slice runs in the calling process and each other
 one in a child made with os.fork, which writes its slice of the
-estimates into memory shared with the parent.  The parent binds each
-child to a CPU other than its own, where Linux names them, right after
-the fork, so the child need not first wait for the parent's timeslice.
-compare_estimators makes one such round for all three estimators: each
-slice draws each chunk once and runs them all on it, into an R x 3 array
-of estimates.  The worker count is worked out, never set: min(usable
-CPUs, R * budget // _MIN_SLICE_DRAWS), with the two-stage draw budget,
-and 1 where os.fork is missing or another Python thread runs.
-Estimates are placed by replicate index.  A slice stops at its first
-error, as the serial run does.  The parent waits for the slices in
-replicate order, and runs a slice whose child failed, or was killed,
-again itself: every slice before it ran clean, so the rerun raises the
-serial run's own exception, type, message and traceback, and the slices
-still running are killed.  A child killed for want of memory is so
-retried once in the parent, as the serial run would have run its slice.
-Reports and errors thus do not depend on the worker count.
+estimates into memory shared with the parent; where a child runs is left
+to the operating system.  compare_estimators makes one such round for
+all three estimators: each slice draws each chunk once and runs them all
+on it, into an R x 3 array of estimates.  The worker count is worked
+out, never set: min(usable CPUs, R * budget // _MIN_SLICE_DRAWS), with
+the two-stage draw budget, and 1 where os.fork is missing or another
+Python thread runs.  Estimates are placed by replicate index.  A slice
+stops at its first error, as the serial run does.  The parent waits for
+the slices in replicate order, and runs a slice whose child failed, or
+was killed, again itself: every slice before it ran clean, so the rerun
+raises the serial run's own exception, type, message and traceback, and
+the slices still running are killed.  A child killed for want of memory
+is so retried once in the parent, as the serial run would have run its
+slice.  Reports and errors thus do not depend on the worker count.
 The gain was measured on Linux only.  Python 3.12 and later warn
 (DeprecationWarning) on fork() in a process with more than one OS thread,
-and numpy's BLAS may hold such a thread; not verified, for want of numpy
-on those versions.
+and numpy's BLAS may hold such a thread; the test suite turns relmean's
+DeprecationWarnings into errors, but has not run on those versions, for
+want of numpy there.
 """
 
 from __future__ import annotations
@@ -174,9 +173,13 @@ def _mom_baseline_params(spec: ApproxSpec, budget: int) -> tuple[int, int]:
 _CHUNK_DRAWS = 2**16
 _MAX_CHUNK_ROWS = 32
 # Fewest draws for which one more process pays for its fork.  On a 2-vCPU
-# Xeon, with the parent placing each child, two workers tied with one at
-# 100k draws per run and won from 125k on (normal draws, the cheapest per
-# draw); 75k, two workers from 150k, keeps a margin.
+# Xeon, over 30 interleaved pairs of runs of one size on normal draws (the
+# cheapest per draw), two workers lost every pair from 75k to 150k draws
+# per run, at 1.99-2.55x one worker's time, with each child started on its
+# parent's CPU; they won 10/30 at 300k and 28/30 at 600k.  In the coverage
+# benchmark's mix of runs, 208k to 2.76M draws each, two workers beat one
+# on every run (4-42% faster), and a threshold of 300k slowed its passes
+# by 6%; so 75k, two workers from 150k, stays.
 _MIN_SLICE_DRAWS = 75_000
 
 
@@ -211,45 +214,10 @@ def _slice_bounds(replications: int, workers: int, rows: int) -> list[int]:
     return [min(replications, rows * (chunks * i // workers)) for i in range(workers + 1)]
 
 
-def _other_cpus() -> list[int]:
-    """The usable CPUs other than the one this process last ran on, where
-    Linux tells both (/proc/self/stat field 39); else none."""
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            here = int(stat.read().rsplit(b")", 1)[1].split()[36])
-        return sorted(os.sched_getaffinity(0) - {here})
-    except (OSError, AttributeError, IndexError, ValueError):
-        return []
-
-
 def _shared_empty(shape) -> np.ndarray:
     """An uninitialised float array in anonymous shared memory: what a
     child forked after this call writes into it, this process reads."""
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), float).reshape(shape)
-
-
-def _fork_slice(fill, lo: int, hi: int, cpu: int | None) -> int:
-    """Start a child that runs fill(lo, hi), and return its pid.  This
-    process binds the child to `cpu`, if one is given, right after the
-    fork: a new child starts on its parent's CPU and waits there for the
-    parent's timeslice, so a call of its own would come late.  The child
-    leaves through os._exit, so it runs no exit handler and flushes no
-    buffer it shares with this process; its exit code is 0 once fill
-    returns, 1 if fill raised."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            fill(lo, hi)
-            code = 0
-        finally:
-            os._exit(code)
-    if cpu is not None:
-        try:
-            os.sched_setaffinity(pid, {cpu})
-        except OSError:
-            pass  # placement only: the slice runs wherever it is
-    return pid
 
 
 def _run_slices(fill, bounds: list[int]) -> None:
@@ -257,21 +225,32 @@ def _run_slices(fill, bounds: list[int]) -> None:
     shared memory and raises at its first error, over each slice
     [bounds[i], bounds[i + 1]).
 
-    The first slice runs in this process and each other one in a forked
-    child.  Side effects of a child's fill, on the distribution object for
-    one, stay in the child.  The children are waited for in replicate
-    order, after this process's own slice.  A slice whose child failed, or
-    was killed, runs again here: slices are deterministic and every slice
-    before it ran clean, so the rerun raises the serial run's error, its
-    own object with its traceback, or fills the slice as the serial run
-    would.  Every child is reaped before this returns or raises; on a
-    raise, Ctrl-C included, the children still running are killed first.
+    The first slice runs in this process and each other one in a child
+    forked for it, all before this process's own slice starts.  A child
+    leaves through os._exit, so it runs no exit handler and flushes no
+    buffer it shares with this process; its exit code is 0 once fill
+    returns, 1 if fill raised.  Side effects of a child's fill, on the
+    distribution object for one, stay in the child.  The children are
+    waited for in replicate order, after this process's own slice.  A
+    slice whose child failed, or was killed, runs again here: slices are
+    deterministic and every slice before it ran clean, so the rerun raises
+    the serial run's error, its own object with its traceback, or fills the
+    slice as the serial run would.  Every child is reaped before this
+    returns or raises; on a raise, Ctrl-C included, the children still
+    running are killed first.
     """
     children = []  # (pid, lo, hi), in slice order, not yet reaped
-    cpus = _other_cpus() if len(bounds) > 2 else []
     try:
-        for i, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:])):
-            children.append((_fork_slice(fill, lo, hi, cpus[i % len(cpus)] if cpus else None), lo, hi))
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    fill(lo, hi)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((pid, lo, hi))
         fill(bounds[0], bounds[1])
         while children:
             pid, lo, hi = children[0]

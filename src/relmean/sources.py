@@ -16,7 +16,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -219,6 +219,8 @@ class Recorded:
     """
 
     values: tuple[float, ...]
+    # the values as float64, built once: a take copies a slice of them
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.values) == 0:
@@ -226,6 +228,7 @@ class Recorded:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("recorded values must be finite")
+        object.__setattr__(self, "_array", np.array(self.values, dtype=float))
 
     def sample(self, cursor: "_ReplayCursor", n: int) -> np.ndarray:
         """The n values after `cursor.position`, which moves past them."""
@@ -234,14 +237,13 @@ class Recorded:
             raise InsufficientSamplesError(
                 f"recorded source holds {len(self.values)} values, needed {end}"
             )
-        out = np.asarray(self.values[cursor.position : end], dtype=float)
+        out = self._array[cursor.position : end].copy()
         cursor.position = end
         return out
 
     def facts(self) -> SourceFacts:
-        arr = np.asarray(self.values)
-        mean = _positive("recorded mean", float(arr.mean()))
-        relvar = float(arr.var()) / (mean * mean)
+        mean = _positive("recorded mean", float(self._array.mean()))
+        relvar = float(self._array.var()) / (mean * mean)
         return SourceFacts(mean, relvar, math.sqrt(relvar))
 
     @property

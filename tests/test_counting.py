@@ -369,6 +369,20 @@ def test_chain_levels_count():
     assert chain.max_inverse_ratio == 4.0
 
 
+def test_the_chain_cache_is_bounded_and_a_recount_right_after_a_count_hits():
+    bound = linext_chain.cache_info().maxsize
+    assert bound is not None and bound <= 8  # an antichain(10) chain holds about 4 MB
+    posets = [Poset.chain(n) for n in range(2, 11)] + [Poset.antichain(n) for n in range(2, 5)]
+    assert len(set(posets)) > bound
+    linext_chain.cache_clear()
+    for seed, p in enumerate(posets):
+        linext_approx_count(p, 0.2, 0.1, 20, seed=seed)
+        hits = linext_chain.cache_info().hits
+        linext_approx_count(p, 0.2, 0.1, 20, seed=seed + 100)
+        assert linext_chain.cache_info().hits == hits + 1
+    assert linext_chain.cache_info().currsize == bound
+
+
 def test_approx_count_chain_poset_is_tight():
     p = Poset.chain(5)
     for seed in range(5):

@@ -304,8 +304,14 @@ def _run(monkeypatch, config, min_slice_draws, cpus=None, compare=False, reruns=
     if cpus is not None:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     forks = []
-    fork_slice = harness._fork_slice
-    monkeypatch.setattr(harness, "_fork_slice", lambda *args: forks.append(args) or fork_slice(*args))
+
+    def fork(real_fork=os.fork):
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
     here, parent, rounds = [], os.getpid(), []
     run_slices = harness._run_slices
 
@@ -384,35 +390,31 @@ def test_chunk_size_does_not_change_results(monkeypatch, rows, replications, cpu
     assert (report.failures, report.mean_abs_rel_error.hex()) == _reference(replications)[0]
 
 
-def test_the_parent_places_each_child_and_the_child_does_not(monkeypatch, tmp_path):
-    parent = os.getpid()
-    calls, pids = [], []
-    # a child's own call is written to a file, which outlives the child
-    child_calls = os.open(tmp_path / "child-calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs"
+)
+def test_forked_children_keep_the_parents_cpu_set():
+    # each child records its CPU set once this process has started its
+    # own slice, after every fork; a slice rerun here records nothing
+    parent, parent_cpus = os.getpid(), os.sched_getaffinity(0)
+    bounds = [0, 1, 2, 3]
+    started = harness._shared_empty((1,))
+    started[0] = 0.0
+    cpus = harness._shared_empty((len(bounds) - 1, max(parent_cpus) + 1))
+    cpus[:] = 0.0
 
-    def sched_setaffinity(pid, cpus):
-        if os.getpid() != parent:
-            os.write(child_calls, b".")
-        else:
-            calls.append((pid, set(cpus)))
+    def fill(lo, hi):
+        if os.getpid() == parent:
+            started[0] = 1.0
+            return
+        deadline = time.monotonic() + 10
+        while started[0] == 0.0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        cpus[lo, sorted(os.sched_getaffinity(0))] = 1.0
 
-    def fork(real_fork=os.fork):
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_setaffinity", sched_setaffinity, raising=False)
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(harness, "_other_cpus", lambda: [7, 8])
-    config = CoverageConfig(SPEC, DIST, 1000, seed=0)
-    try:
-        assert _run(monkeypatch, config, PARALLEL, 3) == _run(monkeypatch, config, SERIAL)
-    finally:
-        os.close(child_calls)
-    assert len(pids) == 2
-    assert calls == [(pids[0], {7}), (pids[1], {8})]
-    assert (tmp_path / "child-calls").read_bytes() == b""
+    harness._run_slices(fill, bounds)
+    _assert_no_children()
+    assert [set(np.flatnonzero(row).tolist()) for row in cpus[1:]] == [parent_cpus, parent_cpus]
 
 
 @pytest.mark.parametrize("replications, workers", [(100, 2), (101, 5), (1000, 3), (1001, 4), (16, 7)])

@@ -62,6 +62,16 @@ def test_recorded_sequential_and_exhaustion():
         src.take(1)
 
 
+def test_writing_into_a_recorded_take_leaves_later_replays_unchanged():
+    recorded = Recorded((1.0, 2.0, 3.0))
+    first = SampleSource(recorded, seed=0).take(3)
+    first[:] = -1.0
+    assert SampleSource(recorded, seed=0).take(3).tolist() == [1.0, 2.0, 3.0]
+    facts = recorded.facts()
+    assert (facts.true_mean, facts.true_relvar) == (2.0, (2.0 / 3.0) / 4.0)
+    assert recorded == Recorded((1.0, 2.0, 3.0)) and recorded.values == (1.0, 2.0, 3.0)
+
+
 def test_recorded_validation():
     with pytest.raises(ValueError):
         Recorded(())
