@@ -273,9 +273,9 @@ def _minimal_bits(preds: tuple[int, ...], rest: int) -> list[int]:
 def _completion_counts(preds: tuple[int, ...]) -> Callable[[int], int]:
     """Memoised table: count(rest) is the number of linear extensions of the
     subposet induced on the elements of bit mask `rest`, i.e. the number of
-    ways to complete any prefix that has placed every other element.  Every
-    linear-extension operation builds one, so this is where the size cap is
-    checked."""
+    ways to complete any prefix that has placed every other element.  The
+    exact count and the uniform sampler build one, so it checks the size cap
+    for them."""
     _check_desk_scale(len(preds))
 
     @cache
@@ -288,8 +288,8 @@ def _completion_counts(preds: tuple[int, ...]) -> Callable[[int], int]:
 
 
 # Repeated samples of one poset share its table instead of rebuilding it.
-# Only the sampler caches: counts and chains build a table once per poset,
-# and long-lived tables would pin allocator memory there for nothing.
+# Only the sampler caches: an exact count builds its table once per poset,
+# and a long-lived table would pin allocator memory there for nothing.
 _sampler_counts = lru_cache(maxsize=8)(_completion_counts)
 
 
@@ -299,8 +299,9 @@ def linext_count_exact(p: Poset) -> int:
 
 
 def linext_uniform_sample(p: Poset, seed: int) -> tuple[int, ...]:
-    """One uniformly random linear extension: a uniform rank among all
-    extensions, unranked in lexicographic order through the completion counts."""
+    """One uniformly random linear extension: a uniform rank among all extensions,
+    drawn from default_rng(SeedSequence(entropy=seed)) with no spawn key, unlike the (seed, r)
+    streams of SampleSource and ProductEstimateSource, and unranked in lexicographic order."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=_integer("seed", seed)))
     count = _sampler_counts(p.preds)
     rest = (1 << p.n) - 1
@@ -317,10 +318,9 @@ def linext_uniform_sample(p: Poset, seed: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _level_sampler(preds: tuple[int, ...], count: Callable[[int], int], rest: int, pinned: int) -> Sampler:
-    """Sampler for one chain level: uniform ranks into the lexicographic list
-    of extensions of the subposet on `rest`, each reporting whether the
-    element with bit `pinned` comes last, averaged per row.
+def _level_sampler(table: np.ndarray) -> Sampler:
+    """Sampler for one chain level: uniform ranks into its bool flag `table`
+    (linext_chain says what it holds), averaged per row.
 
     Every level draws its (n, m) ranks with the same call, so the stream moves
     exactly as a gather of the whole block would move it.  A level with one
@@ -328,17 +328,6 @@ def _level_sampler(preds: tuple[int, ...], count: Callable[[int], int], rest: in
     range), and a level whose flags are all true draws its ranks but skips
     the gather; both return ones.
     """
-
-    @cache
-    def flags(left: int) -> np.ndarray:
-        if not left & pinned:
-            return np.zeros(count(left), dtype=bool)
-        if left == pinned:
-            return np.ones(1, dtype=bool)
-        return np.concatenate([flags(left & ~bit) for bit in _minimal_bits(preds, left)])
-
-    table = flags(rest)
-    flags.cache_clear()  # free the partial tables now, not at the next cycle collection
     sure = bool(table.all())
 
     def sampler(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -372,9 +361,19 @@ def linext_chain(p: Poset) -> NestedChain:
     uniform extension of the remaining subposet and reports whether that
     element indeed comes last.  Every level's survival ratio is at least
     1/n, and the terminal set holds exactly one extension.
+
+    Every level's flags are last(rest) == pinned, read from one memo: last(left)
+    indexes the last element of each extension of `left`, in lexicographic order.
     """
-    count = _completion_counts(p.preds)
-    samplers: list[Sampler] = []
+    _check_desk_scale(p.n)
+
+    @cache
+    def last(left: int) -> np.ndarray:
+        if left & (left - 1) == 0:
+            return np.array([left.bit_length() - 1], dtype=np.uint8)
+        return np.concatenate([last(left & ~bit) for bit in _minimal_bits(p.preds, left)])
+
+    levels = []
     rest = (1 << p.n) - 1
     while rest:
         blocked = 0
@@ -383,10 +382,11 @@ def linext_chain(p: Poset) -> NestedChain:
                 blocked |= mask
         free = rest & ~blocked
         pinned = free & -free
-        samplers.append(_level_sampler(p.preds, count, rest, pinned))
+        levels.append((last(rest), pinned.bit_length() - 1))
         rest &= ~pinned
+    last.cache_clear()  # free the memo before the flag tables are made, so they do not raise the peak
     return NestedChain(
-        samplers=tuple(samplers),
+        samplers=tuple(_level_sampler(ends == pinned) for ends, pinned in levels),
         known_terminal=1.0,
         max_inverse_ratio=float(p.n),
     )

@@ -180,6 +180,15 @@ _MAX_CHUNK_ROWS = 32
 # benchmark's mix of runs, 208k to 2.76M draws each, two workers beat one
 # on every run (4-42% faster), and a threshold of 300k slowed its passes
 # by 6%; so 75k, two workers from 150k, stays.
+# A child on its parent's CPU is the cpuset's doing, not the threshold's:
+# where cpuset.sched_load_balance = 0, as on that Xeon, the kernel never
+# moves a task between CPUs, so a fork often starts and stays where its
+# parent runs.  There standalone forks shared the parent's CPU 20/20 in
+# some runs and 0/20 in another, but only 9/162 and 4/186 children of the
+# coverage benchmark did, and two workers ran its passes in 0.169-0.176 s
+# against one worker's 0.265-0.278 s.  Pinning each child to another CPU
+# lost 4 of 5 15 s coverage pairs to this unpinned runner, so no child is
+# placed.
 _MIN_SLICE_DRAWS = 75_000
 
 

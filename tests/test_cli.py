@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from relmean import __version__
+from relmean import __version__, counting
 from relmean.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,13 +126,25 @@ def test_compare_has_three_rows(capsys):
     assert len({row["samples_per_run"] for row in payload["rows"]}) == 1
 
 
-def test_linext_estimate_and_exact(capsys, tmp_path):
+def test_linext_estimate_and_exact(capsys, tmp_path, monkeypatch):
+    # the exact count builds the one completion table and the chain, built
+    # here from an empty cache, builds none
+    tables = []
+    completion_counts = counting._completion_counts
+
+    def counted(preds):
+        tables.append(preds)
+        return completion_counts(preds)
+
+    monkeypatch.setattr(counting, "_completion_counts", counted)
+    counting.linext_chain.cache_clear()
     poset = tmp_path / "p.txt"
     poset.write_text("4\n1 2\n3 4\n", encoding="ascii")
     code, out, _ = run_cli(
         capsys, "linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1", "--seed", "3"
     )
     assert code == 0
+    assert len(tables) == 1
     payload = json.loads(out)
     assert payload["exact"] == 6
     assert abs(payload["estimate"] - 6.0) <= 0.2 * 6.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -331,8 +332,13 @@ def test_chain_levels_index_lexicographic_pinned_last_flags():
     # the remaining subposet's extensions, in lexicographic order; this holds
     # on the last level (one extension, nothing drawn) and on levels whose
     # flags are all true (ranks drawn, nothing gathered) too
+    rng = np.random.default_rng(25)
+    random_posets = [
+        Poset.from_pairs(n, oracles.random_order_pairs(rng, n, float(rng.uniform(0.1, 0.5))))
+        for n in rng.integers(3, 8, size=30).tolist()
+    ]
     kinds = set()
-    for p in oracles.poset_family():
+    for p in oracles.poset_family() + random_posets:
         for level, (sampler, flags) in enumerate(_levels_with_flags(p)):
             kinds.add("single" if len(flags) == 1 else "sure" if flags.all() else "mixed")
             for n, m in [(4, 25), (3, 1), (1, 7)]:
@@ -360,6 +366,20 @@ def test_antichain_at_the_size_cap():
     assert sorted(linext_uniform_sample(p, seed=0)) == list(range(1, 11))
     estimate = linext_approx_count(p, 0.2, 0.1, 100, seed=0)
     assert abs(estimate - math.factorial(10)) <= 0.2 * math.factorial(10)
+
+
+def test_a_chain_build_frees_its_memo_before_it_makes_the_flag_tables():
+    # the memo of last elements outweighs the flag tables; freed first, it
+    # leaves the build's peak near 2.5 times what the chain keeps, where a
+    # memo alive alongside the tables reads about 3.4
+    tracemalloc.start()
+    try:
+        chain = linext_chain.__wrapped__(Poset.antichain(10))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.k == 10
+    assert peak <= 2.7 * held, (peak, held)
 
 
 def test_chain_levels_count():

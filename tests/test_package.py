@@ -3,6 +3,7 @@ the argument checks at its entry points."""
 
 from __future__ import annotations
 
+import ast
 import csv
 import importlib
 import json
@@ -45,6 +46,30 @@ def test_import_loads_no_process_pool_module():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == []
+
+
+def test_imports_kept_for_the_tracer_are_wrapped_by_it():
+    # a library import whose comment says bench/tracing.py wraps it there is
+    # unused by its module; it must stay a (module, attribute) entry of the
+    # tracer's _WRAPS, so an import the tracer no longer wraps fails here
+    root = Path(__file__).resolve().parent.parent
+    tracer = ast.parse((root / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    (wraps,) = [
+        node.value for node in tracer.body
+        if isinstance(node, ast.Assign) and [ast.unparse(target) for target in node.targets] == ["_WRAPS"]
+    ]
+    wrapped = {(entry.elts[0].value, entry.elts[1].value) for entry in wraps.elts}
+    kept = set()
+    for path in sorted((root / "src" / "relmean").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines, tree = source.splitlines(), ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and "bench/tracing.py wraps" in lines[node.end_lineno - 1]:
+                names = {alias.asname or alias.name for alias in node.names} - used
+                assert names, f"{path.name}:{node.lineno} says the tracer wraps an import the module uses"
+                kept |= {(f"relmean.{path.stem}", name) for name in names}
+    assert kept <= wrapped, sorted(kept - wrapped)
 
 
 # --------------------------------------------------------------- the argument boundary
