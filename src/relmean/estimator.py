@@ -56,7 +56,7 @@ class NonpositiveEstimateError(RuntimeError):
 
 
 class SourceContractError(ValueError):
-    """A source's take(n) returned other than n finite draws."""
+    """A source's take(n) returned other than n finite real draws."""
 
 
 def _check_accuracy(epsilon: float, delta: float) -> tuple[float, float]:
@@ -236,15 +236,20 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
 def _fill_rows(sources, width: int, stage: str, stage2_from=None) -> np.ndarray:
     """Row i: the next `width` draws of sources[i].  Every estimator draw
     passes this gate of the take contract: take(width) returns exactly
-    `width` draws, all finite, or SourceContractError names the stage (and,
-    for a non-finite draw, the source's distribution spec string).  A take
-    that holds both stages of a run gives stage2_from, its first stage-2
-    column: a non-finite draw is then named by the stage of its column.
-    The rows of several sources are written into one new matrix; a single
-    source's take is the one row, uncopied."""
+    `width` real draws, all finite, or SourceContractError names the stage
+    (and, for a non-finite draw, the source's distribution spec string).
+    Complex draws are rejected by dtype: a cast to float would drop their
+    imaginary parts with only a ComplexWarning.  A take that holds both
+    stages of a run gives stage2_from, its first stage-2 column: a
+    non-finite draw is then named by the stage of its column.  The rows of
+    several sources are written into one new matrix; a single source's
+    take is the one row, uncopied."""
     rows = np.empty((len(sources), width)) if len(sources) > 1 else None
     for i, source in enumerate(sources):
-        draws = np.asarray(source.take(width), dtype=float)
+        draws = np.asarray(source.take(width))
+        if draws.dtype.kind == "c":
+            raise SourceContractError(f"{stage}: take({width}) returned draws of dtype {draws.dtype}")
+        draws = draws.astype(float, copy=False)
         if draws.shape != (width,):
             raise SourceContractError(
                 f"{stage}: take({width}) returned {draws.size} draws in shape {draws.shape}"
@@ -354,7 +359,7 @@ def _median_rows(read, k: int, m: int, stage: str) -> np.ndarray:
     return group_means[:, m // 2]
 
 
-def _truncation_scales(mu1_rows, spec: ApproxSpec) -> np.ndarray:
+def _truncation_scales(mu1_rows, spec: ApproxSpec) -> list[float]:
     """alpha = epsilon / (c^2 mu1) per float centre mu1, checked in one
     Python loop, cheaper than array tests at a few rows: a centre that is
     not positive is a NonpositiveEstimateError, and an alpha that
@@ -370,12 +375,12 @@ def _truncation_scales(mu1_rows, spec: ApproxSpec) -> np.ndarray:
             size, fault = ("small", "overflows") if a == math.inf else ("large", "underflows to 0")
             raise ValueError(f"mu1 = {mu1!r} is too {size} at c = {spec.c!r}: the truncation scale epsilon / (c^2 mu1) {fault}")
         alpha.append(a)
-    return np.array(alpha)
+    return alpha
 
 
-def _truncated_mean_rows(read, n: int, mu1: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def _truncated_mean_rows(read, n: int, mu1, alpha) -> list[float]:
     """Per row: the mean of mu1 + psi(alpha (x - mu1)) / alpha over the n
-    draws x of the reader `read`.
+    draws x of the reader `read`, for a float mu1 and alpha per row.
 
     The draws are read leaf by leaf of their pairwise sum (_tree_sum), a
     leaf of about _BLOCK elements over all rows.  Each leaf's terms are
@@ -394,7 +399,7 @@ def _truncated_mean_rows(read, n: int, mu1: np.ndarray, alpha: np.ndarray) -> np
     within a few orders of magnitude of it) raises a ValueError that names
     stage 2, n and the largest draw magnitude such a sum holds.
     """
-    mu1, alpha = mu1[:, None], alpha[:, None]
+    mu1, alpha = np.array(mu1)[:, None], np.array(alpha)[:, None]
 
     def leaf(lo: int, hi: int) -> np.ndarray:
         draws = read(lo, hi)
@@ -408,58 +413,30 @@ def _truncated_mean_rows(read, n: int, mu1: np.ndarray, alpha: np.ndarray) -> np
                 sums[i] = np.add.reduce(terms[i])
         return sums
 
-    sums = _tree_sum(n, _BLOCK // len(mu1), leaf)
-    if not all(map(math.isfinite, sums.tolist())):
-        raise _overflow_error("stage 2", f"the sum of n = {n} terms", n)
-    return sums / n
+    means = []
+    for total in _tree_sum(n, _BLOCK // len(mu1), leaf).tolist():
+        if not math.isfinite(total):
+            raise _overflow_error("stage 2", f"the sum of n = {n} terms", n)
+        means.append(total / n)
+    return means
 
 
 @np.errstate(over="ignore", invalid="ignore")  # for both kernels: see _median_rows
 def _two_stage_reduce(read1, read2, spec: ApproxSpec, plan: StagePlan):
-    """(mu1, alpha, mu_hat) per row of the plan's k*m stage-1 draws, read by
-    read1, and its n stage-2 draws, read by read2.  Each row gets exactly
-    the arithmetic of a single run, so results do not depend on how runs
-    are grouped into calls, nor on how a stage is split into reads.  The
-    first row whose centre cannot start stage 2 raises at once, before any
-    stage-2 draw is read.
+    """(mu1, alpha, mu_hat), lists of one float per row of the plan's k*m
+    stage-1 draws, read by read1, and its n stage-2 draws, read by read2.
+    Each row gets exactly the arithmetic of a single run, so results do not
+    depend on how runs are grouped into calls, nor on how a stage is split
+    into reads.  The first row whose centre cannot start stage 2 raises at
+    once, before any stage-2 draw is read.  Every two-stage estimate runs
+    here: estimate_mean on one row, a coverage chunk on many.
     """
     # stage 1: the median of means / (1 - epsilon1^2); the correction turns a
     # bound on |estimate/mean - 1| into the one on |mean/estimate - 1| that
     # stage 2's truncation scale needs
-    mu1 = _median_rows(read1, plan.k, plan.m, "stage 1") / (1.0 - plan.epsilon1_sq)
-    alpha = _truncation_scales(mu1.tolist(), spec)
+    mu1 = (_median_rows(read1, plan.k, plan.m, "stage 1") / (1.0 - plan.epsilon1_sq)).tolist()
+    alpha = _truncation_scales(mu1, spec)
     return mu1, alpha, _truncated_mean_rows(read2, plan.n, mu1, alpha)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # for both stages: see _median_rows
-def _one_block_run(source, spec: ApproxSpec, plan: StagePlan) -> tuple[float, float, float]:
-    """(mu1, alpha, mu_hat) of a run on `source` whose stages each fit one
-    take: _two_stage_reduce's arithmetic on one row, as floats, with each
-    stage taken and reduced as one block.
-
-    The group sums are the one add.reduce the streamed kernel makes over a
-    take of k*m draws, and the stage-2 sum its one leaf of n terms, so the
-    results are bit-identical to it; so are its errors, raised in its order.
-    """
-    k, m, n = plan.k, plan.m, plan.n
-    group_means = np.add.reduce(_fill_rows([source], k * m, "stage 1").reshape(m, k), axis=1)
-    group_means /= k
-    group_means.sort()
-    if not (math.isfinite(group_means[0]) and math.isfinite(group_means[-1])):
-        raise _overflow_error("stage 1", f"a group sum of k = {k} draws", k)
-    mu1 = float(group_means[m // 2]) / (1.0 - plan.epsilon1_sq)
-    alpha = float(_truncation_scales([mu1], spec)[0])
-    draws = _fill_rows([source], n, "stage 2")[0]
-    terms = draws - mu1
-    _scaled_psi_into(terms, alpha)
-    terms += mu1
-    total = np.add.reduce(terms)
-    if not math.isfinite(total):
-        _repair_tails(terms, draws, alpha, mu1)
-        total = np.add.reduce(terms)
-        if not math.isfinite(total):
-            raise _overflow_error("stage 2", f"the sum of n = {n} terms", n)
-    return mu1, alpha, float(total) / n
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _median_rows
@@ -485,33 +462,30 @@ def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, Trunca
     Each draw x contributes mu1 + psi(alpha (x - mu1)) / alpha with
     alpha = epsilon / (c^2 mu1).
     """
-    mu1 = _positive("mu1", mu1)
-    alpha = _truncation_scales([mu1], spec)
-    read = _source_reader(source, "stage 2")
-    mu_hat = _truncated_mean_rows(read, build_plan(spec).n, np.array([mu1]), alpha)
-    return float(mu_hat[0]), TruncationScale(float(alpha[0]))
+    mu1 = [_positive("mu1", mu1)]
+    alpha = _truncation_scales(mu1, spec)
+    (mu_hat,) = _truncated_mean_rows(_source_reader(source, "stage 2"), build_plan(spec).n, mu1, alpha)
+    return mu_hat, TruncationScale(alpha[0])
 
 
 def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> EstimateReport:
     """Run both stages on fresh draws from one stream and report the result.
 
     The source must provide iid draws through take(n); stage 2 never reuses
-    stage-1 draws.  A plan whose stages each fit one take of _BLOCK draws is
-    reduced in one block per stage; a larger stage is taken in takes of at
-    most _BLOCK draws, reduced as they arrive, so memory does not grow with
-    the plan.  Either way the sums are bit for bit those of one add.reduce
-    over the whole stage.  Plans come from build_plan's cache.  When the
+    stage-1 draws.  Every plan runs _two_stage_reduce, which takes each
+    stage in takes of at most _BLOCK draws (one take for a stage that fits
+    one) and reduces them as they arrive, so memory does not grow with the
+    plan, and the sums are bit for bit those of one add.reduce over the
+    whole stage.  Plans come from build_plan's cache.  When the
     source's mean is positive and its relative standard deviation is at
     most spec.c, the reported mu_hat satisfies
     P(|mu_hat - mean| > epsilon * mean) <= delta.
     """
     plan = build_plan(spec, mode)
     try:
-        if plan.samples_stage1 <= _BLOCK and plan.n <= _BLOCK:
-            mu1, alpha, mu_hat = _one_block_run(source, spec, plan)
-        else:
-            rows = _two_stage_reduce(_source_reader(source, "stage 1"), _source_reader(source, "stage 2"), spec, plan)
-            mu1, alpha, mu_hat = (float(row[0]) for row in rows)
+        (mu1,), (alpha,), (mu_hat,) = _two_stage_reduce(
+            _source_reader(source, "stage 1"), _source_reader(source, "stage 2"), spec, plan
+        )
     except InsufficientSamplesError as exc:
         # a finite source runs out in one take; name the whole plan's need
         raise InsufficientSamplesError(f"{exc}; the plan takes {plan.total_samples} draws") from exc

@@ -19,13 +19,12 @@ _fill_rows, which names a non-finite draw by the stage of its column; a
 SampleSource's takes concatenate, so these are the draws estimate_mean
 makes in its bounded takes.  Each estimator then reduces its own prefix
 of those rows, read by column views: the two-stage through
-_two_stage_reduce, the kernel estimate_mean runs on its source (or, for
-a plan whose stages each fit one take, its one-block form, bit for bit
-alike), with the arithmetic of a single run, so a coverage report is
-bit-identical to one replicate-at-a-time loop.  The kernels raise at
-their first fault; a chunk that raises runs again one replicate at a
-time, so the error is that of its first failing replicate, as in such a
-loop, or the chunk's own if each replicate runs clean alone.
+_two_stage_reduce, the kernel estimate_mean runs on its source, with the
+arithmetic of a single run, so a coverage report is bit-identical to one
+replicate-at-a-time loop.  The kernels raise at their first fault; a
+chunk that raises runs again one replicate at a time, so the error is
+that of its first failing replicate, as in such a loop, or the chunk's
+own if each replicate runs clean alone.
 run_coverage certifies the two-stage estimator; the baselines are rows
 of compare_estimators, which reads each replicate's draws once and opens
 R streams, not one per estimator.

@@ -290,6 +290,24 @@ def test_estimate_mean_names_the_stage_of_a_nan_draw():
         median_of_means(_ScriptedSource(np.array([1.0, math.nan, 2.0])), 1, 3)
 
 
+def test_estimate_mean_names_the_stage_of_a_complex_take():
+    # casting complex draws to float would drop their imaginary parts with
+    # only a ComplexWarning; the gate rejects them by dtype, zero parts or not
+    spec = ApproxSpec(0.2, 0.1, 1.0)
+    plan = build_plan(spec)
+    k_m = plan.k * plan.m
+    with pytest.raises(SourceContractError, match=rf"^stage 1: take\({k_m}\) returned draws of dtype complex128$"):
+        estimate_mean(_ScriptedSource(np.ones(k_m, dtype=complex), np.ones(plan.n)), spec)
+    with pytest.raises(SourceContractError, match=rf"^stage 2: take\({plan.n}\) returned draws of dtype complex64$"):
+        estimate_mean(_ScriptedSource(np.ones(k_m), np.ones(plan.n, dtype=np.complex64)), spec)
+    with pytest.raises(SourceContractError, match=r"^median of means: take\(3\) returned draws of dtype complex128$"):
+        median_of_means(_ScriptedSource([1.0, 2.0 + 1j, 3.0]), 1, 3)
+    # integer and bool draws are real: they run as their float values do
+    want = estimate_mean(_ScriptedSource(np.ones(k_m), np.ones(plan.n)), spec)
+    got = estimate_mean(_ScriptedSource(np.ones(k_m, dtype=np.int64), np.ones(plan.n, dtype=bool)), spec)
+    assert (got.mu1, got.alpha, got.mu_hat) == (want.mu1, want.alpha, want.mu_hat)
+
+
 def test_stage2_draws_far_beyond_the_truncation_scale_give_a_finite_estimate():
     # alpha (x - mu1) or its square overflows inside psi for these draws; the
     # terms take psi's finite tail, as scaled_psi does, not +-infinity
@@ -352,8 +370,9 @@ def _kernel_rows(rng, rows: int, n: int):
 
 
 def _kernel(draws, mu1, alpha):
-    """The stage-2 kernel on a rows x n matrix, read by column views."""
-    return _truncated_mean_rows(_column_reader(draws), draws.shape[1], mu1, alpha)
+    """The stage-2 kernel on a rows x n matrix, read by column views, as
+    an array of its per-row means."""
+    return np.array(_truncated_mean_rows(_column_reader(draws), draws.shape[1], mu1, alpha))
 
 
 @pytest.mark.parametrize("rows", [1, 8])

@@ -811,6 +811,24 @@ def test_a_chunk_whose_replicates_pass_alone_raises_its_own_error(monkeypatch):
         _run(monkeypatch, config, SERIAL)
 
 
+class _ComplexDraws:
+    """Normal(100, 50) draws as complex numbers with zero imaginary parts."""
+
+    spec_string = "complex"
+
+    def sample(self, rng, n):
+        return rng.normal(100.0, 50.0, n).astype(complex)
+
+    def facts(self):
+        return DIST.facts()
+
+
+def test_a_chunk_of_complex_draws_is_a_contract_error(monkeypatch):
+    config = CoverageConfig(SPEC, _ComplexDraws(), 100, seed=0)
+    with pytest.raises(SourceContractError, match=r"^stages 1 and 2: take\(208\) returned draws of dtype complex128$"):
+        _run(monkeypatch, config, SERIAL)
+
+
 @pytest.mark.parametrize(
     "value, spec, message",
     [

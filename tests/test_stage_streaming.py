@@ -3,6 +3,7 @@ whole-stage takes, peak memory and the order of errors."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -162,6 +163,34 @@ def test_streamed_stages_equal_whole_takes(monkeypatch, dist, block):
                 _check_widths(source.widths, plan.k, 0, plan.n, block)
 
 
+def test_estimate_mean_and_run_coverage_run_the_one_kernel(monkeypatch):
+    # estimate_mean has one path, whatever the plan's size, and coverage
+    # chunks run the same kernel through the name harness imports
+    calls = []
+    kernel = estimator._two_stage_reduce
+
+    def counter(module):
+        def counted(*args):
+            calls.append(module)
+            return kernel(*args)
+
+        return counted
+
+    monkeypatch.setattr(estimator, "_two_stage_reduce", counter("estimator"))
+    monkeypatch.setattr(harness, "_two_stage_reduce", counter("harness"))
+    one_take, streamed = ApproxSpec(0.1, 0.05, 1.0), ApproxSpec(0.02, 0.05, 1.0)
+    assert build_plan(one_take).samples_stage1 <= _BLOCK and build_plan(one_take).n <= _BLOCK
+    assert build_plan(streamed).n > _BLOCK
+    for spec in (one_take, streamed):
+        calls.clear()
+        estimate_mean(SampleSource(Normal(100.0, 50.0), 0), spec)
+        assert calls == ["estimator"], spec
+    calls.clear()
+    monkeypatch.setattr(harness, "_MIN_SLICE_DRAWS", 2**62)  # one worker: the calls stay in this process
+    run_coverage(CoverageConfig(ApproxSpec(0.2, 0.1, 0.5), Normal(100.0, 50.0), 100, 0))
+    assert calls and set(calls) == {"harness"}
+
+
 def test_coverage_reports_do_not_depend_on_the_block(monkeypatch):
     # coverage chunks run the same kernel over column views: k = 160 and
     # n = 974 span several leaves at a block of 128, and one at the default
@@ -294,9 +323,10 @@ def test_leaves_with_opposite_infinite_terms_are_repaired_without_a_warning(smal
 
 # --- a plan whose stages each fit one take -----------------------------------
 #
-# estimate_mean reduces such a plan in one block per stage; _two_stage_reduce,
-# on one reader per stage, is the reference it must equal bit for bit, in its
-# results and in the type and message of its errors.
+# estimate_mean runs such a plan through _two_stage_reduce too, one take per
+# stage.  These outcomes were recorded at commit e6f1d12, where such plans ran
+# a one-block copy of the kernel that was tested bit-equal to it: each run's
+# (mu1, alpha, mu_hat) in hex, and each fault's error type and full message.
 
 ONE_TAKE_DISTS = DISTS[:-1] + (
     Scaled(ParetoShape(2.5), 3.0),
@@ -311,47 +341,44 @@ ONE_TAKE_SPECS = (
     ApproxSpec(0.15, 1e-3, 1.5),
     ApproxSpec(0.99, 0.5, 4.0),  # n = 6790
 )
+ONE_TAKE_SEEDS = (0, 1, 2**40 + 3)
+# per distribution, the sha256 of its runs' lines "mu1 alpha mu_hat" (in
+# hex), one line per spec, mode and seed, in that loop order
+ONE_TAKE_DIGESTS = {
+    "constant:3": "e686f8119c42f11b01494fca4829e5eb2a90945d18b725145540de375292ca09",
+    "normal:100,50": "bf0d3b775f630367e0493b9928a56d5c264077416f09706343a9e730adb681e7",
+    "lognormal:1": "f20a55963ebe77a73359c6012fd2b9753d78d616e335eb07d0f89d1da3e230cb",
+    "bernoulli:0.5,2": "234353875fa34c8abe20d84b9de5280abc7f0c2414a29dd84718fc38e49a40a7",
+    "pareto:2.5": "8e15db09e9cb630ec232eff28e0e3f149dc8914072ff8c7ba03c819626f3dbfc",
+    "scaled:3:pareto:2.5": "74f37ba01fc280bfeb3a88f265a78261f1b8abaa92f91046569f38ff36366fd9",
+    "recorded:8000values": "2bb8121037f29d69177173c91f751a34d253ff42bb8110743f30d9e26226efa9",
+}
 
 
-def _outcome(run):
-    """The floats run() returns, as hex strings (which tell -0.0 from 0.0),
-    or the type and message of the exception it raises."""
-    try:
-        return [float(value).hex() for value in run()]
-    except Exception as exc:  # noqa: BLE001 - the outcome compared is any error's type and message
-        return type(exc), str(exc)
-
-
-def _assert_one_block_is_streamed(make_source, spec, mode):
-    """estimate_mean on make_source() equals _two_stage_reduce on another
-    make_source(); the only difference allowed is the draw count estimate_mean
-    adds to an exhausted source's message."""
+def _outcome(make_source, spec, mode):
+    """(mu1, alpha, mu_hat) of estimate_mean on make_source() as hex strings
+    (which tell -0.0 from 0.0), or the type and message of the exception it
+    raises.  The plan fits one take per stage."""
     plan = build_plan(spec, mode)
     assert plan.samples_stage1 <= estimator._BLOCK and plan.n <= estimator._BLOCK
-
-    def streamed():
-        source = make_source()
-        read1, read2 = estimator._source_reader(source, "stage 1"), estimator._source_reader(source, "stage 2")
-        return [row[0] for row in estimator._two_stage_reduce(read1, read2, spec, plan)]
-
-    def one_block():
+    try:
         report = estimate_mean(make_source(), spec, mode)
-        return report.mu1, report.alpha.alpha, report.mu_hat
-
-    want = _outcome(streamed)
-    if want[0] is InsufficientSamplesError:
-        want = (want[0], f"{want[1]}; the plan takes {plan.total_samples} draws")
-    assert _outcome(one_block) == want
-    return want
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is any error's type and message
+        return type(exc), str(exc)
+    return [value.hex() for value in (report.mu1, report.alpha.alpha, report.mu_hat)]
 
 
 @pytest.mark.parametrize("dist", ONE_TAKE_DISTS, ids=lambda d: d.spec_string)
-def test_one_block_runs_equal_the_streamed_kernel(dist):
+def test_one_take_runs_keep_their_recorded_outcomes(dist):
+    lines = []
     for spec in ONE_TAKE_SPECS:
         for mode in Mode:
-            for seed in (0, 1, 2**40 + 3):
-                outcome = _assert_one_block_is_streamed(lambda: SampleSource(dist, seed), spec, mode)
+            for seed in ONE_TAKE_SEEDS:
+                outcome = _outcome(lambda: SampleSource(dist, seed), spec, mode)
                 assert isinstance(outcome, list), (spec, mode, seed, outcome)
+                lines.append(" ".join(outcome))
+    assert len(lines) == 42
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ONE_TAKE_DIGESTS[dist.spec_string], lines[:2]
 
 
 def _stages(stage1, stage2):
@@ -365,35 +392,53 @@ def _stages(stage1, stage2):
     return SampleSource(Recorded(tuple(draws.tolist())), 0)
 
 
-# (spec, source factory, the error the reference raises or None); SPEC's plan
-# is k = 80, m = 3, n = 231 in both modes
+_GROUP_SUM_OVERFLOWS = "stage 1: a group sum of k = 80 draws overflows; it holds draws of magnitude up to 2.25e+306"
+# (spec, source factory, the recorded outcome, alike in both modes); SPEC's
+# plan is k = 80, m = 3, n = 231 in both modes
 ONE_TAKE_FAULTS = {
-    "nonpositive-centre": (SPEC, lambda: SampleSource(Constant(-1.0), 0), NonpositiveEstimateError),
-    "alpha-overflows": (SPEC, lambda: SampleSource(Constant(1e-310), 0), ValueError),
+    "nonpositive-centre": (SPEC, lambda: SampleSource(Constant(-1.0), 0), (
+        NonpositiveEstimateError,
+        "stage-1 estimate -1.1111111111111112 is not positive; the method requires a positive mean",
+    )),
+    "alpha-overflows": (SPEC, lambda: SampleSource(Constant(1e-310), 0), (
+        ValueError,
+        "mu1 = 1.1111111111111e-310 is too small at c = 1.0: the truncation scale epsilon / (c^2 mu1) overflows",
+    )),
     # c^2 mu1 overflows while the group sums, of k = 138 draws, do not
-    "alpha-underflows": (ApproxSpec(0.99, 0.5, 4.0), lambda: SampleSource(Constant(1e306), 0), ValueError),
+    "alpha-underflows": (ApproxSpec(0.99, 0.5, 4.0), lambda: SampleSource(Constant(1e306), 0), (
+        ValueError,
+        "mu1 = 1.4655172413793104e+307 is too large at c = 4.0: the truncation scale epsilon / (c^2 mu1) underflows to 0",
+    )),
     # the first group sums to +inf, -inf or NaN, which is not the median
-    "group-sum-overflows-up": (SPEC, lambda: _stages(dict.fromkeys(range(80), 1e308), {}), ValueError),
-    "group-sum-overflows-down": (SPEC, lambda: _stages(dict.fromkeys(range(80), -1e308), {}), ValueError),
+    "group-sum-overflows-up": (
+        SPEC, lambda: _stages(dict.fromkeys(range(80), 1e308), {}), (ValueError, _GROUP_SUM_OVERFLOWS)),
+    "group-sum-overflows-down": (
+        SPEC, lambda: _stages(dict.fromkeys(range(80), -1e308), {}), (ValueError, _GROUP_SUM_OVERFLOWS)),
     "group-sum-overflows-both-ways": (
-        SPEC, lambda: _stages({0: 1e308, 8: 1e308, 1: -1e308, 9: -1e308}, {}), ValueError),
-    "stage-2-sum-overflows": (ApproxSpec(0.1, 0.05, 1.0), lambda: SampleSource(Constant(1e306), 0), ValueError),
-    "repaired-tails": (SPEC, lambda: _stages({}, {3: 1e300, 5: 1e160, 7: -1e300, 200: -1e300}), None),
-    "nan-in-stage-1": (SPEC, lambda: _BrokenSource(Constant(3.0), at=100), SourceContractError),
-    "nan-in-stage-2": (SPEC, lambda: _BrokenSource(Constant(3.0), at=470), SourceContractError),
-    "short-stage-1": (SPEC, lambda: _BrokenSource(Constant(3.0), at=0, short=True), SourceContractError),
-    "short-stage-2": (SPEC, lambda: _BrokenSource(Constant(3.0), at=240, short=True), SourceContractError),
-    "exhausted-in-stage-1": (SPEC, lambda: SampleSource(Recorded((1.0, 2.0, 3.0)), 0), InsufficientSamplesError),
-    "exhausted-in-stage-2": (SPEC, lambda: SampleSource(Recorded((2.0,) * 470), 0), InsufficientSamplesError),
+        SPEC, lambda: _stages({0: 1e308, 8: 1e308, 1: -1e308, 9: -1e308}, {}), (ValueError, _GROUP_SUM_OVERFLOWS)),
+    "stage-2-sum-overflows": (ApproxSpec(0.1, 0.05, 1.0), lambda: SampleSource(Constant(1e306), 0), (
+        ValueError, "stage 2: the sum of n = 974 terms overflows; it holds draws of magnitude up to 1.85e+305")),
+    "repaired-tails": (
+        SPEC, lambda: _stages({}, {3: 1e300, 5: 1e160, 7: -1e300, 200: -1e300}),
+        ["0x1.1c71c71c71c72p+0", "0x1.70a3d70a3d70ap-3", "-0x1.d01e3f6ad366dp+3"],
+    ),
+    "nan-in-stage-1": (SPEC, lambda: _BrokenSource(Constant(3.0), at=100), (
+        SourceContractError, "stage 1: take(240) returned a non-finite draw from constant:3")),
+    "nan-in-stage-2": (SPEC, lambda: _BrokenSource(Constant(3.0), at=470), (
+        SourceContractError, "stage 2: take(231) returned a non-finite draw from constant:3")),
+    "short-stage-1": (SPEC, lambda: _BrokenSource(Constant(3.0), at=0, short=True), (
+        SourceContractError, "stage 1: take(240) returned 239 draws in shape (239,)")),
+    "short-stage-2": (SPEC, lambda: _BrokenSource(Constant(3.0), at=240, short=True), (
+        SourceContractError, "stage 2: take(231) returned 230 draws in shape (230,)")),
+    "exhausted-in-stage-1": (SPEC, lambda: SampleSource(Recorded((1.0, 2.0, 3.0)), 0), (
+        InsufficientSamplesError, "recorded source holds 3 values, needed 240; the plan takes 471 draws")),
+    "exhausted-in-stage-2": (SPEC, lambda: SampleSource(Recorded((2.0,) * 470), 0), (
+        InsufficientSamplesError, "recorded source holds 470 values, needed 471; the plan takes 471 draws")),
 }
 
 
 @pytest.mark.parametrize("mode", Mode)
 @pytest.mark.parametrize("fault", ONE_TAKE_FAULTS)
-def test_one_block_runs_fail_as_the_streamed_kernel_does(fault, mode):
-    spec, make_source, error = ONE_TAKE_FAULTS[fault]
-    outcome = _assert_one_block_is_streamed(make_source, spec, mode)
-    if error is None:
-        assert isinstance(outcome, list) and math.isfinite(float.fromhex(outcome[2]))
-    else:
-        assert outcome[0] is error, outcome
+def test_one_take_faults_keep_their_recorded_outcomes(fault, mode):
+    spec, make_source, want = ONE_TAKE_FAULTS[fault]
+    assert _outcome(make_source, spec, mode) == want
