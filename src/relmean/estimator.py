@@ -238,8 +238,10 @@ def _fill_rows(sources, width: int, stage: str, stage2_from=None) -> np.ndarray:
     passes this gate of the take contract: take(width) returns exactly
     `width` real draws, all finite, or SourceContractError names the stage
     (and, for a non-finite draw, the source's distribution spec string).
-    Complex draws are rejected by dtype: a cast to float would drop their
-    imaginary parts with only a ComplexWarning.  A take that holds both
+    Only bool, integer and float draws are real: any other dtype is
+    rejected, as a cast to float would drop a complex draw's imaginary
+    part with only a ComplexWarning, parse strings and cast an object
+    array element by element.  A take that holds both
     stages of a run gives stage2_from, its first stage-2 column: a
     non-finite draw is then named by the stage of its column.  The rows of
     several sources are written into one new matrix; a single source's
@@ -247,7 +249,7 @@ def _fill_rows(sources, width: int, stage: str, stage2_from=None) -> np.ndarray:
     rows = np.empty((len(sources), width)) if len(sources) > 1 else None
     for i, source in enumerate(sources):
         draws = np.asarray(source.take(width))
-        if draws.dtype.kind == "c":
+        if draws.dtype.kind not in "biuf":
             raise SourceContractError(f"{stage}: take({width}) returned draws of dtype {draws.dtype}")
         draws = draws.astype(float, copy=False)
         if draws.shape != (width,):

@@ -21,10 +21,12 @@ makes in its bounded takes.  Each estimator then reduces its own prefix
 of those rows, read by column views: the two-stage through
 _two_stage_reduce, the kernel estimate_mean runs on its source, with the
 arithmetic of a single run, so a coverage report is bit-identical to one
-replicate-at-a-time loop.  The kernels raise at their first fault; a
-chunk that raises runs again one replicate at a time, so the error is
-that of its first failing replicate, as in such a loop, or the chunk's
-own if each replicate runs clean alone.
+replicate-at-a-time loop; each baseline through stage 1's kernel,
+_median_rows, the plain mean as the median of one group of the whole
+budget, which is the row mean bit for bit.  The kernels raise at their
+first fault; a chunk that raises runs again one replicate at a time, so
+the error is that of its first failing replicate, as in such a loop, or
+the chunk's own if each replicate runs clean alone.
 run_coverage certifies the two-stage estimator; the baselines are rows
 of compare_estimators, which reads each replicate's draws once and opens
 R streams, not one per estimator.
@@ -40,12 +42,13 @@ out, never set: min(usable CPUs, R * budget // _MIN_SLICE_DRAWS), with
 the two-stage draw budget, and 1 where os.fork is missing or another
 Python thread runs.  Estimates are placed by replicate index.  A slice
 stops at its first error, as the serial run does.  The parent waits for
-the slices in replicate order, and runs a slice whose child failed, or
-was killed, again itself: every slice before it ran clean, so the rerun
-raises the serial run's own exception, type, message and traceback, and
-the slices still running are killed.  A child killed for want of memory
-is so retried once in the parent, as the serial run would have run its
-slice.  Reports and errors thus do not depend on the worker count.
+the slices in replicate order, and runs a slice whose child failed, was
+killed or could not be forked (EAGAIN, ENOMEM), again itself: every
+slice before it ran clean, so the rerun raises the serial run's own
+exception, type, message and traceback, and the slices still running are
+killed.  A child killed for want of memory is so retried once in the
+parent, as the serial run would have run its slice.  Reports and errors
+thus do not depend on the worker count.
 The gain was measured on Linux only.  Python 3.12 and later warn
 (DeprecationWarning) on fork() in a process with more than one OS thread,
 and numpy's BLAS may hold such a thread; the test suite turns relmean's
@@ -66,7 +69,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimator import ApproxSpec, Mode, _column_reader, _fill_rows, _median_rows, _overflow_error, _two_stage_reduce, build_plan
+from .estimator import ApproxSpec, Mode, _column_reader, _fill_rows, _median_rows, _two_stage_reduce, build_plan
 from .estimator import estimate_mean, median_of_means  # noqa: F401 - bench/tracing.py wraps them here
 from .sources import SampleSource, _integer, _replays, _replicate_seed_words
 
@@ -245,12 +248,16 @@ def _run_slices(fill, bounds: list[int]) -> None:
     the serial run's error, its own object with its traceback, or fills the
     slice as the serial run would.  Every child is reaped before this
     returns or raises; on a raise, Ctrl-C included, the children still
-    running are killed first.
+    running are killed first.  A fork that fails (OSError: EAGAIN,
+    ENOMEM) counts as a child that failed: its slice runs here in its turn.
     """
-    children = []  # (pid, lo, hi), in slice order, not yet reaped
+    children = []  # (pid, lo, hi), in slice order, not yet reaped; pid None if its fork failed
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN, ENOMEM: a child that failed, whose slice runs here
+                pid = None
             if pid == 0:
                 code = 1
                 try:
@@ -262,21 +269,24 @@ def _run_slices(fill, bounds: list[int]) -> None:
         fill(bounds[0], bounds[1])
         while children:
             pid, lo, hi = children[0]
-            status = os.waitpid(pid, 0)[1]
+            failed = pid is None or os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0
             children.pop(0)
-            if os.waitstatus_to_exitcode(status) != 0:
+            if failed:
                 fill(lo, hi)
     finally:
         for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _estimator(kind: EstimatorKind, spec: ApproxSpec, plan):
     """The reducer of `kind` at the plan's draw budget: a function from a
     matrix of two-stage rows (each replicate's k*m stage-1 draws, then its
-    n stage-2 draws) to one estimate per row.  The baselines read a prefix
-    of the rows."""
+    n stage-2 draws) to one estimate per row.  Each baseline is a median
+    of group means over a prefix of the rows, by stage 1's kernel: the
+    plain mean is the median of one group of the whole budget, the row
+    mean bit for bit."""
     if kind is EstimatorKind.TWO_STAGE:
         k_m = plan.samples_stage1
         return lambda rows: _two_stage_reduce(
@@ -284,18 +294,10 @@ def _estimator(kind: EstimatorKind, spec: ApproxSpec, plan):
         )[2]
     budget = plan.total_samples
     if kind is EstimatorKind.MEDIAN_OF_MEANS_ONLY:
-        mom_k, mom_m = _mom_baseline_params(spec, budget)
-        reduce = lambda rows: _median_rows(_column_reader(rows), mom_k, mom_m, "median of means")
+        (k, m), name = _mom_baseline_params(spec, budget), "median of means"
     else:
-        def reduce(rows):
-            # the draws are finite, so only a sum that overflowed gives a
-            # mean that is not
-            means = rows.mean(axis=1)
-            if not np.isfinite(means).all():
-                raise _overflow_error("plain mean", f"the sum of {budget} draws", budget)
-            return means
-
-    return np.errstate(over="ignore", invalid="ignore")(reduce)
+        (k, m), name = (budget, 1), "plain mean"
+    return np.errstate(over="ignore", invalid="ignore")(lambda rows: _median_rows(_column_reader(rows), k, m, name))
 
 
 def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:

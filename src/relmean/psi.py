@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import _positive
+from .sources import _positive, _real
 
 __all__ = ["TruncationScale", "psi", "psi_lower", "psi_upper", "scaled_psi"]
 
@@ -44,7 +44,16 @@ class TruncationScale:
 
 
 def _finite_array(u) -> np.ndarray:
-    arr = np.asarray(u, dtype=float)
+    """u as a float array, if it holds bool, integer or float entries, all
+    finite.  A scalar numpy holds as an object, a Fraction say, converts as
+    _real converts it; any other dtype is a ValueError naming u, not cast:
+    a complex array would lose its imaginary parts, a string one be parsed."""
+    arr = np.asarray(u)
+    if arr.dtype.kind == "O" and arr.ndim == 0:
+        arr = np.asarray(_real("u", u))
+    elif arr.dtype.kind not in "biuf":
+        raise ValueError(f"u must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise ValueError("input must be finite")
     return arr

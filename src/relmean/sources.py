@@ -45,20 +45,34 @@ class InsufficientSamplesError(RuntimeError):
 
 @dataclass(frozen=True)
 class SourceFacts:
-    """Exact mean, relative variance, and an honest bound c with c^2 >= relvar."""
+    """Exact mean, relative variance, and an honest bound c with c^2 >= relvar.
+    The fields keep the floats they were checked as."""
 
     true_mean: float
     true_relvar: float
     c_bound: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.true_mean) and self.true_mean > 0.0):
-            raise ValueError("facts require a finite positive mean")
-        if self.true_relvar < 0.0 or not math.isfinite(self.true_relvar):
-            raise ValueError("relative variance must be finite and nonnegative")
+        mean = _positive("true_mean", self.true_mean)
+        relvar, c_bound = _real("true_relvar", self.true_relvar), _real("c_bound", self.c_bound)
+        for name, value in (("true_relvar", relvar), ("c_bound", c_bound)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         # allow a one-ulp sqrt round-trip when c_bound = sqrt(relvar)
-        if self.c_bound * self.c_bound < self.true_relvar * (1.0 - 1e-12):
-            raise ValueError("c_bound^2 must cover the relative variance")
+        if c_bound * c_bound < relvar * (1.0 - 1e-12):
+            raise ValueError(f"c_bound^2 must cover the relative variance {relvar!r}, but c_bound is {c_bound!r}")
+        for name, value in (("true_mean", mean), ("true_relvar", relvar), ("c_bound", c_bound)):
+            object.__setattr__(self, name, value)
+
+
+def _inf_on_overflow(function, *args) -> float:
+    """function(*args), or inf where it overflows: math.exp, math.expm1 and
+    float ** raise OverflowError there, where float * gives inf.  A fact
+    that overflows is so left to SourceFacts, which rejects it by name."""
+    try:
+        return function(*args)
+    except OverflowError:
+        return math.inf
 
 
 def _real(name: str, value) -> float:
@@ -123,7 +137,7 @@ class Normal:
 
     def facts(self) -> SourceFacts:
         mean = _positive("Normal mean", self.mu)
-        relvar = (self.sigma / mean) ** 2
+        relvar = _inf_on_overflow(pow, self.sigma / mean, 2)
         return SourceFacts(mean, relvar, self.sigma / mean)
 
     @property
@@ -147,8 +161,8 @@ class LogNormal:
         return rng.lognormal(0.0, self.s, n)
 
     def facts(self) -> SourceFacts:
-        relvar = math.expm1(self.s * self.s)
-        return SourceFacts(math.exp(0.5 * self.s * self.s), relvar, math.sqrt(relvar))
+        relvar = _inf_on_overflow(math.expm1, self.s * self.s)
+        return SourceFacts(_inf_on_overflow(math.exp, 0.5 * self.s * self.s), relvar, math.sqrt(relvar))
 
     @property
     def spec_string(self) -> str:
@@ -201,7 +215,7 @@ class ParetoShape:
         if self.a <= 2.0:
             raise ValueError("Pareto shape must exceed 2 for a finite variance")
         mean = self.a / (self.a - 1.0)
-        var = self.a / ((self.a - 1.0) ** 2 * (self.a - 2.0))
+        var = self.a / (_inf_on_overflow(pow, self.a - 1.0, 2) * (self.a - 2.0))
         relvar = var / (mean * mean)
         return SourceFacts(mean, relvar, math.sqrt(relvar))
 
@@ -225,7 +239,7 @@ class Recorded:
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("recorded sequence must be non-empty")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_real("recorded value", v) for v in self.values))
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("recorded values must be finite")
         object.__setattr__(self, "_array", np.array(self.values, dtype=float))

@@ -235,6 +235,16 @@ def test_negative_seed_exits_2_naming_seed(capsys, tmp_path):
         assert "seed must be a nonnegative integer" in err, argv
 
 
+@pytest.mark.parametrize("dist", ["lognormal:27", "normal:1,1e200"])
+def test_a_distribution_whose_facts_overflow_exits_2(capsys, dist):
+    # math.expm1 and float ** raise OverflowError, which used to exit 1
+    code, out, err = run_cli(
+        capsys, "coverage", "--dist", dist, "--epsilon", "0.2", "--delta", "0.1", "--c", "1", "--reps", "100"
+    )
+    assert (code, out) == (2, "")
+    assert err == "relmean: true_relvar must be finite and nonnegative, got inf\n"
+
+
 def test_unknown_flag_and_subcommand_exit_2(capsys):
     code, _, _ = run_cli(capsys, "samplesize", "--epsilon", "0.1", "--delta", "0.05", "--c", "1", "--bogus", "1")
     assert code == 2

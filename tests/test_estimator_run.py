@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -306,6 +307,29 @@ def test_estimate_mean_names_the_stage_of_a_complex_take():
     want = estimate_mean(_ScriptedSource(np.ones(k_m), np.ones(plan.n)), spec)
     got = estimate_mean(_ScriptedSource(np.ones(k_m, dtype=np.int64), np.ones(plan.n, dtype=bool)), spec)
     assert (got.mu1, got.alpha, got.mu_hat) == (want.mu1, want.alpha, want.mu_hat)
+
+
+@pytest.mark.parametrize(
+    "value, dtype",
+    [("1.5", r"<U3"), (b"1.5", r"\|S3"), (Fraction(3, 2), "object")],
+    ids=["str", "bytes", "object"],
+)
+def test_estimate_mean_names_the_stage_of_a_take_that_is_not_real(value, dtype):
+    # a cast to float would parse strings and cast objects one by one; only
+    # bool, integer and float takes are real draws
+    spec = ApproxSpec(0.2, 0.1, 1.0)
+    plan = build_plan(spec)
+    k_m = plan.k * plan.m
+
+    def draws(n):
+        return np.array([value] * n)
+
+    with pytest.raises(SourceContractError, match=rf"^stage 1: take\({k_m}\) returned draws of dtype {dtype}$"):
+        estimate_mean(_ScriptedSource(draws(k_m), np.ones(plan.n)), spec)
+    with pytest.raises(SourceContractError, match=rf"^stage 2: take\({plan.n}\) returned draws of dtype {dtype}$"):
+        estimate_mean(_ScriptedSource(np.ones(k_m), draws(plan.n)), spec)
+    with pytest.raises(SourceContractError, match=rf"^median of means: take\(3\) returned draws of dtype {dtype}$"):
+        median_of_means(_ScriptedSource(draws(3)), 1, 3)
 
 
 def test_stage2_draws_far_beyond_the_truncation_scale_give_a_finite_estimate():

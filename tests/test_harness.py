@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import math
 import os
@@ -32,6 +33,7 @@ from relmean import (
     Scaled,
     ScaledBernoulli,
     SourceContractError,
+    SourceFacts,
     build_plan,
     compare_estimators,
     estimate_mean,
@@ -113,6 +115,25 @@ def test_coverage_within_guarantee():
 def test_coverage_rejects_void_guarantee():
     with pytest.raises(ValueError):
         run_coverage(CoverageConfig(ApproxSpec(0.2, 0.1, 0.4), DIST, 100, seed=0))
+
+
+class _NanBound:
+    """A law of relative variance 0.25 whose facts state a NaN c bound."""
+
+    spec_string = "nan-bound"
+
+    def sample(self, rng, n):
+        return rng.normal(1.0, 0.5, n)
+
+    def facts(self):
+        return SourceFacts(1.0, 0.25, math.nan)
+
+
+def test_coverage_rejects_a_nan_c_bound():
+    # NaN > c is false, so the c-bound check once let this law run at
+    # c = 0.1, where it needs c >= 0.5
+    with pytest.raises(ValueError, match=r"^c_bound must be finite and nonnegative, got nan$"):
+        CoverageConfig(ApproxSpec(0.2, 0.1, 0.1), _NanBound(), 100, 1)
 
 
 def test_coverage_rejects_too_few_replications():
@@ -616,6 +637,40 @@ def test_a_slice_whose_child_dies_runs_in_the_parent(monkeypatch, dist, cpus, co
     assert repr(parallel) == repr(serial)  # float reprs round-trip: bit for bit
 
 
+@pytest.mark.parametrize("compare", [False, True], ids=["coverage", "compare"])
+@pytest.mark.parametrize("failing", ["every", "first", "last", "alternate"])
+@pytest.mark.parametrize("cpus", [2, 3, 4, 5])
+def test_a_slice_whose_fork_fails_runs_in_the_parent(monkeypatch, cpus, failing, compare):
+    # EAGAIN or ENOMEM from fork() leaves one process that can finish the run
+    config = CoverageConfig(SPEC, DIST, 1000, seed=0)
+    serial = _run(monkeypatch, config, SERIAL, compare=compare)
+    extra = len(_bounds(config, cpus)) - 2
+    fails = {
+        "every": range(extra), "first": [0], "last": [extra - 1], "alternate": range(0, extra, 2),
+    }[failing]
+    calls = []
+
+    def fork(real_fork=os.fork):
+        calls.append(len(calls))
+        if calls[-1] in fails:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(harness, "_MIN_SLICE_DRAWS", PARALLEL)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    try:
+        if compare:
+            result = compare_estimators(config.spec, config.dist, config.replications, config.seed, config.mode)
+        else:
+            result = run_coverage(config)
+    finally:
+        _assert_no_children()
+    assert calls == list(range(extra))
+    assert result == serial
+    assert repr(result) == repr(serial)  # float reprs round-trip: bit for bit
+
+
 class _UnpicklableError(Exception):
     def __init__(self, detail, code):
         super().__init__(f"{detail} ({code})")
@@ -829,11 +884,27 @@ def test_a_chunk_of_complex_draws_is_a_contract_error(monkeypatch):
         _run(monkeypatch, config, SERIAL)
 
 
+class _TextDraws(_ComplexDraws):
+    """Normal(100, 50) draws written as decimal strings."""
+
+    spec_string = "text"
+
+    def sample(self, rng, n):
+        return rng.normal(100.0, 50.0, n).astype(str)
+
+
+def test_a_chunk_of_string_draws_is_a_contract_error(monkeypatch):
+    # a cast to float would parse them
+    config = CoverageConfig(SPEC, _TextDraws(), 100, seed=0)
+    with pytest.raises(SourceContractError, match=r"^stages 1 and 2: take\(208\) returned draws of dtype <U\d+$"):
+        _run(monkeypatch, config, SERIAL)
+
+
 @pytest.mark.parametrize(
     "value, spec, message",
     [
         (1e306, ApproxSpec(0.2, 0.5, 1.0), "median of means: a group sum of k = 200 draws overflows"),
-        (1.5e305, ApproxSpec(0.1, 0.05, 1.0), "plain mean: the sum of 1774 draws overflows"),
+        (1.5e305, ApproxSpec(0.1, 0.05, 1.0), "plain mean: a group sum of k = 1774 draws overflows"),
     ],
 )
 def test_a_baseline_sum_that_overflows_is_named(value, spec, message):
@@ -872,12 +943,34 @@ def test_budget_matches_two_stage_plan():
     assert paper.samples_per_run == theorem1_total(SPEC)
 
 
-def test_mom_baseline_degrades_to_a_plain_mean_when_its_group_size_overflows():
+def test_mom_baseline_degrades_to_a_plain_mean_when_its_group_size_overflows(monkeypatch):
     # 8 c^2 / epsilon^2 is inf, while the plan's own counts are finite
     spec = ApproxSpec(1e-150, 0.99, 5477.0)
     assert math.isinf(8.0 * spec.c**2 / spec.epsilon**2)
     assert harness._mom_baseline_params(spec, 10**6) == (10**6, 1)
     assert harness._mom_baseline_params(SPEC, 208) == (50, 3)
+    # the plan of this spec takes about 2e158 draws, so the compare runs at
+    # SPEC's 208-draw plan: its degraded median of means is the plain mean
+    plan = build_plan(SPEC)
+    monkeypatch.setattr(harness, "build_plan", lambda spec, mode: plan)
+    _, mom, naive = compare_estimators(spec, DIST, 100, seed=4)
+    assert (mom.failures, mom.mean_abs_rel_error.hex()) == (naive.failures, naive.mean_abs_rel_error.hex())
+
+
+def test_compare_reduces_each_baseline_through_the_stage_1_kernel(monkeypatch):
+    # the plain mean is the median of one group of the whole budget
+    calls = []
+    median_rows = harness._median_rows
+
+    def counted(read, k, m, stage):
+        calls.append((k, m, stage))
+        return median_rows(read, k, m, stage)
+
+    monkeypatch.setattr(harness, "_median_rows", counted)
+    config = CoverageConfig(SPEC, DIST, 1000, seed=2)
+    _run(monkeypatch, config, PARALLEL, 1, compare=True)  # one usable CPU: one worker
+    chunks = -(-1000 // harness._chunk_rows(_BUDGET))
+    assert calls == [(50, 3, "median of means"), (_BUDGET, 1, "plain mean")] * chunks
 
 
 def test_compare_rows_share_budget():

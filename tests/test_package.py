@@ -157,6 +157,10 @@ REAL_ARGUMENTS = {
     "product_variance_bound.max_inverse_ratio": (
         lambda v: relmean.product_variance_bound(3, v, 3), "max_inverse_ratio"),
     "mom_failure_bound.nu_sq": (lambda v: relmean.mom_failure_bound(v, 3), "nu_sq"),
+    "SourceFacts.true_mean": (lambda v: relmean.SourceFacts(v, 0.5, 1.0), "true_mean"),
+    "SourceFacts.true_relvar": (lambda v: relmean.SourceFacts(1.0, v, 1.0), "true_relvar"),
+    "SourceFacts.c_bound": (lambda v: relmean.SourceFacts(1.0, 0.5, v), "c_bound"),
+    "Recorded.values": (lambda v: relmean.Recorded((1.0, v)), "recorded value"),
 }
 
 # (constructor given one real value in every real argument, the fields that
@@ -172,6 +176,7 @@ STORED_DISTRIBUTION_FLOATS = {
 STORED_FLOATS = {
     "ApproxSpec": (lambda v: relmean.ApproxSpec(v, v, v), ("epsilon", "delta", "c")),
     "TruncationScale": (lambda v: relmean.TruncationScale(v), ("alpha",)),
+    "SourceFacts": (lambda v: relmean.SourceFacts(v, v, 1 + v), ("true_mean", "true_relvar", "c_bound")),
     "NestedChain": (
         lambda v: relmean.NestedChain(SURE_CHAIN.samplers, v, 1 + v), ("known_terminal", "max_inverse_ratio")),
     **STORED_DISTRIBUTION_FLOATS,
@@ -199,7 +204,8 @@ def test_real_arguments_beyond_the_float_range_are_checked_by_name(entry):
 
 
 @pytest.mark.parametrize("entry", ["NestedChain.known_terminal", "NestedChain.max_inverse_ratio",
-                                   "product_variance_bound.max_inverse_ratio", "stage2_estimate.mu1"])
+                                   "product_variance_bound.max_inverse_ratio", "stage2_estimate.mu1",
+                                   "SourceFacts.true_mean", "SourceFacts.true_relvar", "SourceFacts.c_bound"])
 def test_infinite_bounds_are_checked_by_name(entry):
     call, name = REAL_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=rf"{re.escape(name)} must be .*finite.*, got inf"):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,3 +181,28 @@ def test_exponential_identity():
 def test_lower_upper_mirror_symmetry():
     grid = np.linspace(-50.0, 50.0, 5_001)
     assert np.allclose(psi_lower(-grid), -psi_upper(grid), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("function", [psi, psi_upper, psi_lower, lambda u: scaled_psi(0.5, u)],
+                         ids=["psi", "psi_upper", "psi_lower", "scaled_psi"])
+def test_inputs_that_are_not_real_are_named(function):
+    # a cast to float would drop imaginary parts with only a ComplexWarning
+    # and parse strings
+    for u, dtype in [
+        (np.array([1.0, 2.0 + 1j]), "complex128"), (np.ones(2, dtype=np.complex64), "complex64"),
+        (2.0 + 0j, "complex128"), (np.array(["1.5"]), "<U3"), ("1.5", "<U3"), ([Fraction(1, 2)], "object"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^u must hold real numbers, got dtype {re.escape(dtype)}$"):
+            function(u)
+    with pytest.raises(ValueError, match=r"^u must be a real number, got None$"):
+        function(None)
+    with pytest.raises(ValueError, match=r"^u must be finite, got 10{400}$"):
+        function(10**400)
+    # a real scalar converts as a float would, and bool, integer and float
+    # arrays are real
+    assert function(Fraction(1, 2)) == function(0.5)
+    assert type(function(Fraction(1, 2))) is float
+    want = function(np.array([0.0, 1.0, 2.0]))
+    for u in [[0, 1, 2], np.arange(3, dtype=np.uint8), np.array([0.0, 1.0, 2.0], dtype=np.float32)]:
+        assert function(u).tobytes() == want.tobytes()
+    assert function(np.array([False, True])).tobytes() == want[:2].tobytes()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,9 @@ def test_recorded_validation():
         Recorded(())
     with pytest.raises(ValueError):
         Recorded((1.0, math.inf))
+    recorded = Recorded((Fraction(3, 2), np.float32(2.0), True))
+    assert recorded.values == (1.5, 2.0, 1.0)
+    assert [type(v) for v in recorded.values] == [float] * 3
 
 
 def test_facts_pinned_values():
@@ -117,6 +121,46 @@ def test_source_facts_invariant():
     with pytest.raises(ValueError):
         SourceFacts(1.0, 4.0, 1.0)  # c_bound^2 < relvar
     SourceFacts(1.0, 4.0, 2.0)  # equality allowed
+    # a NaN c_bound compared false with every bound, and so covered any relvar
+    for c_bound in [math.nan, -2.0]:
+        with pytest.raises(ValueError, match=rf"^c_bound must be finite and nonnegative, got {c_bound!r}$"):
+            SourceFacts(1.0, 0.5, c_bound)
+    with pytest.raises(ValueError, match=r"^true_relvar must be finite and nonnegative, got -0.5$"):
+        SourceFacts(1.0, -0.5, 1.0)
+    with pytest.raises(ValueError, match=r"^c_bound\^2 must cover the relative variance 0.5, but c_bound is 0.5$"):
+        SourceFacts(1.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        (LogNormal(27.0), r"true_relvar must be finite and nonnegative, got inf"),  # math.expm1 overflows
+        (LogNormal(40.0), r"true_mean must be positive and finite, got inf"),  # so does math.exp
+        (Normal(1.0, 1e200), r"true_relvar must be finite and nonnegative, got inf"),  # float ** overflows
+    ],
+)
+def test_facts_that_overflow_are_named(dist, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dist.facts()
+
+
+def test_a_pareto_shape_whose_square_overflows_has_facts():
+    # (a - 1) ** 2 overflows, and a / inf is the variance 0, the float
+    # nearest a / a^3
+    assert ParetoShape(1e308).facts() == SourceFacts(1.0, 0.0, 0.0)
+
+
+def test_facts_keep_their_closed_forms_bit_for_bit():
+    # x ** 2 and x * x differ in about 0.09% of doubles: the facts still
+    # square by **
+    rng = np.random.default_rng(1)
+    for mu, sigma, s, a in zip(*(rng.uniform(lo, hi, 2000).tolist() for lo, hi in [(0.1, 10), (0, 100), (0, 5), (2.01, 50)])):
+        assert Normal(mu, sigma).facts() == SourceFacts(mu, (sigma / mu) ** 2, sigma / mu)
+        relvar = math.expm1(s * s)
+        assert LogNormal(s).facts() == SourceFacts(math.exp(0.5 * s * s), relvar, math.sqrt(relvar))
+        mean, var = a / (a - 1.0), a / ((a - 1.0) ** 2 * (a - 2.0))
+        relvar = var / (mean * mean)
+        assert ParetoShape(a).facts() == SourceFacts(mean, relvar, math.sqrt(relvar))
 
 
 def test_empirical_moments_match_facts():
