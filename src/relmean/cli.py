@@ -140,12 +140,11 @@ def _cmd_gibbs(args) -> dict:
     relvar = 2.0 * math.e
     spec = ApproxSpec(args.epsilon, args.delta, math.sqrt(relvar))
     shape = math.sqrt(math.log1p(relvar))
-    true_w = 2.0 * math.exp(0.5 * shape * shape)
-    true_v = math.exp(0.5 * shape * shape)
+    w_dist, v_dist = Scaled(LogNormal(shape), 2.0), LogNormal(shape)
     stream_eps = eps_prime(spec.epsilon)
     stream_spec = ApproxSpec(stream_eps, spec.delta / 2.0, spec.c)
-    w_source = SampleSource(Scaled(LogNormal(shape), 2.0), args.seed, replicate_index=0)
-    v_source = SampleSource(LogNormal(shape), args.seed, replicate_index=1)
+    w_source = SampleSource(w_dist, args.seed, replicate_index=0)
+    v_source = SampleSource(v_dist, args.seed, replicate_index=1)
     w_report = estimate_mean(w_source, stream_spec, args.mode)
     v_report = estimate_mean(v_source, stream_spec, args.mode)
     return _payload(
@@ -156,7 +155,7 @@ def _cmd_gibbs(args) -> dict:
         mu_w=w_report.mu_hat,
         mu_v=v_report.mu_hat,
         estimate=gibbs_combine(w_report.mu_hat, v_report.mu_hat, spec.epsilon),
-        true_ratio=true_w / true_v,
+        true_ratio=w_dist.facts().true_mean / v_dist.facts().true_mean,
         samples_per_stream=w_report.total_samples,
     )
 

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .estimator import ApproxSpec, Mode, _check_accuracy, build_plan, estimate_mean
-from .sources import _float_sized, _integer, _positive, _real, _replicate_rng
+from .sources import _float_sized, _inf_on_overflow, _integer, _positive, _real, _replicate_rng
 
 DESK_SCALE_LIMIT = 10
 
@@ -121,10 +121,7 @@ def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
     k = _float_sized("k", _integer("k", k, 1))
     m = _float_sized("m", _integer("m", m, 1))
     ratio = _ratio_bound(max_inverse_ratio)
-    try:
-        bound = math.expm1(k * (ratio - 1.0) / m)
-    except OverflowError:
-        bound = math.inf
+    bound = _inf_on_overflow(math.expm1, k * (ratio - 1.0) / m)
     if bound == math.inf:
         raise ValueError(f"the product variance bound exp(k (M - 1) / m) - 1 overflows a float at k = {k}, M = {ratio!r}, m = {m}")
     return bound
@@ -140,9 +137,12 @@ def _chain_c(chain: NestedChain, m_per_level: int) -> float:
 class ProductEstimateSource:
     """Stream of independent product estimates for one chain.
 
-    Each draw costs k * m_per_level membership indicators; take(n) vectorises
-    the whole batch, one level at a time.  Follows the SampleSource protocol
-    (take), so the stream can drive estimate_mean directly.
+    Each draw costs at most k * m_per_level membership indicators: a
+    linear-extension level with one extension left draws nothing, and one
+    whose flags are all true draws its ranks but counts none
+    (_level_sampler).  take(n) vectorises the whole batch, one level at a
+    time.  Follows the SampleSource protocol (take), so the stream can drive
+    estimate_mean directly.
     """
 
     def __init__(self, chain: NestedChain, m_per_level: int, seed: int, replicate_index: int = 0):
@@ -498,10 +498,14 @@ def gibbs_combine(mu_w: float, mu_v: float, epsilon: float) -> float:
     Returns (mu_w / mu_v) / sqrt(1 + epsilon^2).  If each input is within
     relative eps_prime(epsilon) of its true mean, the result is within
     relative epsilon of the true quotient: the deflation compensates the
-    asymmetric blow-up that division inflicts on relative errors.
+    asymmetric blow-up that division inflicts on relative errors.  A quotient
+    that underflows to 0 or overflows to inf is a ValueError naming it.
     """
     mu_w, mu_v = _positive("mu_w", mu_w), _positive("mu_v", mu_v)
     if not (0.0 <= _real("epsilon", epsilon) <= 1.0):
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     epsilon = float(epsilon)
-    return (mu_w / mu_v) / math.sqrt(1.0 + epsilon * epsilon)
+    quotient = (mu_w / mu_v) / math.sqrt(1.0 + epsilon * epsilon)
+    if not 0.0 < quotient < math.inf:
+        raise ValueError(f"the quotient mu_w / mu_v = {mu_w!r} / {mu_v!r} is not a positive finite float")
+    return quotient

@@ -44,42 +44,38 @@ class TruncationScale:
 
 
 def _finite_array(u) -> np.ndarray:
-    """u as a float array, if it holds bool, integer or float entries, all
-    finite.  A scalar numpy holds as an object, a Fraction say, converts as
-    _real converts it; any other dtype is a ValueError naming u, not cast:
-    a complex array would lose its imaginary parts, a string one be parsed."""
+    """u as a float array, at least 1-d, if it holds bool, integer or float
+    entries, all finite.  A scalar numpy holds as an object, a Fraction say,
+    converts as _real converts it; any other dtype is a ValueError naming u,
+    not cast, which would drop imaginary parts and parse strings."""
     arr = np.asarray(u)
     if arr.dtype.kind == "O" and arr.ndim == 0:
         arr = np.asarray(_real("u", u))
     elif arr.dtype.kind not in "biuf":
         raise ValueError(f"u must hold real numbers, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
+    arr = np.atleast_1d(arr.astype(float, copy=False))
     if not np.all(np.isfinite(arr)):
         raise ValueError("input must be finite")
     return arr
 
 
 def _match_input(out: np.ndarray, u):
-    return float(out) if np.ndim(u) == 0 else out
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
-def _scaled_psi_into(w: np.ndarray, alpha, t: np.ndarray | None = None, u: np.ndarray | None = None) -> None:
+def _scaled_psi_into(w: np.ndarray, alpha) -> None:
     """Overwrite the float array w with psi(alpha w) / alpha, without input
     checks; alpha is a positive float or broadcasts against w.
 
     psi(v) = sign(v) * log1p(|v| + v^2/2), written by copysign, so an entry
     -0.0 stays -0.0: _scaled_psi turns it into +0.0, and a kernel term
-    mu1 + psi / alpha, with mu1 > 0, is never a signed zero.  t and u are
-    scratch arrays of w's shape; numpy allocates them when not given, but a
-    0-d w needs them given: its w * 0.5 is a numpy scalar, which
-    np.log1p(t, out=t) rejects with a TypeError.  Where alpha w or its
-    square overflows, the entry is infinite.
+    mu1 + psi / alpha, with mu1 > 0, is never a signed zero.  Where alpha w
+    or its square overflows, the entry is infinite.
     """
     w *= alpha
-    t = np.multiply(w, 0.5, out=t)
+    t = w * 0.5
     t *= w
-    u = np.abs(w, out=u)
-    t += u
+    t += np.abs(w)
     np.log1p(t, out=t)
     np.copysign(t, w, out=w)
     w /= alpha
@@ -105,9 +101,9 @@ def _scaled_psi(alpha: float, arr: np.ndarray) -> np.ndarray:
     copy, with its overflowed entries repaired and -0.0 turned into +0.0
     (-0.0 + 0.0 is +0.0; every other entry is unchanged), so psi(-0.0) is
     +0.0."""
-    w = arr.copy()  # a copy of a 0-d array stays an array, which the evaluator writes
+    w = arr.copy()
     with np.errstate(over="ignore"):
-        _scaled_psi_into(w, alpha, np.empty_like(w), np.empty_like(w))
+        _scaled_psi_into(w, alpha)
     _repair_tails(w, arr, alpha)
     w += 0.0
     return w
@@ -135,10 +131,8 @@ def _upper(arr: np.ndarray) -> np.ndarray:
     an ulp, so the two roundings may invert by one; the maximum keeps the
     envelope above psi, and psi_lower(u) = -psi_upper(-u) below it, since
     psi is exactly odd."""
-    arr = np.asarray(arr)  # psi_lower negates a 0-d array into a scalar
-    out = np.empty_like(arr)  # an array even for 0-d input, which the repair writes
     with np.errstate(over="ignore"):
-        np.log1p(arr + 0.5 * arr * arr, out=out)
+        out = np.log1p(arr + 0.5 * arr * arr)
     _repair_tails(out, np.abs(arr), 1.0)
     return np.maximum(out, _scaled_psi(1.0, arr), out=out)
 

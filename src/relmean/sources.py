@@ -256,8 +256,14 @@ class Recorded:
         return out
 
     def facts(self) -> SourceFacts:
-        mean = _positive("recorded mean", float(self._array.mean()))
-        relvar = float(self._array.var()) / (mean * mean)
+        # a sum or square beyond the largest float is inf, or nan where infs of
+        # both signs meet: the mean's and relvar's named checks reject either
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = _positive("recorded mean", float(self._array.mean()))
+            var = float(self._array.var())
+        if mean * mean == 0.0:
+            raise ValueError(f"true_relvar is undefined: the recorded mean {mean!r} squares to 0")
+        relvar = var / (mean * mean)
         return SourceFacts(mean, relvar, math.sqrt(relvar))
 
     @property

@@ -550,6 +550,10 @@ def test_gibbs_combine_validation():
         gibbs_combine(1.0, -1.0, 0.2)
     with pytest.raises(ValueError):
         gibbs_combine(1.0, 1.0, 1.5)
+    # a quotient that underflows to 0 or overflows to inf was returned
+    for mu_w, mu_v in [(1e-300, 1e300), (1e300, 1e-300)]:
+        with pytest.raises(ValueError, match=r"^the quotient mu_w / mu_v = "):
+            gibbs_combine(mu_w, mu_v, 0.1)
 
 
 def test_gibbs_combine_worst_case_endpoints():

@@ -72,6 +72,29 @@ def test_imports_kept_for_the_tracer_are_wrapped_by_it():
     assert kept <= wrapped, sorted(kept - wrapped)
 
 
+def test_overflow_errors_are_caught_only_by_the_two_real_helpers():
+    # math and float ** raise OverflowError where float * gives inf;
+    # sources._inf_on_overflow turns it into inf and sources._real into a
+    # named error, and every other module calls them instead of catching it
+    catchers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.ExceptHandler) and child.type is not None:
+                caught = {name.id for name in ast.walk(child.type) if isinstance(name, ast.Name)}
+                if caught & {"OverflowError", "ArithmeticError"}:
+                    catchers.add(scope)
+            visit(child, inner)
+
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted((root / "src" / "relmean").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert catchers == {"sources._real", "sources._inf_on_overflow"}
+
+
 # --------------------------------------------------------------- the argument boundary
 #
 # Every public entry point checks its own arguments when called: an integer

@@ -206,3 +206,13 @@ def test_inputs_that_are_not_real_are_named(function):
     for u in [[0, 1, 2], np.arange(3, dtype=np.uint8), np.array([0.0, 1.0, 2.0], dtype=np.float32)]:
         assert function(u).tobytes() == want.tobytes()
     assert function(np.array([False, True])).tobytes() == want[:2].tobytes()
+    # a 0-d array or numpy scalar is a scalar too: a float with the bits of
+    # element 0 of the one-element-array result
+    for u in (
+        -0.0, 5e-324, 1e200, np.array(-0.0), np.array(5e-324), np.array(1e200), np.array(3),
+        np.float64(-0.0), np.float64(5e-324), np.float64(1e200), np.float32(-0.0), np.float32(3e38),
+        np.int64(-7), np.int64(2**62), np.bool_(True), np.bool_(False),
+    ):
+        value = function(u)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == function(np.array([u])).tobytes()

@@ -144,6 +144,23 @@ def test_facts_that_overflow_are_named(dist, message):
         dist.facts()
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1e300, -1e300, 1e300), r"true_relvar must be finite and nonnegative, got nan"),  # the squares overflow
+        ((1.7e308, 1.7e308), r"recorded mean must be positive and finite, got inf"),  # the sum overflows
+        ((1e-320, 2e-320), r"true_relvar is undefined: the recorded mean 1.5e-320 squares to 0"),  # 0.0 / 0.0
+        ((1.7e308, -1.7e308) * 8, r"recorded mean must be positive and finite, got \S+"),  # partial sums of both signs
+    ],
+    ids=["squares", "sum", "mean-squared", "mixed-sums"],
+)
+def test_recorded_facts_beyond_float_range_are_named(values, message):
+    # numpy's RuntimeWarning, which pytest makes an error, and a bare
+    # ZeroDivisionError used to come first
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Recorded(values).facts()
+
+
 def test_a_pareto_shape_whose_square_overflows_has_facts():
     # (a - 1) ** 2 overflows, and a / inf is the variance 0, the float
     # nearest a / a^3
