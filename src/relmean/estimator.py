@@ -322,6 +322,7 @@ def _overflow_error(stage: str, terms: str, count: int) -> ValueError:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the group means
 def _median_rows(read, k: int, m: int, stage: str) -> np.ndarray:
     """Per row: the median of m group means, each over k consecutive draws
     of the reader `read` (k*m draws).
@@ -333,11 +334,7 @@ def _median_rows(read, k: int, m: int, stage: str) -> np.ndarray:
     The draws are finite, so a group sum is non-finite only where it
     overflowed (to inf, or to NaN where its partial sums overflowed both
     ways); whichever rank the group holds, that is a ValueError naming
-    `stage`, k and the largest draw magnitude such a sum holds.  Since an
-    overflow shows in the results, callers run the kernel with numpy's
-    overflow and invalid-value warnings off (np.errstate), once for both
-    stages' kernels rather than in each: entering that state costs about
-    as much as the checks of a one-row call.
+    `stage`, k and the largest draw magnitude such a sum holds.
     """
     sums = []
     if k <= _BLOCK:
@@ -380,6 +377,7 @@ def _truncation_scales(mu1_rows, spec: ApproxSpec) -> list[float]:
     return alpha
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the leaf sums
 def _truncated_mean_rows(read, n: int, mu1, alpha) -> list[float]:
     """Per row: the mean of mu1 + psi(alpha (x - mu1)) / alpha over the n
     draws x of the reader `read`, for a float mu1 and alpha per row.
@@ -394,12 +392,11 @@ def _truncated_mean_rows(read, n: int, mu1, alpha) -> list[float]:
 
     Where alpha (x - mu1) or its square overflows, the term is infinite and
     a leaf of +inf and -inf terms sums to NaN; psi's _repair_tails then
-    replaces those terms in each row whose leaf sum is non-finite, so
-    callers run the kernel with numpy's overflow and invalid-value warnings
-    off, as for _median_rows.  A sum that stays non-finite after the repair
-    (n terms whose sum exceeds the largest float, or draws or a centre mu1
-    within a few orders of magnitude of it) raises a ValueError that names
-    stage 2, n and the largest draw magnitude such a sum holds.
+    replaces those terms in each row whose leaf sum is non-finite.  A sum
+    that stays non-finite after the repair (n terms whose sum exceeds the
+    largest float, or draws or a centre mu1 within a few orders of
+    magnitude of it) raises a ValueError that names stage 2, n and the
+    largest draw magnitude such a sum holds.
     """
     mu1, alpha = np.array(mu1)[:, None], np.array(alpha)[:, None]
 
@@ -423,7 +420,6 @@ def _truncated_mean_rows(read, n: int, mu1, alpha) -> list[float]:
     return means
 
 
-@np.errstate(over="ignore", invalid="ignore")  # for both kernels: see _median_rows
 def _two_stage_reduce(read1, read2, spec: ApproxSpec, plan: StagePlan):
     """(mu1, alpha, mu_hat), lists of one float per row of the plan's k*m
     stage-1 draws, read by read1, and its n stage-2 draws, read by read2.
@@ -436,12 +432,11 @@ def _two_stage_reduce(read1, read2, spec: ApproxSpec, plan: StagePlan):
     # stage 1: the median of means / (1 - epsilon1^2); the correction turns a
     # bound on |estimate/mean - 1| into the one on |mean/estimate - 1| that
     # stage 2's truncation scale needs
-    mu1 = (_median_rows(read1, plan.k, plan.m, "stage 1") / (1.0 - plan.epsilon1_sq)).tolist()
+    mu1 = [median / (1.0 - plan.epsilon1_sq) for median in _median_rows(read1, plan.k, plan.m, "stage 1").tolist()]
     alpha = _truncation_scales(mu1, spec)
     return mu1, alpha, _truncated_mean_rows(read2, plan.n, mu1, alpha)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # see _median_rows
 def median_of_means(source, k: int, m: int) -> float:
     """Median of m group means, each over k consecutive draws (k*m draws).
 
@@ -456,7 +451,6 @@ def median_of_means(source, k: int, m: int) -> float:
     return float(_median_rows(_source_reader(source, "median of means"), k, m, "median of means")[0])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # see _truncated_mean_rows
 def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, TruncationScale]:
     """Average of the plan's n truncated draws, centred at mu1; returns
     (mu_hat, alpha).

@@ -69,7 +69,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimator import ApproxSpec, Mode, _column_reader, _fill_rows, _median_rows, _two_stage_reduce, build_plan
+from .estimator import ApproxSpec, Mode, _column_reader, _fill_rows, _group_size_real, _median_rows, _two_stage_reduce, build_plan
 from .estimator import estimate_mean, median_of_means  # noqa: F401 - bench/tracing.py wraps them here
 from .sources import SampleSource, _integer, _replays, _replicate_seed_words
 
@@ -157,7 +157,7 @@ def _mom_baseline_params(spec: ApproxSpec, budget: int) -> tuple[int, int]:
     Groups are sized for per-group failure 1/8; the group count spends as
     much of the budget as an odd multiple of the group size allows.
     """
-    k = 8.0 * spec.c * spec.c / (spec.epsilon * spec.epsilon)  # may overflow to inf
+    k = _group_size_real(spec, spec.epsilon * spec.epsilon)  # may overflow to inf
     if budget < k:
         # budget smaller than one group: degrade to a plain mean of the budget
         return budget, 1
@@ -297,7 +297,7 @@ def _estimator(kind: EstimatorKind, spec: ApproxSpec, plan):
         (k, m), name = _mom_baseline_params(spec, budget), "median of means"
     else:
         (k, m), name = (budget, 1), "plain mean"
-    return np.errstate(over="ignore", invalid="ignore")(lambda rows: _median_rows(_column_reader(rows), k, m, name))
+    return lambda rows: _median_rows(_column_reader(rows), k, m, name)
 
 
 def _coverage(config: CoverageConfig, kinds) -> list[CoverageReport]:

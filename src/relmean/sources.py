@@ -154,7 +154,7 @@ class LogNormal:
     def __post_init__(self) -> None:
         s = _real("LogNormal s", self.s)
         if not (math.isfinite(s) and s >= 0.0):
-            raise ValueError("LogNormal requires s >= 0")
+            raise ValueError(f"LogNormal s must be finite and at least 0, got {s!r}")
         object.__setattr__(self, "s", s)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -256,15 +256,17 @@ class Recorded:
         return out
 
     def facts(self) -> SourceFacts:
-        # a sum or square beyond the largest float is inf, or nan where infs of
-        # both signs meet: the mean's and relvar's named checks reject either
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = _positive("recorded mean", float(self._array.mean()))
-            var = float(self._array.var())
-        if mean * mean == 0.0:
-            raise ValueError(f"true_relvar is undefined: the recorded mean {mean!r} squares to 0")
-        relvar = var / (mean * mean)
-        return SourceFacts(mean, relvar, math.sqrt(relvar))
+        # reduced at scale 2**-e, below 1 in magnitude, so no sum or square
+        # overflows; the scaling is exact, so where the plain reduction
+        # neither overflows nor underflows, both facts keep its bits
+        e = math.frexp(float(np.abs(self._array).max()))[1]
+        scaled = np.ldexp(self._array, -e)
+        mean, var = float(scaled.mean()), float(scaled.var())
+        true_mean = _positive("recorded mean", _inf_on_overflow(math.ldexp, mean, e))
+        # a scaled mean whose square underflows to 0 is below 1e-161 beside a
+        # value of at least 0.5: the relative variance is beyond any float
+        relvar = var / (mean * mean) if mean * mean > 0.0 else math.inf
+        return SourceFacts(true_mean, relvar, math.sqrt(relvar))
 
     @property
     def spec_string(self) -> str:

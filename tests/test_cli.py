@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from relmean import __version__, counting
+from relmean import CoverageReport, __version__, counting, write_csv
 from relmean.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,6 +124,19 @@ def test_compare_has_three_rows(capsys):
     payload = json.loads(out)
     assert [row["estimator"] for row in payload["rows"]] == ["twostage", "mom", "naive"]
     assert len({row["samples_per_run"] for row in payload["rows"]}) == 1
+
+
+def test_compare_writes_csv_of_its_rows(capsys, tmp_path):
+    out_path = tmp_path / "compare.csv"
+    code, out, _ = run_cli(
+        capsys, "compare", "--dist", "lognormal:0.5", "--epsilon", "0.2", "--delta", "0.1",
+        "--c", "1", "--reps", "100", "--seed", "4", "--out", str(out_path),
+    )
+    assert code == 0
+    rows = [CoverageReport(**row) for row in json.loads(out)["rows"]]
+    write_csv(rows, tmp_path / "expected.csv")
+    assert out_path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert len(out_path.read_text(encoding="ascii").splitlines()) == 4
 
 
 def test_linext_estimate_and_exact(capsys, tmp_path, monkeypatch):

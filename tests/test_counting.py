@@ -474,6 +474,12 @@ def test_memory_refusal_names_the_direction_of_fewer_indicators(m, advice):
     assert _indicators(6, better) < _indicators(6, m)
 
 
+def test_memory_refusal_lowers_an_m_per_level_whose_double_leaves_the_float_range():
+    # twice 1.7e308 plans no count at all, so only half of it is weighed
+    with pytest.raises(ValueError, match=r"physical memory; lower m_per_level$"):
+        linext_approx_count(Poset.antichain(3), 0.2, 0.1, int(1.7e308), 1)
+
+
 def test_memory_refusal_advice_follows_the_indicator_count(monkeypatch):
     # on antichain(6) at eps = 0.2, delta = 0.1 the indicator count is least
     # at m = 45; under a limit that refuses every m, the advice points from

@@ -72,27 +72,55 @@ def test_imports_kept_for_the_tracer_are_wrapped_by_it():
     assert kept <= wrapped, sorted(kept - wrapped)
 
 
-def test_overflow_errors_are_caught_only_by_the_two_real_helpers():
-    # math and float ** raise OverflowError where float * gives inf;
-    # sources._inf_on_overflow turns it into inf and sources._real into a
-    # named error, and every other module calls them instead of catching it
-    catchers = set()
+def _scopes_holding(matches) -> set[str]:
+    """The scopes of src/relmean/*.py, as module.function or
+    module.Class.method, that hold a node for which matches(node) is true;
+    a decorator belongs to the function it decorates."""
+    scopes = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.ExceptHandler) and child.type is not None:
-                caught = {name.id for name in ast.walk(child.type) if isinstance(name, ast.Name)}
-                if caught & {"OverflowError", "ArithmeticError"}:
-                    catchers.add(scope)
+            elif matches(child):
+                scopes.add(scope)
             visit(child, inner)
 
     root = Path(__file__).resolve().parent.parent
     for path in sorted((root / "src" / "relmean").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert catchers == {"sources._real", "sources._inf_on_overflow"}
+    return scopes
+
+
+def test_overflow_errors_are_caught_only_by_the_two_real_helpers():
+    # math and float ** raise OverflowError where float * gives inf;
+    # sources._inf_on_overflow turns it into inf and sources._real into a
+    # named error, and every other module calls them instead of catching it
+    def catches_overflow(node):
+        if not (isinstance(node, ast.ExceptHandler) and node.type is not None):
+            return False
+        caught = {name.id for name in ast.walk(node.type) if isinstance(name, ast.Name)}
+        return bool(caught & {"OverflowError", "ArithmeticError"})
+
+    assert _scopes_holding(catches_overflow) == {"sources._real", "sources._inf_on_overflow"}
+
+
+def test_numpy_error_state_is_set_only_where_an_overflow_is_repaired_or_named():
+    # the two stage kernels and psi's two evaluators read an overflow in
+    # their results and repair it or raise a named error; every caller
+    # runs them as they are, so no other function sets numpy's error state
+    def names_errstate(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "errstate") or (
+            isinstance(node, ast.Name) and node.id == "errstate"
+        )
+
+    assert _scopes_holding(names_errstate) == {
+        "estimator._median_rows",
+        "estimator._truncated_mean_rows",
+        "psi._scaled_psi",
+        "psi._upper",
+    }
 
 
 # --------------------------------------------------------------- the argument boundary

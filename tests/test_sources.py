@@ -110,6 +110,12 @@ def test_facts_domain_errors():
         Constant(-1.0).facts()
 
 
+@pytest.mark.parametrize("s", [math.inf, math.nan, -1.0])
+def test_lognormal_names_an_s_that_is_not_finite_and_at_least_0(s):
+    with pytest.raises(ValueError, match=rf"^LogNormal s must be finite and at least 0, got {s!r}$"):
+        LogNormal(s)
+
+
 @pytest.mark.parametrize("text", ["constant:inf", "constant:-inf", "constant:nan"])
 def test_constant_rejects_a_non_finite_value_when_built(text):
     with pytest.raises(ValueError, match="constant value must be finite"):
@@ -145,20 +151,40 @@ def test_facts_that_overflow_are_named(dist, message):
 
 
 @pytest.mark.parametrize(
-    "values, message",
+    "values, expected",
     [
-        ((1e300, -1e300, 1e300), r"true_relvar must be finite and nonnegative, got nan"),  # the squares overflow
-        ((1.7e308, 1.7e308), r"recorded mean must be positive and finite, got inf"),  # the sum overflows
-        ((1e-320, 2e-320), r"true_relvar is undefined: the recorded mean 1.5e-320 squares to 0"),  # 0.0 / 0.0
+        ((1e300, -1e300, 1e300), (3.3333333333333335e299, 8.0)),  # the plain squares overflow
+        ((1.7e308, 1.7e308), (1.7e308, 0.0)),  # the plain sum overflows
+        ((1e-320, 2e-320), (1.5e-320, 1 / 9)),  # the plain mean squares to 0
         ((1.7e308, -1.7e308) * 8, r"recorded mean must be positive and finite, got \S+"),  # partial sums of both signs
+        ((-1.0, 1.0, 1e-300), r"true_relvar must be finite and nonnegative, got inf"),  # the mean squares to 0
     ],
-    ids=["squares", "sum", "mean-squared", "mixed-sums"],
+    ids=["squares", "sum", "mean-squared", "mixed-sums", "relvar-overflows"],
 )
-def test_recorded_facts_beyond_float_range_are_named(values, message):
-    # numpy's RuntimeWarning, which pytest makes an error, and a bare
-    # ZeroDivisionError used to come first
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Recorded(values).facts()
+def test_recorded_facts_beyond_float_range_are_named(values, expected):
+    # the values are reduced at a power-of-two scale, so every fact a float
+    # holds is returned; one it does not hold is named
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            Recorded(values).facts()
+    else:
+        mean, relvar = expected
+        assert Recorded(values).facts() == SourceFacts(mean, relvar, math.sqrt(relvar))
+
+
+def test_recorded_facts_keep_the_bits_of_the_plain_reduction():
+    # scaling by a power of two is exact: where the plain mean and var
+    # neither overflow nor underflow, the facts keep their bits
+    rng = np.random.default_rng(7)
+    for i in range(300):
+        n, scale = int(rng.integers(1, 3000)), 10.0 ** rng.uniform(-100, 100)
+        draw = [rng.normal(1.0, 0.5, n), rng.lognormal(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)][i % 3]
+        values = draw * scale
+        mean = float(values.mean())
+        if not mean > 0.0:
+            continue
+        relvar = float(values.var()) / (mean * mean)
+        assert Recorded(tuple(values.tolist())).facts() == SourceFacts(mean, relvar, math.sqrt(relvar))
 
 
 def test_a_pareto_shape_whose_square_overflows_has_facts():
