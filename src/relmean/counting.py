@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .estimator import ApproxSpec, Mode, _check_accuracy, build_plan, estimate_mean
-from .sources import _float_sized, _inf_on_overflow, _integer, _positive, _real, _replicate_rng
+from .sources import _float_sized, _inf_on_overflow, _integer, _real, _replicate_rng
 
 DESK_SCALE_LIMIT = 10
 
@@ -84,8 +84,8 @@ class NestedChain:
     def __post_init__(self) -> None:
         if len(self.samplers) < 1:
             raise ValueError("a chain needs at least one level")
-        object.__setattr__(self, "known_terminal", _positive("known_terminal", self.known_terminal))
-        object.__setattr__(self, "max_inverse_ratio", _ratio_bound(self.max_inverse_ratio))
+        object.__setattr__(self, "known_terminal", _real("known_terminal", self.known_terminal, "(0, inf)"))
+        object.__setattr__(self, "max_inverse_ratio", _real("max_inverse_ratio", self.max_inverse_ratio, "[1, inf)"))
 
     @property
     def k(self) -> int:
@@ -106,21 +106,13 @@ def _product_draws(chain: NestedChain, rng: np.random.Generator, n: int, m_per_l
     return out
 
 
-def _ratio_bound(max_inverse_ratio: float) -> float:
-    """max_inverse_ratio as a float, checked real, finite and at least 1."""
-    value = _real("max_inverse_ratio", max_inverse_ratio)
-    if not 1.0 <= value < math.inf:
-        raise ValueError(f"max_inverse_ratio must be finite and at least 1, got {max_inverse_ratio!r}")
-    return value
-
-
 def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
     """Relative-variance bound exp(k (M - 1) / m) - 1 for the product estimate,
     valid whenever every level ratio is at least 1/M.  A bound beyond the
     largest float is a ValueError naming k, M and m."""
     k = _float_sized("k", _integer("k", k, 1))
     m = _float_sized("m", _integer("m", m, 1))
-    ratio = _ratio_bound(max_inverse_ratio)
+    ratio = _real("max_inverse_ratio", max_inverse_ratio, "[1, inf)")
     bound = _inf_on_overflow(math.expm1, k * (ratio - 1.0) / m)
     if bound == math.inf:
         raise ValueError(f"the product variance bound exp(k (M - 1) / m) - 1 overflows a float at k = {k}, M = {ratio!r}, m = {m}")
@@ -486,9 +478,7 @@ def eps_prime(epsilon: float) -> float:
     Equals (sqrt(1 + epsilon^2) - 1) / epsilon, evaluated in the
     cancellation-free form epsilon / (1 + sqrt(1 + epsilon^2)).
     """
-    if not (0.0 < _real("epsilon", epsilon) <= 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    epsilon = float(epsilon)
+    epsilon = _real("epsilon", epsilon, "(0, 1]")
     return epsilon / (1.0 + math.sqrt(1.0 + epsilon * epsilon))
 
 
@@ -501,10 +491,8 @@ def gibbs_combine(mu_w: float, mu_v: float, epsilon: float) -> float:
     asymmetric blow-up that division inflicts on relative errors.  A quotient
     that underflows to 0 or overflows to inf is a ValueError naming it.
     """
-    mu_w, mu_v = _positive("mu_w", mu_w), _positive("mu_v", mu_v)
-    if not (0.0 <= _real("epsilon", epsilon) <= 1.0):
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    epsilon = float(epsilon)
+    mu_w, mu_v = _real("mu_w", mu_w, "(0, inf)"), _real("mu_v", mu_v, "(0, inf)")
+    epsilon = _real("epsilon", epsilon, "[0, 1]")
     quotient = (mu_w / mu_v) / math.sqrt(1.0 + epsilon * epsilon)
     if not 0.0 < quotient < math.inf:
         raise ValueError(f"the quotient mu_w / mu_v = {mu_w!r} / {mu_v!r} is not a positive finite float")

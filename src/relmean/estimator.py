@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psi import TruncationScale, _repair_tails, _scaled_psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
-from .sources import InsufficientSamplesError, _float_sized, _integer, _positive, _real
+from .sources import InsufficientSamplesError, _float_sized, _integer, _real
 
 __all__ = [
     "Mode",
@@ -61,11 +61,7 @@ class SourceContractError(ValueError):
 
 def _check_accuracy(epsilon: float, delta: float) -> tuple[float, float]:
     """ApproxSpec's check of epsilon and delta, as floats, for callers that know no c yet."""
-    if not (0.0 < _real("epsilon", epsilon) < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not (0.0 < _real("delta", delta) < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    return float(epsilon), float(delta)
+    return _real("epsilon", epsilon, "(0, 1)"), _real("delta", delta, "(0, 1)")
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,7 @@ class ApproxSpec:
 
     def __post_init__(self) -> None:
         epsilon, delta = _check_accuracy(self.epsilon, self.delta)
-        for name, value in (("epsilon", epsilon), ("delta", delta), ("c", _positive("c", self.c))):
+        for name, value in (("epsilon", epsilon), ("delta", delta), ("c", _real("c", self.c, "(0, inf)"))):
             object.__setattr__(self, name, value)
         # the closed forms divide by c^2, epsilon^2, epsilon1^2 and delta / 2
         # (STRICT); one that underflows or overflows would surface as a
@@ -225,9 +221,7 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
 
     Returns nu_sq (1 - nu_sq) (4 nu_sq (1 - nu_sq))^r / (sqrt(pi r) (1 - 2 nu_sq)).
     """
-    if not (0.0 < _real("nu_sq", nu_sq) < 0.5):
-        raise ValueError(f"nu_sq must lie in (0, 1/2), got {nu_sq!r}")
-    nu_sq = float(nu_sq)
+    nu_sq = _real("nu_sq", nu_sq, "(0, 0.5)")
     r = _float_sized("r", _integer("r", r, 1))
     q = nu_sq * (1.0 - nu_sq)
     return q / (math.sqrt(math.pi * r) * (1.0 - 2.0 * nu_sq)) * (4.0 * q) ** r
@@ -458,7 +452,7 @@ def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, Trunca
     Each draw x contributes mu1 + psi(alpha (x - mu1)) / alpha with
     alpha = epsilon / (c^2 mu1).
     """
-    mu1 = [_positive("mu1", mu1)]
+    mu1 = [_real("mu1", mu1, "(0, inf)")]
     alpha = _truncation_scales(mu1, spec)
     (mu_hat,) = _truncated_mean_rows(_source_reader(source, "stage 2"), build_plan(spec).n, mu1, alpha)
     return mu_hat, TruncationScale(alpha[0])
@@ -499,7 +493,7 @@ def lower_bound_samples(spec: ApproxSpec) -> float:
     vacuous 0.0.
     """
     if spec.delta > 1.0 / math.sqrt(2.0 * math.pi):
-        raise ValueError("the lower bound requires delta <= 1/sqrt(2*pi)")
+        raise ValueError(f"the lower bound requires delta <= 1/sqrt(2*pi), got delta = {spec.delta!r}")
     big_l = math.log(1.0 / (math.sqrt(2.0 * math.pi) * spec.delta))
     if big_l <= 0.0:
         return 0.0

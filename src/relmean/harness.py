@@ -105,7 +105,7 @@ class CoverageConfig:
     def __post_init__(self) -> None:
         replications = _integer("replications", self.replications)
         if replications < 100:
-            raise ValueError("coverage needs at least 100 replications")
+            raise ValueError(f"coverage needs at least 100 replications, got {replications}")
         if replications >= 2**32:
             # replicate indices must fit one 32-bit spawn-key word
             raise ValueError(f"replications must be below 2**32, got {replications}")

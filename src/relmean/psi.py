@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import _positive, _real
+from .sources import _real
 
 __all__ = ["TruncationScale", "psi", "psi_lower", "psi_upper", "scaled_psi"]
 
@@ -40,22 +40,24 @@ class TruncationScale:
     alpha: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha, "(0, inf)"))
 
 
 def _finite_array(u) -> np.ndarray:
     """u as a float array, at least 1-d, if it holds bool, integer or float
-    entries, all finite.  A scalar numpy holds as an object, a Fraction say,
-    converts as _real converts it; any other dtype is a ValueError naming u,
-    not cast, which would drop imaginary parts and parse strings."""
+    entries, all finite: _real names the first that is not.  A scalar numpy
+    holds as an object, a Fraction say, converts as _real converts it; any
+    other dtype is a ValueError naming u, not cast, which would drop
+    imaginary parts and parse strings."""
     arr = np.asarray(u)
     if arr.dtype.kind == "O" and arr.ndim == 0:
         arr = np.asarray(_real("u", u))
     elif arr.dtype.kind not in "biuf":
         raise ValueError(f"u must hold real numbers, got dtype {arr.dtype}")
     arr = np.atleast_1d(arr.astype(float, copy=False))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input must be finite")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        _real("u", arr[~finite][0].item())
     return arr
 
 
@@ -160,5 +162,5 @@ def scaled_psi(scale, u):
     rounding is carried back through the division, and the result may
     exceed |u| by up to 2**-1074 / alpha more.
     """
-    alpha = scale.alpha if isinstance(scale, TruncationScale) else _positive("scale", scale)
+    alpha = scale.alpha if isinstance(scale, TruncationScale) else _real("scale", scale, "(0, inf)")
     return _match_input(_scaled_psi(alpha, _finite_array(u)), u)

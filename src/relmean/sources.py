@@ -8,10 +8,16 @@ independent streams of one base seed.  A coverage run seeds all of its
 replicate streams at once with ``_replicate_seed_words``, which computes
 the same PCG64 seeds as numpy's SeedSequence in one vectorised pass.  The
 algorithm name is exposed so experiment reports can record it.
+
+Every real argument of the library, here and in the other modules, is
+checked by ``_real(name, value, interval)`` and by nothing else: it is the
+one range check, and its one message names the argument, the interval and
+the value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -53,11 +59,8 @@ class SourceFacts:
     c_bound: float
 
     def __post_init__(self) -> None:
-        mean = _positive("true_mean", self.true_mean)
-        relvar, c_bound = _real("true_relvar", self.true_relvar), _real("c_bound", self.c_bound)
-        for name, value in (("true_relvar", relvar), ("c_bound", c_bound)):
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        mean = _real("true_mean", self.true_mean, "(0, inf)")
+        relvar, c_bound = _real("true_relvar", self.true_relvar, "[0, inf)"), _real("c_bound", self.c_bound, "[0, inf)")
         # allow a one-ulp sqrt round-trip when c_bound = sqrt(relvar)
         if c_bound * c_bound < relvar * (1.0 - 1e-12):
             raise ValueError(f"c_bound^2 must cover the relative variance {relvar!r}, but c_bound is {c_bound!r}")
@@ -75,26 +78,41 @@ def _inf_on_overflow(function, *args) -> float:
         return math.inf
 
 
-def _real(name: str, value) -> float:
-    """value as a float, if it is a real number: the one check of every real
-    argument at the public boundary (distribution parameters, epsilon,
-    delta, c, scales), so a str, bytes, None or complex value is rejected
-    by name, not left to fail inside math or numpy.  A float skips the ABC
-    check, which costs about 0.8 us."""
+@functools.cache
+def _interval(text: str):
+    """The two tests, low <(=) x and high >(=) x, of an interval written as
+    the maths writes it, "(0, 1]" or "[0, inf)"; parsed once per text.  An
+    interval holds finite reals only, so an infinite end must be open, and
+    nan lies in none."""
+    opening, ends, closing = text[:1], text[1:-1].split(", "), text[-1:]
+    low, high = (float(end) for end in ends)  # a ValueError unless two numbers
+    if not (opening in ("(", "[") and closing in (")", "]") and low < high
+            and (opening == "(" or low > -math.inf) and (closing == ")" or high < math.inf)):
+        raise ValueError(f"{text!r} is not an interval: low < high, each end open or finite and closed")
+    above = functools.partial(operator.le if opening == "[" else operator.lt, low)
+    below = functools.partial(operator.ge if closing == "]" else operator.gt, high)
+    return above, below
+
+
+def _real(name: str, value, interval: str = "(-inf, inf)") -> float:
+    """value as a float, if it is a real number in `interval` (by default
+    the finite reals): the one check of every real argument at the public
+    boundary (distribution parameters, epsilon, delta, c, scales), and the
+    only range check of the library.  A str, bytes, None or complex value
+    is rejected by name, not left to fail inside math or numpy, and a value
+    outside the interval, nan, an infinity or an int beyond the float range
+    by its name, the interval and the value.  A float skips the ABC check,
+    which costs about 0.8 us."""
     if not (type(value) is float or isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        raise ValueError(f"{name} must be finite, got {value!r}") from None
-
-
-def _positive(name: str, value: float) -> float:
-    """value as a float, checked real, positive and finite."""
-    value = _real(name, value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
+        number = math.nan
+    above, below = _interval(interval)
+    if not (above(number) and below(number)):
+        raise ValueError(f"{name} must be finite and lie in {interval}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -104,16 +122,13 @@ class Constant:
     value: float
 
     def __post_init__(self) -> None:
-        value = _real("constant value", self.value)
-        if not math.isfinite(value):
-            raise ValueError(f"constant value must be finite, got {self.value!r}")
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", _real("constant value", self.value))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
 
     def facts(self) -> SourceFacts:
-        return SourceFacts(_positive("constant value", self.value), 0.0, 0.0)
+        return SourceFacts(_real("constant value", self.value, "(0, inf)"), 0.0, 0.0)
 
     @property
     def spec_string(self) -> str:
@@ -126,17 +141,14 @@ class Normal:
     sigma: float
 
     def __post_init__(self) -> None:
-        mu, sigma = _real("Normal mu", self.mu), _real("Normal sigma", self.sigma)
-        if not (math.isfinite(mu) and math.isfinite(sigma) and sigma >= 0.0):
-            raise ValueError("Normal requires finite mu and sigma >= 0")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mu", _real("Normal mu", self.mu))
+        object.__setattr__(self, "sigma", _real("Normal sigma", self.sigma, "[0, inf)"))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mu, self.sigma, n)
 
     def facts(self) -> SourceFacts:
-        mean = _positive("Normal mean", self.mu)
+        mean = _real("Normal mean", self.mu, "(0, inf)")
         relvar = _inf_on_overflow(pow, self.sigma / mean, 2)
         return SourceFacts(mean, relvar, self.sigma / mean)
 
@@ -152,10 +164,7 @@ class LogNormal:
     s: float
 
     def __post_init__(self) -> None:
-        s = _real("LogNormal s", self.s)
-        if not (math.isfinite(s) and s >= 0.0):
-            raise ValueError(f"LogNormal s must be finite and at least 0, got {s!r}")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", _real("LogNormal s", self.s, "[0, inf)"))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.lognormal(0.0, self.s, n)
@@ -177,11 +186,8 @@ class ScaledBernoulli:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        p = _real("Bernoulli probability", self.p)
-        if not 0.0 < p <= 1.0:
-            raise ValueError("Bernoulli probability must lie in (0, 1]")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "scale", _positive("Bernoulli scale", self.scale))
+        object.__setattr__(self, "p", _real("Bernoulli probability", self.p, "(0, 1]"))
+        object.__setattr__(self, "scale", _real("Bernoulli scale", self.scale, "(0, inf)"))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale * (rng.random(n) < self.p).astype(float)
@@ -206,14 +212,14 @@ class ParetoShape:
     a: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _positive("Pareto shape", self.a))
+        object.__setattr__(self, "a", _real("Pareto shape", self.a, "(0, inf)"))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return 1.0 + rng.pareto(self.a, n)
 
     def facts(self) -> SourceFacts:
         if self.a <= 2.0:
-            raise ValueError("Pareto shape must exceed 2 for a finite variance")
+            raise ValueError(f"Pareto shape must exceed 2 for a finite variance, got {self.a!r}")
         mean = self.a / (self.a - 1.0)
         var = self.a / (_inf_on_overflow(pow, self.a - 1.0, 2) * (self.a - 2.0))
         relvar = var / (mean * mean)
@@ -240,8 +246,6 @@ class Recorded:
         if len(self.values) == 0:
             raise ValueError("recorded sequence must be non-empty")
         object.__setattr__(self, "values", tuple(_real("recorded value", v) for v in self.values))
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("recorded values must be finite")
         object.__setattr__(self, "_array", np.array(self.values, dtype=float))
 
     def sample(self, cursor: "_ReplayCursor", n: int) -> np.ndarray:
@@ -262,7 +266,7 @@ class Recorded:
         e = math.frexp(float(np.abs(self._array).max()))[1]
         scaled = np.ldexp(self._array, -e)
         mean, var = float(scaled.mean()), float(scaled.var())
-        true_mean = _positive("recorded mean", _inf_on_overflow(math.ldexp, mean, e))
+        true_mean = _real("recorded mean", _inf_on_overflow(math.ldexp, mean, e), "(0, inf)")
         # a scaled mean whose square underflows to 0 is below 1e-161 beside a
         # value of at least 0.5: the relative variance is beyond any float
         relvar = var / (mean * mean) if mean * mean > 0.0 else math.inf
@@ -285,7 +289,7 @@ class Scaled:
     factor: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factor", _positive("scale factor", self.factor))
+        object.__setattr__(self, "factor", _real("scale factor", self.factor, "(0, inf)"))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.factor * self.inner.sample(rng, n)

@@ -255,7 +255,7 @@ def test_a_distribution_whose_facts_overflow_exits_2(capsys, dist):
         capsys, "coverage", "--dist", dist, "--epsilon", "0.2", "--delta", "0.1", "--c", "1", "--reps", "100"
     )
     assert (code, out) == (2, "")
-    assert err == "relmean: true_relvar must be finite and nonnegative, got inf\n"
+    assert err == "relmean: true_relvar must be finite and lie in [0, inf), got inf\n"
 
 
 def test_unknown_flag_and_subcommand_exit_2(capsys):

@@ -201,7 +201,7 @@ def test_lower_bound_pinned():
 
 
 def test_lower_bound_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the lower bound requires delta <= 1/sqrt\(2\*pi\), got delta = 0\.5$"):
         lower_bound_samples(ApproxSpec(0.1, 0.5, 1.0))  # 0.5 > 1/sqrt(2 pi)
     # just inside the domain the formula still evaluates; near the edge the
     # bound degenerates to the vacuous 0.0

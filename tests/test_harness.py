@@ -132,12 +132,12 @@ class _NanBound:
 def test_coverage_rejects_a_nan_c_bound():
     # NaN > c is false, so the c-bound check once let this law run at
     # c = 0.1, where it needs c >= 0.5
-    with pytest.raises(ValueError, match=r"^c_bound must be finite and nonnegative, got nan$"):
+    with pytest.raises(ValueError, match=r"^c_bound must be finite and lie in \[0, inf\), got nan$"):
         CoverageConfig(ApproxSpec(0.2, 0.1, 0.1), _NanBound(), 100, 1)
 
 
 def test_coverage_rejects_too_few_replications():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^coverage needs at least 100 replications, got 99$"):
         CoverageConfig(SPEC, DIST, 99, seed=0)
 
 

@@ -123,6 +123,32 @@ def test_numpy_error_state_is_set_only_where_an_overflow_is_repaired_or_named():
     }
 
 
+def test_intervals_are_stated_only_by_the_one_real_check():
+    # sources._real is the one range check of real arguments: no other
+    # function raises an error that states an interval or finiteness, and
+    # every interval passed to it is a literal that parses
+    def states_a_range(node):
+        if not (isinstance(node, ast.Raise) and node.exc is not None):
+            return False
+        text = " ".join(
+            part.value for part in ast.walk(node.exc) if isinstance(part, ast.Constant) and isinstance(part.value, str)
+        )
+        return any(phrase in text for phrase in ("must lie in", "must be finite", "must be positive"))
+
+    assert _scopes_holding(states_a_range) == {"sources._real"}
+    root = Path(__file__).resolve().parent.parent
+    intervals = set()
+    for path in sorted((root / "src" / "relmean").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_real":
+                for arg in node.args[2:] + [keyword.value for keyword in node.keywords if keyword.arg == "interval"]:
+                    assert isinstance(arg, ast.Constant) and isinstance(arg.value, str), f"{path.name}:{node.lineno}"
+                    intervals.add(arg.value)
+    assert {"(0, 1)", "(0, inf)", "[1, inf)"} <= intervals
+    for interval in sorted(intervals):
+        relmean.sources._interval(interval)
+
+
 # --------------------------------------------------------------- the argument boundary
 #
 # Every public entry point checks its own arguments when called: an integer
@@ -182,37 +208,66 @@ def test_integer_arguments_are_checked_by_name(entry, bad):
         call(bad)
 
 
-# (call with the real argument as its one parameter, name in the message)
+# (call with the real argument as its one parameter, name in the message,
+# the interval it must lie in, as sources._real is given it)
 REAL_ARGUMENTS = {
-    "Constant.value": (lambda v: relmean.Constant(v), "constant value"),
-    "Normal.mu": (lambda v: relmean.Normal(v, 1.0), "Normal mu"),
-    "Normal.sigma": (lambda v: relmean.Normal(1.0, v), "Normal sigma"),
-    "LogNormal.s": (lambda v: relmean.LogNormal(v), "LogNormal s"),
-    "ScaledBernoulli.p": (lambda v: relmean.ScaledBernoulli(v), "Bernoulli probability"),
-    "ParetoShape.a": (lambda v: relmean.ParetoShape(v), "Pareto shape"),
-    "Scaled.factor": (lambda v: relmean.Scaled(relmean.Normal(1.0, 1.0), v), "scale factor"),
-    "ScaledBernoulli.scale": (lambda v: relmean.ScaledBernoulli(0.5, v), "Bernoulli scale"),
-    "ApproxSpec.epsilon": (lambda v: relmean.ApproxSpec(v, 0.05, 1.0), "epsilon"),
-    "ApproxSpec.delta": (lambda v: relmean.ApproxSpec(0.1, v, 1.0), "delta"),
-    "ApproxSpec.c": (lambda v: relmean.ApproxSpec(0.1, 0.05, v), "c"),
-    "TruncationScale.alpha": (lambda v: relmean.TruncationScale(v), "alpha"),
-    "scaled_psi.scale": (lambda v: relmean.scaled_psi(v, 1.0), "scale"),
-    "eps_prime.epsilon": (lambda v: relmean.eps_prime(v), "epsilon"),
-    "gibbs_combine.mu_w": (lambda v: relmean.gibbs_combine(v, 2.0, 0.1), "mu_w"),
-    "gibbs_combine.mu_v": (lambda v: relmean.gibbs_combine(1.0, v, 0.1), "mu_v"),
-    "gibbs_combine.epsilon": (lambda v: relmean.gibbs_combine(1.0, 2.0, v), "epsilon"),
-    "stage2_estimate.mu1": (lambda v: relmean.stage2_estimate(_source(), v, SPEC), "mu1"),
-    "NestedChain.known_terminal": (lambda v: relmean.NestedChain(SURE_CHAIN.samplers, v, 1.0), "known_terminal"),
+    "Constant.value": (lambda v: relmean.Constant(v), "constant value", "(-inf, inf)"),
+    "Normal.mu": (lambda v: relmean.Normal(v, 1.0), "Normal mu", "(-inf, inf)"),
+    "Normal.sigma": (lambda v: relmean.Normal(1.0, v), "Normal sigma", "[0, inf)"),
+    "LogNormal.s": (lambda v: relmean.LogNormal(v), "LogNormal s", "[0, inf)"),
+    "ScaledBernoulli.p": (lambda v: relmean.ScaledBernoulli(v), "Bernoulli probability", "(0, 1]"),
+    "ParetoShape.a": (lambda v: relmean.ParetoShape(v), "Pareto shape", "(0, inf)"),
+    "Scaled.factor": (lambda v: relmean.Scaled(relmean.Normal(1.0, 1.0), v), "scale factor", "(0, inf)"),
+    "ScaledBernoulli.scale": (lambda v: relmean.ScaledBernoulli(0.5, v), "Bernoulli scale", "(0, inf)"),
+    "ApproxSpec.epsilon": (lambda v: relmean.ApproxSpec(v, 0.05, 1.0), "epsilon", "(0, 1)"),
+    "ApproxSpec.delta": (lambda v: relmean.ApproxSpec(0.1, v, 1.0), "delta", "(0, 1)"),
+    "ApproxSpec.c": (lambda v: relmean.ApproxSpec(0.1, 0.05, v), "c", "(0, inf)"),
+    "TruncationScale.alpha": (lambda v: relmean.TruncationScale(v), "alpha", "(0, inf)"),
+    "scaled_psi.scale": (lambda v: relmean.scaled_psi(v, 1.0), "scale", "(0, inf)"),
+    "eps_prime.epsilon": (lambda v: relmean.eps_prime(v), "epsilon", "(0, 1]"),
+    "gibbs_combine.mu_w": (lambda v: relmean.gibbs_combine(v, 2.0, 0.1), "mu_w", "(0, inf)"),
+    "gibbs_combine.mu_v": (lambda v: relmean.gibbs_combine(1.0, v, 0.1), "mu_v", "(0, inf)"),
+    "gibbs_combine.epsilon": (lambda v: relmean.gibbs_combine(1.0, 2.0, v), "epsilon", "[0, 1]"),
+    "stage2_estimate.mu1": (lambda v: relmean.stage2_estimate(_source(), v, SPEC), "mu1", "(0, inf)"),
+    "NestedChain.known_terminal": (
+        lambda v: relmean.NestedChain(SURE_CHAIN.samplers, v, 1.0), "known_terminal", "(0, inf)"),
     "NestedChain.max_inverse_ratio": (
-        lambda v: relmean.NestedChain(SURE_CHAIN.samplers, 1.0, v), "max_inverse_ratio"),
+        lambda v: relmean.NestedChain(SURE_CHAIN.samplers, 1.0, v), "max_inverse_ratio", "[1, inf)"),
     "product_variance_bound.max_inverse_ratio": (
-        lambda v: relmean.product_variance_bound(3, v, 3), "max_inverse_ratio"),
-    "mom_failure_bound.nu_sq": (lambda v: relmean.mom_failure_bound(v, 3), "nu_sq"),
-    "SourceFacts.true_mean": (lambda v: relmean.SourceFacts(v, 0.5, 1.0), "true_mean"),
-    "SourceFacts.true_relvar": (lambda v: relmean.SourceFacts(1.0, v, 1.0), "true_relvar"),
-    "SourceFacts.c_bound": (lambda v: relmean.SourceFacts(1.0, 0.5, v), "c_bound"),
-    "Recorded.values": (lambda v: relmean.Recorded((1.0, v)), "recorded value"),
+        lambda v: relmean.product_variance_bound(3, v, 3), "max_inverse_ratio", "[1, inf)"),
+    "mom_failure_bound.nu_sq": (lambda v: relmean.mom_failure_bound(v, 3), "nu_sq", "(0, 0.5)"),
+    "SourceFacts.true_mean": (lambda v: relmean.SourceFacts(v, 0.5, 1.0), "true_mean", "(0, inf)"),
+    "SourceFacts.true_relvar": (lambda v: relmean.SourceFacts(1.0, v, 1.0), "true_relvar", "[0, inf)"),
+    # a relative variance of 0, which any c_bound covers, so c_bound = 0 is legal
+    "SourceFacts.c_bound": (lambda v: relmean.SourceFacts(1.0, 0.0, v), "c_bound", "[0, inf)"),
+    "Recorded.values": (lambda v: relmean.Recorded((1.0, v)), "recorded value", "(-inf, inf)"),
 }
+
+
+def _edges(interval: str) -> tuple[list[float], list[float]]:
+    """(rejected, accepted) values at the edges of an interval written as
+    "(low, high]": nan, inf and -inf, each open finite end, and the float
+    just outside each closed end are rejected; each closed end is accepted."""
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    rejected, accepted = [math.nan, math.inf, -math.inf], []
+    for end, closed, outward in ((low, interval[0] == "[", -math.inf), (high, interval[-1] == "]", math.inf)):
+        if math.isfinite(end):
+            if closed:
+                accepted.append(end)
+                rejected.append(math.nextafter(end, outward))
+            else:
+                rejected.append(end)
+    return rejected, accepted
+
+
+REJECTED_AT_EDGES = [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry, (_, _, interval) in REAL_ARGUMENTS.items() for value in _edges(interval)[0]
+]
+ACCEPTED_AT_EDGES = [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry, (_, _, interval) in REAL_ARGUMENTS.items() for value in _edges(interval)[1]
+]
 
 # (constructor given one real value in every real argument, the fields that
 # must keep it as a float); the distributions also write it in spec strings
@@ -242,14 +297,14 @@ HALVES = [np.float32(0.5), Fraction(1, 2), 0.5]
 def test_real_arguments_are_checked_by_name(entry, bad):
     # float("2") would pass a positivity check, but the constructor keeps the
     # string, and the first take would fail inside numpy
-    call, name = REAL_ARGUMENTS[entry]
+    call, name, _ = REAL_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=rf"{re.escape(name)} must be a real number, got {re.escape(repr(bad))}"):
         call(bad)
 
 
 @pytest.mark.parametrize("entry", REAL_ARGUMENTS)
 def test_real_arguments_beyond_the_float_range_are_checked_by_name(entry):
-    call, name = REAL_ARGUMENTS[entry]
+    call, name, _ = REAL_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=rf"{re.escape(name)} must be finite"):
         call(10**400)
 
@@ -258,9 +313,23 @@ def test_real_arguments_beyond_the_float_range_are_checked_by_name(entry):
                                    "product_variance_bound.max_inverse_ratio", "stage2_estimate.mu1",
                                    "SourceFacts.true_mean", "SourceFacts.true_relvar", "SourceFacts.c_bound"])
 def test_infinite_bounds_are_checked_by_name(entry):
-    call, name = REAL_ARGUMENTS[entry]
+    call, name, _ = REAL_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=rf"{re.escape(name)} must be .*finite.*, got inf"):
         call(math.inf)
+
+
+@pytest.mark.parametrize("entry, value", REJECTED_AT_EDGES)
+def test_real_arguments_outside_their_interval_are_named_with_it(entry, value):
+    call, name, interval = REAL_ARGUMENTS[entry]
+    pattern = rf"^{re.escape(name)} must be finite and lie in {re.escape(interval)}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=pattern):
+        call(value)
+
+
+@pytest.mark.parametrize("entry, value", ACCEPTED_AT_EDGES)
+def test_real_arguments_at_a_closed_end_of_their_interval_are_accepted(entry, value):
+    call, _, _ = REAL_ARGUMENTS[entry]
+    call(value)
 
 
 @pytest.mark.parametrize("value", HALVES, ids=repr)
@@ -335,7 +404,7 @@ def test_coverage_config_checks_the_c_bound():
     # lognormal:1 has c = sqrt(e - 1) = 1.31: a spec of c = 0.5 would void the guarantee
     with pytest.raises(ValueError, match="exceeds spec c"):
         relmean.CoverageConfig(relmean.ApproxSpec(0.2, 0.1, 0.5), relmean.LogNormal(1.0), 100, 0)
-    with pytest.raises(ValueError, match="Pareto shape must exceed 2"):
+    with pytest.raises(ValueError, match=r"^Pareto shape must exceed 2 for a finite variance, got 1\.5$"):
         relmean.CoverageConfig(SPEC, relmean.ParetoShape(1.5), 100, 0)
 
 

@@ -56,14 +56,14 @@ def test_truncation_scale_validation():
 
 
 def test_scaled_psi_names_its_scale():
-    with pytest.raises(ValueError, match=r"^scale must be positive and finite, got 0\.0$"):
+    with pytest.raises(ValueError, match=r"^scale must be finite and lie in \(0, inf\), got 0\.0$"):
         scaled_psi(0.0, 1.0)
 
 
 def test_rejects_non_finite_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^u must be finite and lie in \(-inf, inf\), got nan$"):
         psi(math.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^u must be finite and lie in \(-inf, inf\), got inf$"):
         psi_upper(np.array([1.0, math.inf]))
 
 
@@ -196,7 +196,7 @@ def test_inputs_that_are_not_real_are_named(function):
             function(u)
     with pytest.raises(ValueError, match=r"^u must be a real number, got None$"):
         function(None)
-    with pytest.raises(ValueError, match=r"^u must be finite, got 10{400}$"):
+    with pytest.raises(ValueError, match=r"^u must be finite and lie in \(-inf, inf\), got 10{400}$"):
         function(10**400)
     # a real scalar converts as a float would, and bool, integer and float
     # arrays are real

@@ -112,7 +112,7 @@ def test_facts_domain_errors():
 
 @pytest.mark.parametrize("s", [math.inf, math.nan, -1.0])
 def test_lognormal_names_an_s_that_is_not_finite_and_at_least_0(s):
-    with pytest.raises(ValueError, match=rf"^LogNormal s must be finite and at least 0, got {s!r}$"):
+    with pytest.raises(ValueError, match=rf"^LogNormal s must be finite and lie in \[0, inf\), got {s!r}$"):
         LogNormal(s)
 
 
@@ -129,9 +129,9 @@ def test_source_facts_invariant():
     SourceFacts(1.0, 4.0, 2.0)  # equality allowed
     # a NaN c_bound compared false with every bound, and so covered any relvar
     for c_bound in [math.nan, -2.0]:
-        with pytest.raises(ValueError, match=rf"^c_bound must be finite and nonnegative, got {c_bound!r}$"):
+        with pytest.raises(ValueError, match=rf"^c_bound must be finite and lie in \[0, inf\), got {c_bound!r}$"):
             SourceFacts(1.0, 0.5, c_bound)
-    with pytest.raises(ValueError, match=r"^true_relvar must be finite and nonnegative, got -0.5$"):
+    with pytest.raises(ValueError, match=r"^true_relvar must be finite and lie in \[0, inf\), got -0.5$"):
         SourceFacts(1.0, -0.5, 1.0)
     with pytest.raises(ValueError, match=r"^c_bound\^2 must cover the relative variance 0.5, but c_bound is 0.5$"):
         SourceFacts(1.0, 0.5, 0.5)
@@ -140,9 +140,9 @@ def test_source_facts_invariant():
 @pytest.mark.parametrize(
     "dist, message",
     [
-        (LogNormal(27.0), r"true_relvar must be finite and nonnegative, got inf"),  # math.expm1 overflows
-        (LogNormal(40.0), r"true_mean must be positive and finite, got inf"),  # so does math.exp
-        (Normal(1.0, 1e200), r"true_relvar must be finite and nonnegative, got inf"),  # float ** overflows
+        (LogNormal(27.0), r"true_relvar must be finite and lie in \[0, inf\), got inf"),  # math.expm1 overflows
+        (LogNormal(40.0), r"true_mean must be finite and lie in \(0, inf\), got inf"),  # so does math.exp
+        (Normal(1.0, 1e200), r"true_relvar must be finite and lie in \[0, inf\), got inf"),  # float ** overflows
     ],
 )
 def test_facts_that_overflow_are_named(dist, message):
@@ -156,8 +156,8 @@ def test_facts_that_overflow_are_named(dist, message):
         ((1e300, -1e300, 1e300), (3.3333333333333335e299, 8.0)),  # the plain squares overflow
         ((1.7e308, 1.7e308), (1.7e308, 0.0)),  # the plain sum overflows
         ((1e-320, 2e-320), (1.5e-320, 1 / 9)),  # the plain mean squares to 0
-        ((1.7e308, -1.7e308) * 8, r"recorded mean must be positive and finite, got \S+"),  # partial sums of both signs
-        ((-1.0, 1.0, 1e-300), r"true_relvar must be finite and nonnegative, got inf"),  # the mean squares to 0
+        ((1.7e308, -1.7e308) * 8, r"recorded mean must be finite and lie in \(0, inf\), got \S+"),  # partial sums of both signs
+        ((-1.0, 1.0, 1e-300), r"true_relvar must be finite and lie in \[0, inf\), got inf"),  # the mean squares to 0
     ],
     ids=["squares", "sum", "mean-squared", "mixed-sums", "relvar-overflows"],
 )
