@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     linext = subparsers["linext"]
     linext.add_argument("--poset", required=True, help="poset file: first line n, then `i j` pairs")
-    linext.add_argument("--m-per-level", type=int, default=100, help="draws per chain level (default 100)")
+    linext.add_argument("--m-per-level", type=int, default=100, help="draws per chain level, 1 to 1048576 (default 100)")
     return parser
 
 

@@ -11,12 +11,16 @@ estimates into the two-stage mean estimator yields a certified
 approximate count.  Posets and their linear extensions provide the
 worked, desk-scale instance, with an exact dynamic program over downsets
 as the oracle.
+
+m_per_level, the indicators a product estimate draws per level, lies in
+[1, 2**20]; a linear-extension level holds at most 2**20 indicators (about
+13.6 MB) at once, whatever the plan, and a count whose plan charges more
+than 2**36 indicators (draws times m_per_level) is refused on every host.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable
@@ -61,11 +65,14 @@ class PosetSizeError(ValueError):
 # not depend on how they count.
 Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
 
-# A float32 sum of at most 2**24 ones is exact in any order, so a level counts
-# a row of at most this many indicators with one float32 matrix-vector
-# product; wider rows count with np.count_nonzero.  Either count, divided by
-# m in float64, equals the row's bool mean bit for bit.
-_FLOAT32_EXACT_COUNT = 2**24
+# A level counts its ranks in row groups of at most this many indicators, 13
+# bytes each: the int64 rank, its bool flag and the flag as float32.  A row's
+# float32 count (m_per_level <= 2**20 < 2**24 ones) is exact in any order.
+_GROUP_INDICATORS = 2**20
+
+# The most indicators (plan draws times m_per_level) a count may charge: about
+# 45 minutes for 10 elements, at ~4.4 ns a rank on a 2-vCPU Xeon (9 levels draw).
+_INDICATOR_BUDGET = 2**36
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,12 @@ def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
     return bound
 
 
+def _m_per_level(value) -> int:
+    """value, if it is an integer in [1, 2**20]: a row fits one row group, and
+    from about 2**15 on the plan stops shrinking, so a wider row only adds work."""
+    return int(_real("m_per_level", _integer("m_per_level", value, 1), "[1, 1048576]"))
+
+
 def _chain_c(chain: NestedChain, m_per_level: int) -> float:
     """The c of a chain's product estimates at m_per_level: the root of the
     product bound at the chain's k and max_inverse_ratio; 0.0 for a chain
@@ -132,13 +145,14 @@ class ProductEstimateSource:
     Each draw costs at most k * m_per_level membership indicators: a
     linear-extension level with one extension left draws nothing, and one
     whose flags are all true draws its ranks but counts none
-    (_level_sampler).  take(n) vectorises the whole batch, one level at a
-    time.  Follows the SampleSource protocol (take), so the stream can drive
-    estimate_mean directly.
+    (_level_sampler).  m_per_level is an integer in [1, 2**20].  take(n)
+    runs the batch one level at a time, and a linear-extension level holds
+    at most 2**20 indicators (about 13.6 MB) at once, at any n.  Follows
+    the SampleSource protocol (take), so the stream can drive estimate_mean.
     """
 
     def __init__(self, chain: NestedChain, m_per_level: int, seed: int, replicate_index: int = 0):
-        self.m_per_level = _float_sized("m_per_level", _integer("m_per_level", m_per_level, 1))
+        self.m_per_level = _m_per_level(m_per_level)
         self._rng = _replicate_rng(_integer("seed", seed), _integer("replicate_index", replicate_index))
         self.chain = chain
 
@@ -314,26 +328,28 @@ def _level_sampler(table: np.ndarray) -> Sampler:
     """Sampler for one chain level: uniform ranks into its bool flag `table`
     (linext_chain says what it holds), averaged per row.
 
-    Every level draws its (n, m) ranks with the same call, so the stream moves
-    exactly as a gather of the whole block would move it.  A level with one
-    extension left draws nothing (numpy consumes no bits for a one-value
-    range), and a level whose flags are all true draws its ranks but skips
-    the gather; both return ones.
+    A level draws its (n, m) ranks in consecutive row groups of at most
+    2**20 indicators (m <= 2**20, checked by ProductEstimateSource), each
+    counted before the next is drawn: a call holds about 13.6 MB at any n,
+    plus 4 bytes per m of float32 ones, and moves the stream as one
+    integers call for the whole block would.  A level with one extension
+    left draws nothing (numpy consumes no bits for a one-value range), and
+    a level whose flags are all true draws its ranks but skips the gather;
+    both return ones.
     """
     sure = bool(table.all())
 
     def sampler(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
         if len(table) == 1:
             return np.ones(n)
-        ranks = rng.integers(0, len(table), size=(n, m))
-        if sure:
-            return np.ones(n)
-        hits = table.take(ranks, mode="clip")  # ranks lie in range by construction
-        if m <= _FLOAT32_EXACT_COUNT:
-            counts = hits.astype(np.float32) @ np.ones(m, dtype=np.float32)
-        else:
-            counts = np.count_nonzero(hits, axis=1)
-        return counts.astype(np.float64) / m
+        rows, ones = max(1, _GROUP_INDICATORS // m), np.ones(m, dtype=np.float32)
+        counts = np.empty(n, dtype=np.float32)
+        for start in range(0, n, rows):
+            ranks = rng.integers(0, len(table), size=(min(rows, n - start), m))
+            if not sure:  # the ranks lie in range by construction
+                np.matmul(table.take(ranks, mode="clip").astype(np.float32), ones, out=counts[start:start + rows])
+            del ranks  # before the next group's are drawn, so one group is held at a time
+        return np.ones(n) if sure else counts.astype(np.float64) / m
 
     return sampler
 
@@ -399,7 +415,7 @@ def linext_approx_count(
     (k = M = n) as c^2, and inverts the estimated ratio.  The chain is
     built first: the plan reads its k and M.
     """
-    m_per_level = _float_sized("m_per_level", _integer("m_per_level", m_per_level, 1))
+    m_per_level = _m_per_level(m_per_level)
     seed = _integer("seed", seed)
     mode = Mode(mode)
     _check_accuracy(epsilon, delta)
@@ -407,18 +423,9 @@ def linext_approx_count(
         return 1.0
     chain = linext_chain(p)
     spec, draws = _count_plan(chain, m_per_level, epsilon, delta, mode)
-    _check_indicator_memory(chain, m_per_level, spec, draws, mode)
+    _check_indicator_budget(chain, m_per_level, spec, draws, mode)
     report = estimate_mean(ProductEstimateSource(chain, m_per_level, seed), spec, mode)
     return chain.known_terminal / report.mu_hat
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where sysconf cannot tell."""
-    try:
-        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return size if size > 0 else None
 
 
 def _count_plan(
@@ -429,45 +436,37 @@ def _count_plan(
     return spec, build_plan(spec, mode).total_samples
 
 
-# Bytes per indicator while a level counts its block: the int64 rank, the
-# gathered bool flag and the flag cast to float32.
-_INDICATOR_BYTES = 8 + 1 + 4
+def _check_indicator_budget(chain: NestedChain, m_per_level: int, spec: ApproxSpec, draws: int, mode: Mode) -> None:
+    """Reject a count whose plan charges more than _INDICATOR_BUDGET indicators.
 
-
-def _check_indicator_memory(chain: NestedChain, m_per_level: int, spec: ApproxSpec, draws: int, mode: Mode) -> None:
-    """Reject a count whose product draws cannot fit in physical memory.
-
-    Each draw holds m_per_level indicators per level, and a take counts one
-    level's block at a time at _INDICATOR_BYTES per indicator.  The check
-    charges every draw of the plan at once, which is conservative: the
-    estimator takes a stage in takes of at most estimator._BLOCK draws, so
-    a take holds the indicators of at most that many.  A small m_per_level
-    makes c^2 = expm1(n (n - 1) / m) explode, and with it the draw count,
-    while a large one makes every draw wide.  The ceilings in the plan make the
-    indicator count jagged from one m_per_level to the next, so the message
-    advises halving or doubling m_per_level, whichever plans fewer
-    indicators, and a looser epsilon or delta when neither does.
+    The charge, draws times m_per_level, measures work: a level's memory is
+    bounded whatever the plan (_level_sampler).  A small m_per_level makes
+    c^2 = expm1(n (n - 1) / m) explode, and with it the draw count, while a
+    large one makes every draw wide.  The ceilings in the plan make the
+    charge jagged from one m_per_level to the next, so the message advises
+    halving or doubling m_per_level, whichever plans fewer indicators (a
+    double above 2**20 plans none), and a looser epsilon or delta when
+    neither does.
     """
-    memory = _physical_memory()
     indicators = draws * m_per_level
-    if memory is None or indicators * _INDICATOR_BYTES <= memory:
+    if indicators <= _INDICATOR_BUDGET:
         return
 
     def planned(m: int) -> float:
         try:
-            return _count_plan(chain, m, spec.epsilon, spec.delta, mode)[1] * m
+            return _count_plan(chain, _m_per_level(m), spec.epsilon, spec.delta, mode)[1] * m
         except ValueError:  # m is out of range, or plans more draws than a float holds
             return math.inf
 
     if planned(2 * m_per_level) < indicators:
         advice = "raise m_per_level"
-    elif m_per_level > 1 and planned(m_per_level // 2) < indicators:
+    elif planned(m_per_level // 2) < indicators:
         advice = "lower m_per_level"
     else:
         advice = "neither half nor twice m_per_level plans fewer; raise epsilon or delta"
     raise ValueError(
         f"n = {chain.k} elements at m_per_level = {m_per_level} give c = {spec.c:.6g} and {draws} draws, "
-        f"whose {indicators} indicators need more than the {memory} bytes of physical memory; {advice}"
+        f"whose {indicators} indicators exceed the budget of {_INDICATOR_BUDGET} a count may draw; {advice}"
     )
 
 

@@ -309,25 +309,26 @@ def test_value_and_os_errors_exit_2(capsys, tmp_path, argv, message):
     assert message in got[2]
 
 
-def test_linext_plan_larger_than_memory_exits_2(capsys, tmp_path):
+def test_linext_plan_over_the_indicator_budget_exits_2(capsys, tmp_path):
     # at m = 1, six incomparable elements plan 3.7e15 draws, refused by name
-    # before any allocation
+    # before any draw, on every host
     poset = tmp_path / "antichain6.txt"
     poset.write_text("6\n", encoding="ascii")
     argv = ["linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1", "--m-per-level", "1"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "n = 6 elements at m_per_level = 1" in err and "physical memory" in err
+    assert "n = 6 elements at m_per_level = 1" in err and "exceed the budget of 68719476736" in err
 
 
-def test_linext_m_per_level_beyond_the_float_range_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("m", [2**20 + 1, 10**400])
+def test_linext_m_per_level_above_its_range_exits_2(capsys, tmp_path, m):
     # a 401-digit m_per_level used to end in an OverflowError (exit 1)
     poset = tmp_path / "antichain4.txt"
     poset.write_text("4\n", encoding="ascii")
-    argv = ["linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1", "--m-per-level", str(10**400)]
+    argv = ["linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1", "--m-per-level", str(m)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "m_per_level must be at most 1.79769e+308" in err
+    assert f"m_per_level must be finite and lie in [1, 1048576], got {m}" in err
 
 
 def test_non_finite_draw_exits_2_naming_the_distribution(capsys):

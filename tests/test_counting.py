@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 import tracemalloc
 from fractions import Fraction
@@ -325,6 +326,7 @@ def _assert_level_matches_flags(sampler, flags, n, m, seed):
     expected = flags[ref.integers(0, len(flags), size=(n, m))].mean(axis=1)
     assert drawn.dtype == np.float64 and drawn.tobytes() == expected.tobytes(), (n, m, seed)
     assert rng.bit_generator.state == ref.bit_generator.state, (n, m, seed)
+    assert rng.random() == ref.random(), (n, m, seed)
 
 
 def test_chain_levels_index_lexicographic_pinned_last_flags():
@@ -346,18 +348,38 @@ def test_chain_levels_index_lexicographic_pinned_last_flags():
     assert kinds == {"single", "sure", "mixed"}
 
 
-@pytest.mark.parametrize("limit", [1, 2, 7, 64])
-def test_level_counts_are_exact_on_both_sides_of_the_float32_limit(monkeypatch, limit):
-    # rows of at most _FLOAT32_EXACT_COUNT indicators count through a float32
-    # product, wider ones through count_nonzero; both equal the bool mean
-    monkeypatch.setattr(counting, "_FLOAT32_EXACT_COUNT", limit)
-    levels = _levels_with_flags(Poset.from_pairs(5, [(1, 2), (1, 3)]))
-    mixed = [(sampler, flags) for sampler, flags in levels if not flags.all()]
-    assert len(mixed) >= 2
-    for sampler, flags in mixed:
-        for m in {1, max(limit - 1, 1), limit, limit + 1, 3 * limit}:
-            for seed in range(3):
-                _assert_level_matches_flags(sampler, flags, 9, m, seed)
+@pytest.mark.parametrize("limit", [1, 7, 64])
+def test_level_counts_in_row_groups_equal_one_block(monkeypatch, limit):
+    # a level draws and counts its ranks in row groups of at most
+    # _GROUP_INDICATORS indicators, and at least one row: whether the groups
+    # split the rows evenly, unevenly or not at all, the means are those of
+    # one (n, m) block and the stream stops where that block leaves it
+    monkeypatch.setattr(counting, "_GROUP_INDICATORS", limit)
+    kinds = set()
+    for p in oracles.poset_family():
+        for level, (sampler, flags) in enumerate(_levels_with_flags(p)):
+            kinds.add("single" if len(flags) == 1 else "sure" if flags.all() else "mixed")
+            for n, m in [(9, 1), (9, 3), (5, 7), (3, 8), (2, 65), (1, 64)]:
+                _assert_level_matches_flags(sampler, flags, n, m, seed=level)
+    assert kinds == {"single", "sure", "mixed"}
+
+
+@pytest.mark.parametrize("n, m", [(512, 2**14), (3, 2**20)])
+def test_a_level_call_holds_at_most_one_row_group(n, m):
+    # 512 rows of 2**14 indicators are 109 MB as one block; in row groups of
+    # 2**20 indicators, 13 bytes each, a call holds about 13.6 MB, plus the m
+    # float32 ones it counts against, its n counts and means, and 64 kB
+    sampler = linext_chain(Poset.antichain(4)).samplers[0]
+    rng = np.random.default_rng(3)
+    sampler(rng, 2, 8)
+    tracemalloc.start()
+    try:
+        means = sampler(rng, n, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert means.shape == (n,) and 0.0 < means.mean() < 1.0
+    assert peak <= 2**20 * 13 + 4 * m + 16 * n + 2**16, peak
 
 
 def test_antichain_at_the_size_cap():
@@ -427,9 +449,10 @@ def test_approx_count_deterministic():
     assert a == b
 
 
-def test_approx_count_rejects_a_plan_larger_than_memory():
+def test_approx_count_rejects_a_plan_over_the_indicator_budget():
     # m = 1 on six elements: c^2 = expm1(30) and a 3.7e15-draw plan, whose
-    # indicators (9.11 PiB) are refused before any product is drawn
+    # indicators (54,000 times the 2**36 budget) are refused before any
+    # product is drawn
     c = math.sqrt(math.expm1(30.0))
     with pytest.raises(ValueError) as info:
         linext_approx_count(Poset.antichain(6), 0.2, 0.1, 1, seed=0)
@@ -443,20 +466,31 @@ def test_approx_count_rejects_a_plan_larger_than_memory():
         linext_approx_count(Poset.antichain(11), 0.2, 0.1, 1, seed=0)
 
 
-def test_approx_count_memory_check_reads_physical_memory(monkeypatch):
+def test_approx_count_budget_check_admits_a_charge_up_to_the_budget(monkeypatch):
     p = Poset.antichain(3)
     expected = linext_approx_count(p, 0.2, 0.1, 100, seed=12)
     spec = counting.ApproxSpec(0.2, 0.1, counting._chain_c(linext_chain(p), 100))
     draws = counting.build_plan(spec).total_samples
-    # 13 bytes per indicator: an int64 rank, its bool flag and a float32 copy
-    monkeypatch.setattr(counting, "_physical_memory", lambda: draws * 100 * 13)
+    monkeypatch.setattr(counting, "_INDICATOR_BUDGET", draws * 100)
     assert linext_approx_count(p, 0.2, 0.1, 100, seed=12) == expected
-    monkeypatch.setattr(counting, "_physical_memory", lambda: draws * 100 * 13 - 1)
-    with pytest.raises(ValueError, match=f"{draws} draws, whose {draws * 100} indicators need more"):
+    monkeypatch.setattr(counting, "_INDICATOR_BUDGET", draws * 100 - 1)
+    with pytest.raises(ValueError, match=f"{draws} draws, whose {draws * 100} indicators exceed the budget of "
+                                         f"{draws * 100 - 1} a count may draw"):
         linext_approx_count(p, 0.2, 0.1, 100, seed=12)
-    # where sysconf cannot tell, nothing is checked
-    monkeypatch.setattr(counting, "_physical_memory", lambda: None)
-    assert linext_approx_count(p, 0.2, 0.1, 100, seed=12) == expected
+
+
+def test_the_indicator_budget_is_the_same_on_every_host(monkeypatch):
+    # no host memory enters the refusal: without os.sysconf a huge plan is
+    # still refused, and a 1.1e9-indicator count whose takes hold about
+    # 20 MB is admitted (by the check alone; the count takes about a minute)
+    monkeypatch.delattr(os, "sysconf")
+    monkeypatch.setattr(counting, "estimate_mean", lambda *args: pytest.fail("the count was not refused"))
+    with pytest.raises(ValueError, match="raise m_per_level$"):
+        linext_approx_count(Poset.antichain(6), 0.2, 0.1, 1, seed=0)
+    chain = linext_chain(Poset.antichain(10))
+    spec, draws = counting._count_plan(chain, 100, 0.002, 1e-6, counting.Mode.STRICT)
+    assert draws == 11_421_543
+    counting._check_indicator_budget(chain, 100, spec, draws, counting.Mode.STRICT)
 
 
 def _indicators(n, m):
@@ -464,23 +498,26 @@ def _indicators(n, m):
     return counting.build_plan(spec).total_samples * m
 
 
-@pytest.mark.parametrize("m, advice", [(1, "raise"), (10**300, "lower")])
-def test_memory_refusal_names_the_direction_of_fewer_indicators(m, advice):
-    # a small m_per_level plans many draws (3.7e15 at m = 1), a huge one makes
-    # each draw wide: both are refused on any host
-    with pytest.raises(ValueError, match=rf"physical memory; {advice} m_per_level$"):
+@pytest.mark.parametrize("m, advice", [(1, "raise"), (2**20, "lower")])
+def test_budget_refusal_names_the_direction_of_fewer_indicators(monkeypatch, m, advice):
+    # a small m_per_level plans many draws (3.7e15 at m = 1, refused under the
+    # real budget), a wide one makes each draw wide (refused under a budget of 0)
+    if advice == "lower":
+        monkeypatch.setattr(counting, "_INDICATOR_BUDGET", 0)
+    with pytest.raises(ValueError, match=rf"a count may draw; {advice} m_per_level$"):
         linext_approx_count(Poset.antichain(6), 0.2, 0.1, m, seed=0)
     better = 2 * m if advice == "raise" else m // 2
     assert _indicators(6, better) < _indicators(6, m)
 
 
-def test_memory_refusal_lowers_an_m_per_level_whose_double_leaves_the_float_range():
-    # twice 1.7e308 plans no count at all, so only half of it is weighed
-    with pytest.raises(ValueError, match=r"physical memory; lower m_per_level$"):
-        linext_approx_count(Poset.antichain(3), 0.2, 0.1, int(1.7e308), 1)
+def test_budget_refusal_weighs_no_double_above_the_m_per_level_range(monkeypatch):
+    # twice 2**20 is no m_per_level, so only half of 2**20 is weighed
+    monkeypatch.setattr(counting, "_INDICATOR_BUDGET", 0)
+    with pytest.raises(ValueError, match=r"a count may draw; lower m_per_level$"):
+        linext_approx_count(Poset.antichain(3), 0.2, 0.1, 2**20, 1)
 
 
-def test_memory_refusal_advice_follows_the_indicator_count(monkeypatch):
+def test_budget_refusal_advice_follows_the_indicator_count(monkeypatch):
     # on antichain(6) at eps = 0.2, delta = 0.1 the indicator count is least
     # at m = 45; under a limit that refuses every m, the advice points from
     # either side towards it, and near it asks for a looser accuracy
@@ -489,38 +526,43 @@ def test_memory_refusal_advice_follows_the_indicator_count(monkeypatch):
     assert counts[2] < counts[1] and counts[40] < counts[20]
     assert min(counts[22], counts[90]) >= counts[45] and min(counts[30], counts[120]) >= counts[60]
     assert counts[100] < counts[200] <= counts[400]
-    monkeypatch.setattr(counting, "_physical_memory", lambda: counts[45] * 13 - 1)
+    monkeypatch.setattr(counting, "_INDICATOR_BUDGET", counts[45] - 1)
     neither = "neither half nor twice m_per_level plans fewer; raise epsilon or delta"
     for m, advice in [(1, "raise m_per_level"), (20, "raise m_per_level"), (45, neither), (60, neither),
                       (200, "lower m_per_level")]:
-        with pytest.raises(ValueError, match=rf"physical memory; {advice}$"):
+        with pytest.raises(ValueError, match=rf"a count may draw; {advice}$"):
             linext_approx_count(Poset.antichain(6), 0.2, 0.1, m, seed=0)
 
 
-def test_approx_count_rejects_m_per_level_beyond_the_float_range():
+M_PER_LEVEL_ENTRIES = {
+    "linext_approx_count": lambda p, m: linext_approx_count(p, 0.2, 0.1, m, 0),
+    "ProductEstimateSource": lambda p, m: ProductEstimateSource(linext_chain(p), m, 0).take(2),
+}
+
+
+@pytest.mark.parametrize("entry", M_PER_LEVEL_ENTRIES)
+def test_m_per_level_is_an_integer_in_one_to_two_to_the_twenty(entry):
+    # a row of 2**20 indicators fills one row group; a wider m_per_level, up
+    # to one beyond the float range, is refused by name before any draw
+    call = M_PER_LEVEL_ENTRIES[entry]
+    with pytest.raises(ValueError, match=r"^m_per_level must be a positive integer, got 0$"):
+        call(Poset.antichain(3), 0)
+    for m in (2**20 + 1, 10**400):
+        with pytest.raises(ValueError, match=rf"^m_per_level must be finite and lie in \[1, 1048576\], got {m}$"):
+            call(Poset.antichain(3), m)
+        with pytest.raises(ValueError, match=r"^m_per_level must be finite and lie in \[1, 1048576\]"):
+            call(Poset.antichain(1), m)
+    assert call(Poset.chain(3), 2**20) == pytest.approx(1.0)
+    assert np.all(call(Poset.antichain(2), 1) >= 0.0)
+    assert ProductEstimateSource(linext_chain(Poset.antichain(3)), 2**20, 0).take(2).shape == (2,)
+
+
+def test_product_variance_bound_rejects_arguments_beyond_the_float_range():
     # 10**400 used to raise OverflowError inside product_variance_bound
-    with pytest.raises(ValueError, match=r"m_per_level must be at most 1\.79769e\+308, got a 1329-bit integer"):
-        linext_approx_count(Poset.antichain(4), 0.2, 0.1, 10**400, 0)
-    with pytest.raises(ValueError, match="m_per_level must be at most"):
-        linext_approx_count(Poset.antichain(1), 0.2, 0.1, 10**400, 0)
     with pytest.raises(ValueError, match=r"^m must be at most"):
         product_variance_bound(3, 2.0, 10**400)
     with pytest.raises(ValueError, match=r"^k must be at most"):
         product_variance_bound(10**400, 2.0, 3)
-
-
-def test_product_source_rejects_m_per_level_beyond_the_float_range():
-    # 10**400 used to be accepted, and take failed inside numpy
-    chain = linext_chain(Poset.antichain(3))
-    with pytest.raises(ValueError, match=r"^m_per_level must be at most 1\.79769e\+308, got a 1329-bit integer$"):
-        ProductEstimateSource(chain, 10**400, 0)
-    assert ProductEstimateSource(chain, 2, 0).take(3).shape == (3,)
-
-
-def test_physical_memory_skips_a_missing_sysconf(monkeypatch):
-    assert counting._physical_memory() > 0
-    monkeypatch.delattr(counting.os, "sysconf")
-    assert counting._physical_memory() is None
 
 
 # ---------------------------------------------------------------- quotient combiner

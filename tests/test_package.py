@@ -106,6 +106,17 @@ def test_overflow_errors_are_caught_only_by_the_two_real_helpers():
     assert _scopes_holding(catches_overflow) == {"sources._real", "sources._inf_on_overflow"}
 
 
+def test_no_module_reads_the_host_memory_size():
+    # an outcome must not depend on the host: a linear-extension count is
+    # admitted by a constant budget, so no module calls os.sysconf
+    def names_sysconf(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "sysconf") or (
+            isinstance(node, ast.Name) and node.id == "sysconf"
+        ) or (isinstance(node, ast.alias) and node.name == "sysconf")
+
+    assert _scopes_holding(names_sysconf) == set()
+
+
 def test_numpy_error_state_is_set_only_where_an_overflow_is_repaired_or_named():
     # the two stage kernels and psi's two evaluators read an overflow in
     # their results and repair it or raise a named error; every caller
