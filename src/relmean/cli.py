@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = argparse.ArgumentParser(add_help=False)
     c.add_argument("--c", type=float, required=True, help="bound on sigma/mean")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    seed.add_argument("--seed", type=int, default=0, help="base seed in [0, inf) (default 0)")
     dist = argparse.ArgumentParser(add_help=False)
     dist.add_argument(
         "--dist",
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lognormal:1, bernoulli:0.2,1, pareto:2.5, recorded:PATH",
     )
     runs = argparse.ArgumentParser(add_help=False)
-    runs.add_argument("--reps", type=int, default=1000, help="replications (default 1000)")
+    runs.add_argument("--reps", type=int, default=1000, help="replications in [100, 4294967296) (default 1000)")
     runs.add_argument("--out", default=None, help="also write the coverage rows as CSV")
 
     commands = [
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     linext = subparsers["linext"]
     linext.add_argument("--poset", required=True, help="poset file: first line n, then `i j` pairs")
-    linext.add_argument("--m-per-level", type=int, default=100, help="draws per chain level, 1 to 1048576 (default 100)")
+    linext.add_argument("--m-per-level", type=int, default=100, help="draws per chain level in [1, 1048576] (default 100)")
     return parser
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .estimator import ApproxSpec, Mode, _check_accuracy, build_plan, estimate_mean
-from .sources import _float_sized, _inf_on_overflow, _integer, _real, _replicate_rng
+from .sources import _inf_on_overflow, _integer, _real, _replicate_rng
 
 DESK_SCALE_LIMIT = 10
 
@@ -115,10 +115,9 @@ def _product_draws(chain: NestedChain, rng: np.random.Generator, n: int, m_per_l
 
 def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
     """Relative-variance bound exp(k (M - 1) / m) - 1 for the product estimate,
-    valid whenever every level ratio is at least 1/M.  A bound beyond the
-    largest float is a ValueError naming k, M and m."""
-    k = _float_sized("k", _integer("k", k, 1))
-    m = _float_sized("m", _integer("m", m, 1))
+    valid whenever every level ratio is at least 1/M; k and m become floats.
+    A bound beyond the largest float is a ValueError naming k, M and m."""
+    k, m = _integer("k", k, "[1, 1.7976931348623157e+308]"), _integer("m", m, "[1, 1.7976931348623157e+308]")
     ratio = _real("max_inverse_ratio", max_inverse_ratio, "[1, inf)")
     bound = _inf_on_overflow(math.expm1, k * (ratio - 1.0) / m)
     if bound == math.inf:
@@ -129,7 +128,7 @@ def product_variance_bound(k: int, max_inverse_ratio: float, m: int) -> float:
 def _m_per_level(value) -> int:
     """value, if it is an integer in [1, 2**20]: a row fits one row group, and
     from about 2**15 on the plan stops shrinking, so a wider row only adds work."""
-    return int(_real("m_per_level", _integer("m_per_level", value, 1), "[1, 1048576]"))
+    return _integer("m_per_level", value, "[1, 1048576]")
 
 
 def _chain_c(chain: NestedChain, m_per_level: int) -> float:
@@ -202,7 +201,7 @@ class Poset:
         """Build from covering (or any) pairs; computes the transitive closure,
         in which a cycle shows as an element preceding itself, rejected by
         validation."""
-        n = _integer("n", n)
+        n = _integer("n", n, "[1, inf)")
         preds = [0] * n
         for i, j in pairs:
             i, j = _checked_pair(n, i, j)
@@ -216,7 +215,7 @@ class Poset:
 
     @classmethod
     def chain(cls, n: int) -> "Poset":
-        return cls(tuple((1 << j) - 1 for j in range(_integer("n", n))))
+        return cls(tuple((1 << j) - 1 for j in range(_integer("n", n, "[1, inf)"))))
 
     @classmethod
     def antichain(cls, n: int) -> "Poset":
@@ -242,7 +241,7 @@ class Poset:
 
 def _checked_pair(n: int, i, j) -> tuple[int, int]:
     """The pair (i, j) of elements of 1..n, as Python ints."""
-    i, j = _integer("pair element", i, 1), _integer("pair element", j, 1)
+    i, j = _integer("pair element", i, "[1, inf)"), _integer("pair element", j, "[1, inf)")
     if not (i <= n and j <= n):
         raise ValueError(f"pair ({i}, {j}) is outside 1..{n}")
     return i, j

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psi import TruncationScale, _repair_tails, _scaled_psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
-from .sources import InsufficientSamplesError, _float_sized, _integer, _real
+from .sources import InsufficientSamplesError, _integer, _real
 
 __all__ = [
     "Mode",
@@ -222,7 +222,7 @@ def mom_failure_bound(nu_sq: float, r: int) -> float:
     Returns nu_sq (1 - nu_sq) (4 nu_sq (1 - nu_sq))^r / (sqrt(pi r) (1 - 2 nu_sq)).
     """
     nu_sq = _real("nu_sq", nu_sq, "(0, 0.5)")
-    r = _float_sized("r", _integer("r", r, 1))
+    r = _integer("r", r, "[1, 1.7976931348623157e+308]")  # the closed form turns r into a float
     q = nu_sq * (1.0 - nu_sq)
     return q / (math.sqrt(math.pi * r) * (1.0 - 2.0 * nu_sq)) * (4.0 * q) ** r
 
@@ -438,8 +438,8 @@ def median_of_means(source, k: int, m: int) -> float:
     function of the source's seed.  m must be odd: the median is the exact
     middle order statistic.  A group sum that overflows is a ValueError.
     """
-    k = _integer("group size k", k, 1)
-    m = _integer("group count m", m, 1)
+    k = _integer("group size k", k, "[1, inf)")
+    m = _integer("group count m", m, "[1, inf)")
     if m % 2 == 0:
         raise ValueError(f"group count m must be odd, got {m}")
     return float(_median_rows(_source_reader(source, "median of means"), k, m, "median of means")[0])

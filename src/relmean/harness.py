@@ -103,13 +103,9 @@ class CoverageConfig:
     mode: Mode = Mode.STRICT
 
     def __post_init__(self) -> None:
-        replications = _integer("replications", self.replications)
-        if replications < 100:
-            raise ValueError(f"coverage needs at least 100 replications, got {replications}")
-        if replications >= 2**32:
-            # replicate indices must fit one 32-bit spawn-key word
-            raise ValueError(f"replications must be below 2**32, got {replications}")
-        object.__setattr__(self, "replications", replications)
+        # a failure frequency needs 100 replicates, and replicate indices
+        # must fit one 32-bit spawn-key word
+        object.__setattr__(self, "replications", _integer("replications", self.replications, "[100, 4294967296)"))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if _replays(self.dist):
             raise ValueError(

@@ -10,9 +10,9 @@ the same PCG64 seeds as numpy's SeedSequence in one vectorised pass.  The
 algorithm name is exposed so experiment reports can record it.
 
 Every real argument of the library, here and in the other modules, is
-checked by ``_real(name, value, interval)`` and by nothing else: it is the
-one range check, and its one message names the argument, the interval and
-the value.
+checked by ``_real(name, value, interval)``, every integer argument by
+``_integer(name, value, interval)``, and by nothing else; their one message
+names the argument, the interval and the value.
 """
 
 from __future__ import annotations
@@ -94,15 +94,22 @@ def _interval(text: str):
     return above, below
 
 
+def _shown(value) -> str:
+    """repr(value), or for an int beyond the float range its bit length."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
+    return repr(value)
+
+
 def _real(name: str, value, interval: str = "(-inf, inf)") -> float:
     """value as a float, if it is a real number in `interval` (by default
     the finite reals): the one check of every real argument at the public
-    boundary (distribution parameters, epsilon, delta, c, scales), and the
-    only range check of the library.  A str, bytes, None or complex value
-    is rejected by name, not left to fail inside math or numpy, and a value
-    outside the interval, nan, an infinity or an int beyond the float range
-    by its name, the interval and the value.  A float skips the ABC check,
-    which costs about 0.8 us."""
+    boundary (distribution parameters, epsilon, delta, c, scales), as
+    _integer is of every integer argument.  A str, bytes, None or complex
+    value is rejected by name, not left to fail inside math or numpy, and a
+    value outside the interval, nan, an infinity or an int beyond the float
+    range by its name, the interval and the value.  A float skips the ABC
+    check, which costs about 0.8 us."""
     if not (type(value) is float or isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
@@ -111,7 +118,24 @@ def _real(name: str, value, interval: str = "(-inf, inf)") -> float:
         number = math.nan
     above, below = _interval(interval)
     if not (above(number) and below(number)):
-        raise ValueError(f"{name} must be finite and lie in {interval}, got {value!r}")
+        raise ValueError(f"{name} must be finite and lie in {interval}, got {_shown(value)}")
+    return number
+
+
+def _integer(name: str, value, interval: str = "[0, inf)") -> int:
+    """value as a Python int, if it is an integer (numpy integers too) in
+    `interval`, by default the nonnegative ones: the one check of every
+    integer argument, as _real is of every real one.  It never truncates a
+    float, and it compares the exact int with the ends, so a seed may have
+    any size, as numpy's SeedSequence allows, and a count that a closed
+    form turns into a float is bounded by the largest float exactly."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    above, below = _interval(interval)
+    if number is None or not (above(number) and below(number)):
+        raise ValueError(f"{name} must be an integer in {interval}, got {_shown(value)}")
     return number
 
 
@@ -340,26 +364,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-
-
-def _integer(name: str, value, low: int = 0) -> int:
-    """`value` as a Python int, if it is an integer (numpy integers too) of at
-    least `low`: the converter of every integer argument, which never truncates."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or number < low:
-        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return number
-
-
-def _float_sized(name: str, value: int) -> int:
-    """`value`, if it is at most the largest float: the closed forms turn it into a float."""
-    if value > sys.float_info.max:
-        raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}, got a {value.bit_length()}-bit integer")
-    return value
 
 
 def _hashmix(hash_const: int, multiplier: int):

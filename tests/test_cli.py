@@ -229,7 +229,7 @@ def test_coverage_commands_reject_bad_configs_with_exit_2(capsys, tmp_path):
         assert "recorded:4999values" in err and "replays" in err
         code, out, err = run_cli(capsys, command, "--dist", "constant:2", *flags, "--reps", "99")
         assert (code, out) == (2, ""), command
-        assert "at least 100 replications" in err
+        assert "replications must be an integer in [100, 4294967296), got 99" in err
 
 
 def test_negative_seed_exits_2_naming_seed(capsys, tmp_path):
@@ -245,7 +245,7 @@ def test_negative_seed_exits_2_naming_seed(capsys, tmp_path):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert "seed must be a nonnegative integer" in err, argv
+        assert "seed must be an integer in [0, inf), got -1" in err, argv
 
 
 @pytest.mark.parametrize("dist", ["lognormal:27", "normal:1,1e200"])
@@ -293,7 +293,7 @@ def test_runtime_error_exits_1(capsys, tmp_path):
         (["compare", "--dist", "pareto:1.5", "--epsilon", "0.2", "--delta", "0.1", "--c", "1",
           "--reps", "100"], "Pareto shape must exceed 2"),
         (["linext", "--poset", "{poset}", "--epsilon", "0.2", "--delta", "0.1", "--m-per-level", "0"],
-         "m_per_level must be a positive integer"),
+         "m_per_level must be an integer in [1, 1048576], got 0"),
         (["coverage", "--dist", "constant:2", "--epsilon", "0.2", "--delta", "0.1", "--c", "1",
           "--reps", "100", "--out", "{missing}/cov.csv"], "No such file or directory"),
     ],
@@ -322,13 +322,15 @@ def test_linext_plan_over_the_indicator_budget_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("m", [2**20 + 1, 10**400])
 def test_linext_m_per_level_above_its_range_exits_2(capsys, tmp_path, m):
-    # a 401-digit m_per_level used to end in an OverflowError (exit 1)
+    # a 401-digit m_per_level used to end in an OverflowError (exit 1); the
+    # message gives its bit length, not its digits
     poset = tmp_path / "antichain4.txt"
     poset.write_text("4\n", encoding="ascii")
     argv = ["linext", "--poset", str(poset), "--epsilon", "0.2", "--delta", "0.1", "--m-per-level", str(m)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert f"m_per_level must be finite and lie in [1, 1048576], got {m}" in err
+    shown = {2**20 + 1: "1048577", 10**400: "a 1329-bit integer"}[m]
+    assert err == f"relmean: m_per_level must be an integer in [1, 1048576], got {shown}\n"
 
 
 def test_non_finite_draw_exits_2_naming_the_distribution(capsys):

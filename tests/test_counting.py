@@ -57,7 +57,7 @@ def test_product_estimate_validation():
     chain = bernoulli_chain([0.5])
     with pytest.raises(ValueError):
         ProductEstimateSource(chain, 0, seed=1)
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, inf\), got -1$"):
         ProductEstimateSource(chain, 5, seed=-1)
     with pytest.raises(ValueError):
         NestedChain(samplers=(), known_terminal=1.0, max_inverse_ratio=2.0)
@@ -68,9 +68,9 @@ def test_product_estimate_validation():
 def test_product_seed_and_index_must_be_integers():
     chain = bernoulli_chain([0.5])
     for bad in (1.5, "7"):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, inf\), got {re.escape(repr(bad))}$"):
             ProductEstimateSource(chain, 5, seed=bad)
-        with pytest.raises(ValueError, match="replicate_index must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=rf"^replicate_index must be an integer in \[0, inf\), got {re.escape(repr(bad))}$"):
             ProductEstimateSource(chain, 5, seed=0, replicate_index=bad)
     assert np.array_equal(ProductEstimateSource(chain, 5, np.uint8(4), np.int16(1)).take(3),
                           ProductEstimateSource(chain, 5, 4, 1).take(3))
@@ -194,7 +194,7 @@ def test_poset_text_format():
     assert p == Poset.from_pairs(4, [(1, 2), (3, 4)])
     with pytest.raises(ValueError):
         Poset.from_text("")
-    with pytest.raises(ValueError, match="at least one element"):
+    with pytest.raises(ValueError, match=r"^n must be an integer in \[1, inf\), got 0$"):
         Poset.from_text("0\n")
     with pytest.raises(ValueError):
         Poset.from_text("three\n1 2\n")
@@ -249,14 +249,14 @@ def test_uniform_sample_chain_is_identity():
 
 
 def test_uniform_sample_rejects_negative_seed():
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, inf\), got -1$"):
         linext_uniform_sample(Poset.chain(4), -1)
 
 
 def test_uniform_sample_rejects_non_integer_seed():
     p = Poset.from_pairs(4, [(1, 2), (3, 4)])
     for bad in (1.5, "7"):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, inf\), got {re.escape(repr(bad))}$"):
             linext_uniform_sample(p, bad)
     assert linext_uniform_sample(p, np.int64(3)) == linext_uniform_sample(p, 3)
 
@@ -545,12 +545,10 @@ def test_m_per_level_is_an_integer_in_one_to_two_to_the_twenty(entry):
     # a row of 2**20 indicators fills one row group; a wider m_per_level, up
     # to one beyond the float range, is refused by name before any draw
     call = M_PER_LEVEL_ENTRIES[entry]
-    with pytest.raises(ValueError, match=r"^m_per_level must be a positive integer, got 0$"):
-        call(Poset.antichain(3), 0)
-    for m in (2**20 + 1, 10**400):
-        with pytest.raises(ValueError, match=rf"^m_per_level must be finite and lie in \[1, 1048576\], got {m}$"):
+    for m, shown in ((0, "0"), (2**20 + 1, "1048577"), (10**400, "a 1329-bit integer")):
+        with pytest.raises(ValueError, match=rf"^m_per_level must be an integer in \[1, 1048576\], got {shown}$"):
             call(Poset.antichain(3), m)
-        with pytest.raises(ValueError, match=r"^m_per_level must be finite and lie in \[1, 1048576\]"):
+        with pytest.raises(ValueError, match=rf"^m_per_level must be an integer in \[1, 1048576\], got {shown}$"):
             call(Poset.antichain(1), m)
     assert call(Poset.chain(3), 2**20) == pytest.approx(1.0)
     assert np.all(call(Poset.antichain(2), 1) >= 0.0)
@@ -559,9 +557,9 @@ def test_m_per_level_is_an_integer_in_one_to_two_to_the_twenty(entry):
 
 def test_product_variance_bound_rejects_arguments_beyond_the_float_range():
     # 10**400 used to raise OverflowError inside product_variance_bound
-    with pytest.raises(ValueError, match=r"^m must be at most"):
+    with pytest.raises(ValueError, match=r"^m must be an integer in \[1, 1\.7976931348623157e\+308\], got a 1329-bit integer$"):
         product_variance_bound(3, 2.0, 10**400)
-    with pytest.raises(ValueError, match=r"^k must be at most"):
+    with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 1\.7976931348623157e\+308\], got a 1329-bit integer$"):
         product_variance_bound(10**400, 2.0, 3)
 
 

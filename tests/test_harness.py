@@ -137,7 +137,7 @@ def test_coverage_rejects_a_nan_c_bound():
 
 
 def test_coverage_rejects_too_few_replications():
-    with pytest.raises(ValueError, match=r"^coverage needs at least 100 replications, got 99$"):
+    with pytest.raises(ValueError, match=r"^replications must be an integer in \[100, 4294967296\), got 99$"):
         CoverageConfig(SPEC, DIST, 99, seed=0)
 
 
@@ -153,9 +153,9 @@ def test_coverage_rejects_negative_seed():
 
 
 def test_coverage_rejects_non_integer_replications_and_seed():
-    with pytest.raises(ValueError, match="replications must be a nonnegative integer"):
+    with pytest.raises(ValueError, match=r"^replications must be an integer in \[100, 4294967296\), got 100\.5$"):
         CoverageConfig(SPEC, DIST, 100.5, seed=0)
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, inf\), got 0\.5$"):
         CoverageConfig(SPEC, DIST, 100, seed=0.5)
     CoverageConfig(SPEC, DIST, np.int64(100), seed=np.uint32(3))
 

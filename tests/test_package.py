@@ -134,29 +134,40 @@ def test_numpy_error_state_is_set_only_where_an_overflow_is_repaired_or_named():
     }
 
 
-def test_intervals_are_stated_only_by_the_one_real_check():
-    # sources._real is the one range check of real arguments: no other
-    # function raises an error that states an interval or finiteness, and
-    # every interval passed to it is a literal that parses
-    def states_a_range(node):
+def _raises_stating(phrases):
+    """A node test: true for a raise whose string constants hold one of `phrases`."""
+
+    def states(node):
         if not (isinstance(node, ast.Raise) and node.exc is not None):
             return False
         text = " ".join(
             part.value for part in ast.walk(node.exc) if isinstance(part, ast.Constant) and isinstance(part.value, str)
         )
-        return any(phrase in text for phrase in ("must lie in", "must be finite", "must be positive"))
+        return any(phrase in text for phrase in phrases)
 
-    assert _scopes_holding(states_a_range) == {"sources._real"}
+    return states
+
+
+def test_intervals_are_stated_only_by_the_one_real_check():
+    # sources._real is the one range check of real arguments and
+    # sources._integer of integer ones: no other function raises an error
+    # that states an interval, finiteness or an integer's range, and every
+    # interval passed to either is a literal that parses
+    real_phrases = ("must lie in", "must be finite", "must be positive")
+    integer_phrases = ("must be an integer", "nonnegative integer", "positive integer", "must be at most", "must be below")
+    assert _scopes_holding(_raises_stating(real_phrases)) == {"sources._real"}
+    assert _scopes_holding(_raises_stating(integer_phrases)) == {"sources._integer"}
     root = Path(__file__).resolve().parent.parent
-    intervals = set()
+    intervals = {"_real": set(), "_integer": set()}
     for path in sorted((root / "src" / "relmean").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_real":
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in intervals:
                 for arg in node.args[2:] + [keyword.value for keyword in node.keywords if keyword.arg == "interval"]:
                     assert isinstance(arg, ast.Constant) and isinstance(arg.value, str), f"{path.name}:{node.lineno}"
-                    intervals.add(arg.value)
-    assert {"(0, 1)", "(0, inf)", "[1, inf)"} <= intervals
-    for interval in sorted(intervals):
+                    intervals[node.func.id].add(arg.value)
+    assert {"(0, 1)", "(0, inf)", "[1, inf)"} <= intervals["_real"]
+    assert {"[1, inf)", "[1, 1048576]", "[100, 4294967296)", "[1, 1.7976931348623157e+308]"} <= intervals["_integer"]
+    for interval in sorted(intervals["_real"] | intervals["_integer"]):
         relmean.sources._interval(interval)
 
 
@@ -175,48 +186,124 @@ def _source():
     return relmean.SampleSource(DIST, 0)
 
 
-# (entry point with the integer argument as its one parameter, name in the message)
+# (entry point with the integer argument as its one parameter, name in the
+# message, the interval it must lie in, as sources._integer is given it);
+# the closed forms turn k, m and r into floats, so their top is the largest
 INTEGER_ARGUMENTS = {
-    "SampleSource.seed": (lambda v: relmean.SampleSource(DIST, v), "seed"),
-    "SampleSource.replicate_index": (lambda v: relmean.SampleSource(DIST, 0, v), "replicate_index"),
-    "SampleSource.take": (lambda v: _source().take(v), "draw count n"),
+    "SampleSource.seed": (lambda v: relmean.SampleSource(DIST, v), "seed", "[0, inf)"),
+    "SampleSource.replicate_index": (lambda v: relmean.SampleSource(DIST, 0, v), "replicate_index", "[0, inf)"),
+    "SampleSource.take": (lambda v: _source().take(v), "draw count n", "[0, inf)"),
     "ProductEstimateSource.m_per_level": (
-        lambda v: relmean.ProductEstimateSource(SURE_CHAIN, v, 0), "m_per_level"),
-    "ProductEstimateSource.seed": (lambda v: relmean.ProductEstimateSource(SURE_CHAIN, 5, v), "seed"),
+        lambda v: relmean.ProductEstimateSource(SURE_CHAIN, v, 0), "m_per_level", "[1, 1048576]"),
+    "ProductEstimateSource.seed": (lambda v: relmean.ProductEstimateSource(SURE_CHAIN, 5, v), "seed", "[0, inf)"),
     "ProductEstimateSource.replicate_index": (
-        lambda v: relmean.ProductEstimateSource(SURE_CHAIN, 5, 0, v), "replicate_index"),
+        lambda v: relmean.ProductEstimateSource(SURE_CHAIN, 5, 0, v), "replicate_index", "[0, inf)"),
     "ProductEstimateSource.take": (
-        lambda v: relmean.ProductEstimateSource(SURE_CHAIN, 5, 0).take(v), "draw count n"),
-    "median_of_means.k": (lambda v: relmean.median_of_means(_source(), v, 3), "group size k"),
-    "median_of_means.m": (lambda v: relmean.median_of_means(_source(), 5, v), "group count m"),
-    "mom_failure_bound.r": (lambda v: relmean.mom_failure_bound(0.1, v), "r"),
-    "product_variance_bound.k": (lambda v: relmean.product_variance_bound(v, 2.0, 3), "k"),
-    "product_variance_bound.m": (lambda v: relmean.product_variance_bound(3, 2.0, v), "m"),
-    "CoverageConfig.replications": (lambda v: relmean.CoverageConfig(SPEC, DIST, v, 0), "replications"),
-    "CoverageConfig.seed": (lambda v: relmean.CoverageConfig(SPEC, DIST, 100, v), "seed"),
+        lambda v: relmean.ProductEstimateSource(SURE_CHAIN, 5, 0).take(v), "draw count n", "[0, inf)"),
+    "median_of_means.k": (lambda v: relmean.median_of_means(_source(), v, 3), "group size k", "[1, inf)"),
+    "median_of_means.m": (lambda v: relmean.median_of_means(_source(), 5, v), "group count m", "[1, inf)"),
+    "mom_failure_bound.r": (lambda v: relmean.mom_failure_bound(0.1, v), "r", "[1, 1.7976931348623157e+308]"),
+    # at M = 1 the bound is 0 at every k, so the largest k is a cheap call
+    "product_variance_bound.k": (
+        lambda v: relmean.product_variance_bound(v, 1.0, 3), "k", "[1, 1.7976931348623157e+308]"),
+    "product_variance_bound.m": (
+        lambda v: relmean.product_variance_bound(3, 2.0, v), "m", "[1, 1.7976931348623157e+308]"),
+    "CoverageConfig.replications": (
+        lambda v: relmean.CoverageConfig(SPEC, DIST, v, 0), "replications", "[100, 4294967296)"),
+    "CoverageConfig.seed": (lambda v: relmean.CoverageConfig(SPEC, DIST, 100, v), "seed", "[0, inf)"),
     "compare_estimators.replications": (
-        lambda v: relmean.compare_estimators(SPEC, DIST, v, 0), "replications"),
-    "compare_estimators.seed": (lambda v: relmean.compare_estimators(SPEC, DIST, 100, v), "seed"),
-    "Poset.preds": (lambda v: relmean.Poset((0, v)), "predecessor mask"),
-    "Poset.from_pairs.n": (lambda v: relmean.Poset.from_pairs(v, []), "n"),
-    "Poset.from_pairs.pairs": (lambda v: relmean.Poset.from_pairs(3, [(v, 2)]), "pair element"),
-    "Poset.chain": (lambda v: relmean.Poset.chain(v), "n"),
-    "Poset.antichain": (lambda v: relmean.Poset.antichain(v), "n"),
-    "linext_uniform_sample.seed": (lambda v: relmean.linext_uniform_sample(relmean.Poset.chain(3), v), "seed"),
+        lambda v: relmean.compare_estimators(SPEC, DIST, v, 0), "replications", "[100, 4294967296)"),
+    "compare_estimators.seed": (lambda v: relmean.compare_estimators(SPEC, DIST, 100, v), "seed", "[0, inf)"),
+    "Poset.preds": (lambda v: relmean.Poset((0, v)), "predecessor mask", "[0, inf)"),
+    "Poset.from_pairs.n": (lambda v: relmean.Poset.from_pairs(v, []), "n", "[1, inf)"),
+    "Poset.from_pairs.pairs": (lambda v: relmean.Poset.from_pairs(3, [(v, 2)]), "pair element", "[1, inf)"),
+    "Poset.chain": (lambda v: relmean.Poset.chain(v), "n", "[1, inf)"),
+    "Poset.antichain": (lambda v: relmean.Poset.antichain(v), "n", "[1, inf)"),
+    "linext_uniform_sample.seed": (
+        lambda v: relmean.linext_uniform_sample(relmean.Poset.chain(3), v), "seed", "[0, inf)"),
     "linext_approx_count.m_per_level": (
-        lambda v: relmean.linext_approx_count(relmean.Poset.chain(3), 0.2, 0.1, v, 0), "m_per_level"),
+        lambda v: relmean.linext_approx_count(relmean.Poset.chain(3), 0.2, 0.1, v, 0), "m_per_level", "[1, 1048576]"),
     "linext_approx_count.seed": (
-        lambda v: relmean.linext_approx_count(relmean.Poset.chain(3), 0.2, 0.1, 10, v), "seed"),
+        lambda v: relmean.linext_approx_count(relmean.Poset.chain(3), 0.2, 0.1, 10, v), "seed", "[0, inf)"),
 }
+
+
+def _integer_edges(interval: str) -> tuple[list[int], list[int]]:
+    """(rejected, accepted) integers at the finite ends of an interval
+    written as "[low, high)": the integer just outside each end is
+    rejected, and the one at a closed end, or just inside an open one, is
+    accepted."""
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    rejected, accepted = [], []
+    for end, closed, outward in ((low, interval[0] == "[", -1), (high, interval[-1] == "]", 1)):
+        if math.isfinite(end):
+            rejected.append(int(end) + outward if closed else int(end))
+            accepted.append(int(end) if closed else int(end) - outward)
+    return rejected, accepted
+
+
+def _shown(value: int) -> str:
+    """An int as a range check's message shows it."""
+    return f"a {value.bit_length()}-bit integer" if value > sys.float_info.max else repr(value)
+
+
+def _integer_id(entry: str, value: int) -> str:
+    return f"{entry}-{value!r}" if value.bit_length() < 64 else f"{entry}-{value.bit_length()}-bit"
+
+
+INTEGERS_REJECTED_AT_EDGES = [
+    pytest.param(entry, value, id=_integer_id(entry, value))
+    for entry, (_, _, interval) in INTEGER_ARGUMENTS.items() for value in _integer_edges(interval)[0]
+]
+# a comparison at 2**32 - 1 replications would run them all
+INTEGERS_ACCEPTED_AT_EDGES = [
+    pytest.param(entry, value, id=_integer_id(entry, value))
+    for entry, (_, _, interval) in INTEGER_ARGUMENTS.items() for value in _integer_edges(interval)[1]
+    if (entry, value) != ("compare_estimators.replications", 2**32 - 1)
+]
 
 
 @pytest.mark.parametrize("bad", [2.5, -1])
 @pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
 def test_integer_arguments_are_checked_by_name(entry, bad):
-    call, name = INTEGER_ARGUMENTS[entry]
-    pattern = rf"{re.escape(name)} must be an? \w+ integer, got {re.escape(repr(bad))}"
+    call, name, interval = INTEGER_ARGUMENTS[entry]
+    pattern = rf"^{re.escape(name)} must be an integer in {re.escape(interval)}, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=pattern):
         call(bad)
+
+
+@pytest.mark.parametrize("entry, value", INTEGERS_REJECTED_AT_EDGES)
+def test_integer_arguments_outside_their_interval_are_named_with_it(entry, value):
+    call, name, interval = INTEGER_ARGUMENTS[entry]
+    pattern = rf"^{re.escape(name)} must be an integer in {re.escape(interval)}, got {re.escape(_shown(value))}$"
+    with pytest.raises(ValueError, match=pattern):
+        call(value)
+
+
+@pytest.mark.parametrize("entry, value", INTEGERS_ACCEPTED_AT_EDGES)
+def test_integer_arguments_at_the_ends_of_their_interval_are_accepted(entry, value):
+    call, _, _ = INTEGER_ARGUMENTS[entry]
+    call(value)
+
+
+def test_an_int_beyond_the_float_range_is_shown_by_its_bit_length():
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, inf\), got a negative 1329-bit integer$"):
+        relmean.SampleSource(DIST, -10**400)
+    # the largest float's int is shown whole, one beyond it by its bit length
+    top = int(sys.float_info.max)
+    with pytest.raises(ValueError, match=rf"^m_per_level must be an integer in \[1, 1048576\], got {top}$"):
+        relmean.ProductEstimateSource(SURE_CHAIN, top, 0)
+    with pytest.raises(ValueError, match=r"^m_per_level must be an integer in \[1, 1048576\], got a 1024-bit integer$"):
+        relmean.ProductEstimateSource(SURE_CHAIN, top + 1, 0)
+
+
+def test_seeds_and_replicate_indices_take_any_size():
+    # numpy's SeedSequence takes an int of any size, and so does "[0, inf)"
+    draws = relmean.SampleSource(DIST, 10**400, 10**400).take(3)
+    assert np.array_equal(draws, relmean.SampleSource(DIST, 10**400, 10**400).take(3))
+    assert not np.array_equal(draws, relmean.SampleSource(DIST, 10**400, 0).take(3))
+    config = relmean.CoverageConfig(SPEC, DIST, 100, 10**400)
+    assert config.seed == 10**400
 
 
 # (call with the real argument as its one parameter, name in the message,
@@ -315,9 +402,11 @@ def test_real_arguments_are_checked_by_name(entry, bad):
 
 @pytest.mark.parametrize("entry", REAL_ARGUMENTS)
 def test_real_arguments_beyond_the_float_range_are_checked_by_name(entry):
-    call, name, _ = REAL_ARGUMENTS[entry]
-    with pytest.raises(ValueError, match=rf"{re.escape(name)} must be finite"):
-        call(10**400)
+    # the message gives the int's bit length, where it gave all 401 digits
+    call, name, interval = REAL_ARGUMENTS[entry]
+    for value, shown in ((10**400, "a 1329-bit integer"), (-10**400, "a negative 1329-bit integer")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite and lie in {re.escape(interval)}, got {shown}$"):
+            call(value)
 
 
 @pytest.mark.parametrize("entry", ["NestedChain.known_terminal", "NestedChain.max_inverse_ratio",

@@ -196,7 +196,7 @@ def test_inputs_that_are_not_real_are_named(function):
             function(u)
     with pytest.raises(ValueError, match=r"^u must be a real number, got None$"):
         function(None)
-    with pytest.raises(ValueError, match=r"^u must be finite and lie in \(-inf, inf\), got 10{400}$"):
+    with pytest.raises(ValueError, match=r"^u must be finite and lie in \(-inf, inf\), got a 1329-bit integer$"):
         function(10**400)
     # a real scalar converts as a float would, and bool, integer and float
     # arrays are real

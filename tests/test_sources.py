@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -316,9 +317,9 @@ def test_stream_seed_and_index_must_be_nonnegative():
 def test_stream_seed_and_index_must_be_integers():
     dist = LogNormal(1.0)
     for bad in (1.5, 2.0, "7"):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, inf\), got {re.escape(repr(bad))}$"):
             SampleSource(dist, bad)
-        with pytest.raises(ValueError, match="replicate_index must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=rf"^replicate_index must be an integer in \[0, inf\), got {re.escape(repr(bad))}$"):
             SampleSource(dist, 0, bad)
     # numpy integers name the same stream as Python ints
     assert np.array_equal(SampleSource(dist, np.uint64(7), np.int32(2)).take(5), SampleSource(dist, 7, 2).take(5))
