@@ -9,7 +9,7 @@ computable in closed form.
 
 import numpy as np
 
-from relmean import psi, psi_lower, psi_upper, scaled_psi, TruncationScale
+from relmean import psi, psi_lower, psi_upper, scaled_psi
 
 grid = np.array([-10.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 10.0, 100.0])
 
@@ -20,14 +20,13 @@ for u, low, mid, high in zip(grid, psi_lower(grid), psi(grid), psi_upper(grid)):
 print()
 print("The scale alpha controls where damping begins: psi(alpha*u)/alpha")
 for alpha in [0.01, 0.1, 1.0]:
-    scale = TruncationScale(alpha)
-    row = ", ".join(f"{scaled_psi(scale, u):8.3f}" for u in [1.0, 10.0, 100.0])
+    row = ", ".join(f"{scaled_psi(alpha, u):8.3f}" for u in [1.0, 10.0, 100.0])
     print(f"  alpha={alpha:5.2f}: transformed(1, 10, 100) = {row}")
 
 print()
 print("A fat single outlier barely moves a truncated average:")
 draws = np.array([1.0] * 99 + [1e6])
-alpha = TruncationScale(0.05)
+alpha = 0.05
 centre = 1.0
 truncated = centre + scaled_psi(alpha, draws - centre)
 print(f"  raw mean        = {draws.mean():12.2f}")

@@ -89,7 +89,7 @@ def _cmd_estimate(args) -> dict:
         args.c,
         distribution=dist.spec_string,
         mu1=report.mu1,
-        alpha=report.alpha.alpha,
+        alpha=report.alpha,
         mu_hat=report.mu_hat,
         samples_stage1=report.samples_stage1,
         samples_stage2=report.samples_stage2,

@@ -52,9 +52,9 @@ class PosetSizeError(ValueError):
     """Linear-extension operations are capped at DESK_SCALE_LIMIT elements.
 
     Each level of linext_chain keeps one bool flag per linear extension of
-    its subposet, up to 10! entries at n = 10, and counts a block of
-    uniform ranks into it; that table, indexed in lexicographic order, is
-    what keeps seeded results identical.
+    its subposet, up to 10! entries at n = 10, and counts uniform ranks into
+    it in row groups of at most _GROUP_INDICATORS, which draw what one (n, m)
+    block would; that table, in lexicographic order, keeps seeded results.
     """
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psi import TruncationScale, _repair_tails, _scaled_psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
-from .sources import InsufficientSamplesError, _integer, _real
+from .psi import _repair_tails, _scaled_psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
+from .sources import InsufficientSamplesError, _integer, _real, _shown
 
 __all__ = [
     "Mode",
@@ -132,7 +132,7 @@ class EstimateReport:
     """Result of one two-stage run; its draw counts are those of its plan."""
 
     mu1: float
-    alpha: TruncationScale
+    alpha: float
     mu_hat: float
     plan: StagePlan
 
@@ -308,6 +308,15 @@ def _tree_sum(n: int, limit: int, leaf, lo: int = 0):
     return _tree_sum(half, limit, leaf, lo) + _tree_sum(n - half, limit, leaf, lo + half)
 
 
+def _check_stage_size(stage: str, draws: int) -> None:
+    """Refuse, before its first read, a stage of more draws than sys.maxsize:
+    no take holds them, and _tree_sum would recurse past the stack's depth."""
+    if draws > sys.maxsize:
+        raise ValueError(
+            f"{stage}: the draw count, {_shown(draws)}, exceeds sys.maxsize = {sys.maxsize}, the most one stage takes"
+        )
+
+
 def _overflow_error(stage: str, terms: str, count: int) -> ValueError:
     """The error of a stage whose sum of `terms`, `count` of them, overflowed
     a float: it names the largest draw magnitude such a sum holds."""
@@ -330,6 +339,7 @@ def _median_rows(read, k: int, m: int, stage: str) -> np.ndarray:
     ways); whichever rank the group holds, that is a ValueError naming
     `stage`, k and the largest draw magnitude such a sum holds.
     """
+    _check_stage_size(stage, k * m)
     sums = []
     if k <= _BLOCK:
         groups = _BLOCK // k
@@ -392,6 +402,7 @@ def _truncated_mean_rows(read, n: int, mu1, alpha) -> list[float]:
     magnitude of it) raises a ValueError that names stage 2, n and the
     largest draw magnitude such a sum holds.
     """
+    _check_stage_size("stage 2", n)
     mu1, alpha = np.array(mu1)[:, None], np.array(alpha)[:, None]
 
     def leaf(lo: int, hi: int) -> np.ndarray:
@@ -445,7 +456,7 @@ def median_of_means(source, k: int, m: int) -> float:
     return float(_median_rows(_source_reader(source, "median of means"), k, m, "median of means")[0])
 
 
-def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, TruncationScale]:
+def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, float]:
     """Average of the plan's n truncated draws, centred at mu1; returns
     (mu_hat, alpha).
 
@@ -455,7 +466,7 @@ def stage2_estimate(source, mu1: float, spec: ApproxSpec) -> tuple[float, Trunca
     mu1 = [_real("mu1", mu1, "(0, inf)")]
     alpha = _truncation_scales(mu1, spec)
     (mu_hat,) = _truncated_mean_rows(_source_reader(source, "stage 2"), build_plan(spec).n, mu1, alpha)
-    return mu_hat, TruncationScale(alpha[0])
+    return mu_hat, alpha[0]
 
 
 def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> EstimateReport:
@@ -479,7 +490,7 @@ def estimate_mean(source, spec: ApproxSpec, mode: Mode = Mode.STRICT) -> Estimat
     except InsufficientSamplesError as exc:
         # a finite source runs out in one take; name the whole plan's need
         raise InsufficientSamplesError(f"{exc}; the plan takes {plan.total_samples} draws") from exc
-    return EstimateReport(mu1=mu1, alpha=TruncationScale(alpha), mu_hat=mu_hat, plan=plan)
+    return EstimateReport(mu1=mu1, alpha=alpha, mu_hat=mu_hat, plan=plan)
 
 
 def lower_bound_samples(spec: ApproxSpec) -> float:

@@ -6,41 +6,30 @@ deviations stay light-tailed no matter how heavy the sampled distribution
 is.  ``psi_upper`` and ``psi_lower`` bracket it from above and below and
 carry the same tail behaviour.
 
-The scaled transform psi(alpha w) / alpha has one evaluator,
-``_scaled_psi_into``, which overwrites a float array in place, and one
-overflow repair, ``_repair_tails``: where alpha w or its square overflows,
-the evaluator gives infinity, and the repair replaces just those entries
-by the finite tail formula.  ``psi`` (alpha = 1) and ``scaled_psi`` run
-both on a copy of their input; the estimator's stage-2 kernel runs the
-evaluator on each leaf of draws it reads, at most about 16k at a time,
-and the repair on each row of a leaf whose sum is non-finite, so all three
-agree bit for bit, but for the sign of a zero: the evaluator keeps the
-sign of alpha w, so a -0.0 stays -0.0, and only ``psi`` and
-``scaled_psi`` turn it into +0.0 (the kernel adds a positive centre to
-each entry).  The envelopes are rounded outward, so that
+The scaled transform psi(alpha w) / alpha, for stage 2's float alpha > 0,
+has one evaluator, ``_scaled_psi_into``, which overwrites a float array in
+place, and one overflow repair, ``_repair_tails``: where alpha w or its
+square overflows, the evaluator gives infinity, and the repair replaces
+just those entries by the finite tail formula.  ``psi`` (alpha = 1) and
+``scaled_psi`` run both on a copy of their input; the estimator's stage-2
+kernel runs the evaluator on each leaf of draws it reads, at most about
+16k at a time, and the repair on each row of a leaf whose sum is
+non-finite, so all three agree bit for bit, but for the sign of a zero:
+the evaluator keeps the sign of alpha w, so a -0.0 stays -0.0, and only
+``psi`` and ``scaled_psi`` turn it into +0.0 (the kernel adds a positive
+centre to each entry).  The envelopes are rounded outward, so that
 psi_lower(u) <= psi(u) <= psi_upper(u) holds in floating point too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sources import _real
 
-__all__ = ["TruncationScale", "psi", "psi_lower", "psi_upper", "scaled_psi"]
-
-
-@dataclass(frozen=True)
-class TruncationScale:
-    """Positive scale for the truncation; deviations are damped beyond 1/alpha."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _real("alpha", self.alpha, "(0, inf)"))
+__all__ = ["psi", "psi_lower", "psi_upper", "scaled_psi"]
 
 
 def _finite_array(u) -> np.ndarray:
@@ -156,11 +145,10 @@ def scaled_psi(scale, u):
     Where alpha * |u| exceeds about 1.9e154, so that the product or its
     square overflows, the value comes from ln alpha + ln|u| and stays finite.
 
-    ``scale`` may be a TruncationScale or a positive float.  The result
+    ``scale`` is alpha, a positive real, converted to a float.  The result
     shrinks, |scaled_psi(alpha, u)| <= |u| to within an ulp or two, when
     alpha * u is 0 or a normal float.  When alpha * u is subnormal, its
     rounding is carried back through the division, and the result may
     exceed |u| by up to 2**-1074 / alpha more.
     """
-    alpha = scale.alpha if isinstance(scale, TruncationScale) else _real("scale", scale, "(0, inf)")
-    return _match_input(_scaled_psi(alpha, _finite_array(u)), u)
+    return _match_input(_scaled_psi(_real("scale", scale, "(0, inf)"), _finite_array(u)), u)

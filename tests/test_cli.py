@@ -203,6 +203,15 @@ def test_c_whose_square_underflows_or_overflows_exits_2(capsys, command, c):
     assert f"c^2 must be a normal float, but c = {float(c)!r}" in err
 
 
+def test_a_stage_beyond_sys_maxsize_exits_2(capsys):
+    # ApproxSpec accepts the spec, with k = 1.09e308: the pairwise walk used
+    # to exhaust the stack (exit 1) before its first take
+    argv = ["estimate", "--dist", "normal:1,1", "--epsilon", "0.66", "--delta", "0.999", "--c", "3e153"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"relmean: stage 1: the draw count, a \d+-bit integer, exceeds sys.maxsize = {sys.maxsize}, .*\n", err)
+
+
 @pytest.mark.parametrize(
     "epsilon, delta, c, message",
     [

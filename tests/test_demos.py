@@ -21,3 +21,13 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_readme_quick_start_runs(capsys):
+    # README's "Library quick start" block runs as written, so a name it uses
+    # cannot outlive the library; the README gives its plan as 720 + 780 draws
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    mu_hat, total_samples = capsys.readouterr().out.split()
+    assert float(mu_hat) > 0.0 and int(total_samples) == 720 + 780

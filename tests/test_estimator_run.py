@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 import warnings
@@ -29,7 +30,7 @@ from relmean import (
     stage2_estimate,
     theorem1_total,
 )
-from relmean.estimator import _BLOCK, _column_reader, _truncated_mean_rows
+from relmean.estimator import _BLOCK, _column_reader, _truncated_mean_rows, _truncation_scales
 
 import oracles
 
@@ -96,7 +97,7 @@ def test_stage2_estimate_fixed_point():
     src = SampleSource(Constant(mu1), seed=5)
     mu_hat, alpha = stage2_estimate(src, mu1, spec)
     assert mu_hat == mu1  # psi(0) = 0 exactly
-    assert math.isclose(alpha.alpha, spec.epsilon / (spec.c**2 * mu1), rel_tol=1e-15)
+    assert math.isclose(alpha, spec.epsilon / (spec.c**2 * mu1), rel_tol=1e-15)
 
 
 def test_stage2_estimate_single_draw_formula():
@@ -106,8 +107,53 @@ def test_stage2_estimate_single_draw_formula():
     n = build_plan(spec).n
     src = SampleSource(Recorded((2.0,) * n), seed=0)
     mu_hat, alpha = stage2_estimate(src, 1.0, spec)
-    assert math.isclose(alpha.alpha, 1.0, rel_tol=1e-12)
+    assert math.isclose(alpha, 1.0, rel_tol=1e-12)
     assert math.isclose(mu_hat, 1.0 + oracles.PSI_ONE, rel_tol=1e-12)
+
+
+def test_the_truncation_scale_is_the_kernels_float():
+    # the report and stage2_estimate give alpha as the float the kernel
+    # computed, unwrapped
+    spec = ApproxSpec(0.1, 0.05, 1.0)
+    report = estimate_mean(SampleSource(Normal(10.0, 2.0), seed=3), spec)
+    _, alpha = stage2_estimate(SampleSource(Normal(10.0, 2.0), seed=4), report.mu1, spec)
+    assert type(report.alpha) is float and type(alpha) is float
+    assert report.alpha.hex() == alpha.hex() == _truncation_scales([report.mu1], spec)[0].hex()
+
+
+class _NoDraws:
+    """A source whose every take fails: a call that reaches it drew."""
+
+    def take(self, n):
+        raise LookupError(f"take({n})")
+
+
+# c = 3e153 plans k = 1.09e308 and n = 1.7e308 draws, a valid spec
+HUGE = ApproxSpec(0.66, 0.999, 3e153)
+
+
+@pytest.mark.parametrize(
+    "call, stage",
+    [
+        (lambda source: median_of_means(source, 10**400, 3), "median of means"),
+        (lambda source: median_of_means(source, 2**63, 1), "median of means"),
+        (lambda source: estimate_mean(source, HUGE), "stage 1"),
+        (lambda source: stage2_estimate(source, 1.0, HUGE), "stage 2"),
+    ],
+    ids=["k-beyond-floats", "k-one-past-maxsize", "estimate-stage-1", "stage2-estimate"],
+)
+def test_a_stage_beyond_sys_maxsize_is_refused_before_any_draw(call, stage):
+    # the pairwise walk used to recurse about 1009 levels before its first
+    # take, a RecursionError
+    pattern = rf"^{stage}: the draw count, (\d+|a \d+-bit integer), exceeds sys.maxsize = {sys.maxsize}, the most one stage takes$"
+    with pytest.raises(ValueError, match=pattern):
+        call(_NoDraws())
+
+
+def test_a_stage_of_sys_maxsize_draws_reaches_its_source():
+    # the closed end: the first take is made, and fails at once
+    with pytest.raises(LookupError):
+        median_of_means(_NoDraws(), sys.maxsize, 1)
 
 
 def test_stage2_transform_increasing_in_draw():

@@ -320,7 +320,6 @@ REAL_ARGUMENTS = {
     "ApproxSpec.epsilon": (lambda v: relmean.ApproxSpec(v, 0.05, 1.0), "epsilon", "(0, 1)"),
     "ApproxSpec.delta": (lambda v: relmean.ApproxSpec(0.1, v, 1.0), "delta", "(0, 1)"),
     "ApproxSpec.c": (lambda v: relmean.ApproxSpec(0.1, 0.05, v), "c", "(0, inf)"),
-    "TruncationScale.alpha": (lambda v: relmean.TruncationScale(v), "alpha", "(0, inf)"),
     "scaled_psi.scale": (lambda v: relmean.scaled_psi(v, 1.0), "scale", "(0, inf)"),
     "eps_prime.epsilon": (lambda v: relmean.eps_prime(v), "epsilon", "(0, 1]"),
     "gibbs_combine.mu_w": (lambda v: relmean.gibbs_combine(v, 2.0, 0.1), "mu_w", "(0, inf)"),
@@ -379,7 +378,6 @@ STORED_DISTRIBUTION_FLOATS = {
 }
 STORED_FLOATS = {
     "ApproxSpec": (lambda v: relmean.ApproxSpec(v, v, v), ("epsilon", "delta", "c")),
-    "TruncationScale": (lambda v: relmean.TruncationScale(v), ("alpha",)),
     "SourceFacts": (lambda v: relmean.SourceFacts(v, v, 1 + v), ("true_mean", "true_relvar", "c_bound")),
     "NestedChain": (
         lambda v: relmean.NestedChain(SURE_CHAIN.samplers, v, 1 + v), ("known_terminal", "max_inverse_ratio")),
@@ -457,7 +455,7 @@ def test_a_spec_computes_alpha_in_float64(c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = relmean.estimate_mean(relmean.SampleSource(relmean.Normal(10, 1), 3), relmean.ApproxSpec(0.2, 0.1, c))
-    assert report.alpha.alpha == 0.07679400704633757
+    assert report.alpha == 0.07679400704633757
 
 
 def test_a_fraction_c_is_written_as_a_float(tmp_path):
@@ -478,7 +476,7 @@ def test_real_results_are_float64(value):
 
 
 def test_a_truncation_scale_of_a_fraction_scales_as_its_float():
-    assert relmean.scaled_psi(relmean.TruncationScale(Fraction(1, 2)), 1.0) == relmean.scaled_psi(0.5, 1.0)
+    assert relmean.scaled_psi(Fraction(1, 2), 1.0) == relmean.scaled_psi(0.5, 1.0)
 
 
 def test_coverage_config_takes_mode_by_value():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relmean import TruncationScale, psi, psi_lower, psi_upper, scaled_psi
+from relmean import psi, psi_lower, psi_upper, scaled_psi
 
 import oracles
 
@@ -39,20 +39,17 @@ def test_envelope_pinned_values():
 
 
 def test_scaled_psi_pinned_values():
-    assert scaled_psi(TruncationScale(2.0), 0.0) == 0.0
-    assert math.isclose(scaled_psi(TruncationScale(1.0), 1.0), oracles.PSI_ONE, rel_tol=1e-9)
+    assert scaled_psi(2.0, 0.0) == 0.0
+    assert math.isclose(scaled_psi(1.0, 1.0), oracles.PSI_ONE, rel_tol=1e-9)
     # near-identity regime: the transform deviates from u only at cubic order
-    assert abs(scaled_psi(TruncationScale(0.001), 1.0) - 1.0) < 1e-6
+    assert abs(scaled_psi(0.001, 1.0) - 1.0) < 1e-6
     assert scaled_psi(0.5, 2.0) == pytest.approx(psi(1.0) / 0.5, rel=1e-15)
 
 
 def test_truncation_scale_validation():
-    with pytest.raises(ValueError):
-        TruncationScale(0.0)
-    with pytest.raises(ValueError):
-        TruncationScale(-1.0)
-    with pytest.raises(ValueError):
-        TruncationScale(math.inf)
+    for bad in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match=rf"^scale must be finite and lie in \(0, inf\), got {re.escape(repr(bad))}$"):
+            scaled_psi(bad, 1.0)
 
 
 def test_scaled_psi_names_its_scale():
@@ -147,7 +144,7 @@ def test_scaled_psi_shrinks(u, alpha):
     # the example's result exceeds |u| by 6 units of 2**-1074
     subnormal = 0.0 < abs(alpha * u) < sys.float_info.min
     bound = abs(u) + (2.0**-1074 / alpha if subnormal else 0.0)
-    assert _at_most(abs(scaled_psi(TruncationScale(alpha), u)), bound)
+    assert _at_most(abs(scaled_psi(alpha, u)), bound)
 
 
 @settings(max_examples=200, derandomize=True)
@@ -156,7 +153,7 @@ def test_scaled_psi_shrinks(u, alpha):
 def test_scaled_psi_is_psi_of_scaled_argument_exactly(u, alpha):
     assert scaled_psi(alpha, u) == psi(alpha * u) / alpha
     grid = np.linspace(-3.0, 3.0, 61) * u
-    assert np.array_equal(scaled_psi(TruncationScale(alpha), grid), psi(alpha * grid) / alpha)
+    assert np.array_equal(scaled_psi(alpha, grid), psi(alpha * grid) / alpha)
 
 
 def test_envelope_on_dense_grid():
