@@ -479,6 +479,25 @@ def test_a_truncation_scale_of_a_fraction_scales_as_its_float():
     assert relmean.scaled_psi(Fraction(1, 2), 1.0) == relmean.scaled_psi(0.5, 1.0)
 
 
+@pytest.mark.parametrize("scale", HALVES, ids=repr)
+def test_a_truncation_scale_of_any_real_type_scales_as_its_float(scale):
+    # each kind of real scale is converted to a float before it scales u
+    results = [relmean.scaled_psi(scale, 3.0), relmean.scaled_psi(scale, np.array([3.0, -3.0]))]
+    assert type(results[0]) is float and results[1].dtype == np.float64
+    assert results[0] == relmean.scaled_psi(0.5, 3.0)
+    assert np.array_equal(results[1], relmean.scaled_psi(0.5, np.array([3.0, -3.0])))
+
+
+@pytest.mark.parametrize("mu1", HALVES, ids=repr)
+def test_stage2_keeps_its_truncation_scale_a_float(mu1):
+    # the scale alpha = epsilon / (c^2 mu1) is the float its kernel computed,
+    # whatever real type mu1 was given as
+    mu_hat, alpha = relmean.stage2_estimate(_source(), mu1, SPEC)
+    assert [type(mu_hat), type(alpha)] == [float, float]
+    assert (mu_hat, alpha) == relmean.stage2_estimate(_source(), 0.5, SPEC)
+    assert alpha == 0.4
+
+
 def test_coverage_config_takes_mode_by_value():
     by_value = relmean.CoverageConfig(SPEC, DIST, 100, 3, mode="paper")
     by_enum = relmean.CoverageConfig(SPEC, DIST, 100, 3, relmean.Mode.PAPER_EXACT)
