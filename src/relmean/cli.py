@@ -39,7 +39,7 @@ from .estimator import (
     theorem1_total,
 )
 from .harness import CoverageConfig, compare_estimators, run_coverage, write_csv
-from .sources import RNG_ALGORITHM, LogNormal, SampleSource, Scaled, _read_ascii, parse_distribution
+from .sources import _FORMS, RNG_ALGORITHM, LogNormal, SampleSource, Scaled, _read_ascii, parse_distribution
 
 
 def _payload(args, c: float, **fields) -> dict:
@@ -187,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument(
         "--dist",
         required=True,
-        help="distribution as name:params, e.g. constant:5, normal:100,50, "
-        "lognormal:1, bernoulli:0.2,1, pareto:2.5, recorded:PATH",
+        help=f"distribution as name:params, one of {_FORMS}",
     )
     runs = argparse.ArgumentParser(add_help=False)
     runs.add_argument("--reps", type=int, default=1000, help="replications in [100, 4294967296) (default 1000)")

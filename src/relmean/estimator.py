@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psi import _repair_tails, _scaled_psi_into, scaled_psi  # noqa: F401 - bench/tracing.py wraps scaled_psi here
-from .sources import InsufficientSamplesError, _integer, _real, _shown
+from .sources import InsufficientSamplesError, _integer, _real
 
 __all__ = [
     "Mode",
@@ -313,7 +313,8 @@ def _check_stage_size(stage: str, draws: int) -> None:
     no take holds them, and _tree_sum would recurse past the stack's depth."""
     if draws > sys.maxsize:
         raise ValueError(
-            f"{stage}: the draw count, {_shown(draws)}, exceeds sys.maxsize = {sys.maxsize}, the most one stage takes"
+            f"{stage}: the draw count, a {draws.bit_length()}-bit integer, exceeds sys.maxsize = {sys.maxsize}, "
+            "the most one stage takes"
         )
 
 

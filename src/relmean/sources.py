@@ -9,6 +9,10 @@ replicate streams at once with ``_replicate_seed_words``, which computes
 the same PCG64 seeds as numpy's SeedSequence in one vectorised pass.  The
 algorithm name is exposed so experiment reports can record it.
 
+Each built-in law is declared once, as a dataclass over ``_Law``: its
+``form`` and its fields, each with its label and interval, give its checks,
+its spec string and its entry in the parser's table ``_LAWS``.
+
 Every real argument of the library, here and in the other modules, is
 checked by ``_real(name, value, interval)``, every integer argument by
 ``_integer(name, value, interval)``, and by nothing else; their one message
@@ -22,7 +26,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -139,14 +143,40 @@ def _integer(name: str, value, interval: str = "[0, inf)") -> int:
     return number
 
 
-@dataclass(frozen=True)
-class Constant:
-    """Degenerate stream: every draw equals `value`."""
+def _param(label: str, interval: str, **kwargs):
+    """A law's field, with the label and interval _real checks it by."""
+    return field(metadata={"label": label, "interval": interval}, **kwargs)
 
-    value: float
+
+def _spec_real(value: float) -> str:
+    """value as a spec string writes it: %g where that reads back as value,
+    else repr, so the string reads back as the same law."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
+class _Law:
+    """A built-in law, declared once as a frozen dataclass: its `form` and
+    its fields, each made by _param, give its checks, its spec string
+    "form:field,field" and its parse.  The fields keep the floats they were
+    checked as, in declaration order."""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _real("constant value", self.value))
+        for param in fields(self):
+            value = _real(param.metadata["label"], getattr(self, param.name), param.metadata["interval"])
+            object.__setattr__(self, param.name, value)
+
+    @property
+    def spec_string(self) -> str:
+        return f"{self.form}:" + ",".join(_spec_real(getattr(self, param.name)) for param in fields(self))
+
+
+@dataclass(frozen=True)
+class Constant(_Law):
+    """Degenerate stream: every draw equals `value`."""
+
+    form = "constant"
+    value: float = _param("constant value", "(-inf, inf)")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
@@ -154,19 +184,12 @@ class Constant:
     def facts(self) -> SourceFacts:
         return SourceFacts(_real("constant value", self.value, "(0, inf)"), 0.0, 0.0)
 
-    @property
-    def spec_string(self) -> str:
-        return f"constant:{self.value:g}"
-
 
 @dataclass(frozen=True)
-class Normal:
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", _real("Normal mu", self.mu))
-        object.__setattr__(self, "sigma", _real("Normal sigma", self.sigma, "[0, inf)"))
+class Normal(_Law):
+    form = "normal"
+    mu: float = _param("Normal mu", "(-inf, inf)")
+    sigma: float = _param("Normal sigma", "[0, inf)")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mu, self.sigma, n)
@@ -176,19 +199,13 @@ class Normal:
         relvar = _inf_on_overflow(pow, self.sigma / mean, 2)
         return SourceFacts(mean, relvar, self.sigma / mean)
 
-    @property
-    def spec_string(self) -> str:
-        return f"normal:{self.mu:g},{self.sigma:g}"
-
 
 @dataclass(frozen=True)
-class LogNormal:
+class LogNormal(_Law):
     """exp(s * Z) with Z standard normal; relative variance expm1(s^2)."""
 
-    s: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", _real("LogNormal s", self.s, "[0, inf)"))
+    form = "lognormal"
+    s: float = _param("LogNormal s", "[0, inf)")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.lognormal(0.0, self.s, n)
@@ -197,21 +214,14 @@ class LogNormal:
         relvar = _inf_on_overflow(math.expm1, self.s * self.s)
         return SourceFacts(_inf_on_overflow(math.exp, 0.5 * self.s * self.s), relvar, math.sqrt(relvar))
 
-    @property
-    def spec_string(self) -> str:
-        return f"lognormal:{self.s:g}"
-
 
 @dataclass(frozen=True)
-class ScaledBernoulli:
+class ScaledBernoulli(_Law):
     """`scale` with probability p, else 0; relative variance (1-p)/p."""
 
-    p: float
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _real("Bernoulli probability", self.p, "(0, 1]"))
-        object.__setattr__(self, "scale", _real("Bernoulli scale", self.scale, "(0, inf)"))
+    form = "bernoulli"
+    p: float = _param("Bernoulli probability", "(0, 1]")
+    scale: float = _param("Bernoulli scale", "(0, inf)", default=1.0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale * (rng.random(n) < self.p).astype(float)
@@ -220,23 +230,17 @@ class ScaledBernoulli:
         relvar = (1.0 - self.p) / self.p
         return SourceFacts(self.p * self.scale, relvar, math.sqrt(relvar))
 
-    @property
-    def spec_string(self) -> str:
-        return f"bernoulli:{self.p:g},{self.scale:g}"
-
 
 @dataclass(frozen=True)
-class ParetoShape:
+class ParetoShape(_Law):
     """Pareto with minimum 1 and shape a: P(X > x) = x^(-a) for x >= 1.
 
     Third and higher moments are infinite for a <= 3; facts() needs a > 2 so
     the variance exists.
     """
 
-    a: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _real("Pareto shape", self.a, "(0, inf)"))
+    form = "pareto"
+    a: float = _param("Pareto shape", "(0, inf)")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return 1.0 + rng.pareto(self.a, n)
@@ -249,9 +253,14 @@ class ParetoShape:
         relvar = var / (mean * mean)
         return SourceFacts(mean, relvar, math.sqrt(relvar))
 
-    @property
-    def spec_string(self) -> str:
-        return f"pareto:{self.a:g}"
+
+# the built-in laws by form; the forms they parse from, optional fields bracketed
+_LAWS = {law.form: law for law in (Constant, Normal, LogNormal, ScaledBernoulli, ParetoShape)}
+_FORMS = ", ".join(
+    f"{form}:" + ",".join(param.name for param in fields(law) if param.default is MISSING)
+    + "".join(f"[,{param.name}]" for param in fields(law) if param.default is not MISSING)
+    for form, law in _LAWS.items()
+) + ", recorded:PATH"
 
 
 @dataclass(frozen=True)
@@ -324,7 +333,7 @@ class Scaled:
 
     @property
     def spec_string(self) -> str:
-        return f"scaled:{self.factor:g}:{self.inner.spec_string}"
+        return f"scaled:{_spec_real(self.factor)}:{self.inner.spec_string}"
 
 
 def _replays(dist) -> bool:
@@ -497,11 +506,9 @@ def load_recorded(path) -> Recorded:
 
 
 def parse_distribution(text: str):
-    """Parse the `name:param,param` mini-syntax used by the CLI and reports.
-
-    Recognised forms: constant:v, normal:mu,sigma, lognormal:s,
-    bernoulli:p[,scale], pareto:a, recorded:PATH.
-    """
+    """Parse the `name:param,param` mini-syntax used by the CLI and reports:
+    one of the forms of _FORMS.  A built-in law's spec string reads back as
+    the same law."""
     name, _, rest = text.partition(":")
     name = name.strip().lower()
     if name == "recorded":
@@ -512,17 +519,7 @@ def parse_distribution(text: str):
         params = [float(p) for p in rest.split(",")] if rest else []
     except ValueError:
         raise ValueError(f"bad numeric parameters in distribution {text!r}") from None
-    if name == "constant" and len(params) == 1:
-        return Constant(params[0])
-    if name == "normal" and len(params) == 2:
-        return Normal(params[0], params[1])
-    if name == "lognormal" and len(params) == 1:
-        return LogNormal(params[0])
-    if name == "bernoulli" and len(params) in (1, 2):
-        return ScaledBernoulli(*params)
-    if name == "pareto" and len(params) == 1:
-        return ParetoShape(params[0])
-    raise ValueError(
-        f"unknown distribution {text!r}; expected constant:v, normal:mu,sigma, "
-        "lognormal:s, bernoulli:p[,scale], pareto:a, or recorded:PATH"
-    )
+    law = _LAWS.get(name)
+    if law is None or not sum(param.default is MISSING for param in fields(law)) <= len(params) <= len(fields(law)):
+        raise ValueError(f"unknown distribution {text!r}; expected {_FORMS}")
+    return law(*params)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from relmean import CoverageReport, __version__, counting, write_csv
+from relmean import CoverageReport, __version__, counting, parse_distribution, sources, write_csv
 from relmean.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -508,6 +508,17 @@ def test_readme_commands_parse():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: relmean {shlex.join(argv)}")
+
+
+def test_readme_distributions_parse():
+    # every built-in example of README's distribution sentence parses, and
+    # the sentence names every form of the parser's table
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("Distributions use a", 1)[1].split(". ", 1)[0]
+    examples = [text for text in re.findall(r"`([^`]+)`", sentence) if text not in ("name:param,param", "recorded:PATH")]
+    assert {text.split(":")[0] for text in examples} == set(sources._LAWS)
+    for text in examples:
+        assert parse_distribution(text).spec_string == text
 
 
 def test_module_entry_point():

@@ -150,6 +150,13 @@ def test_a_stage_beyond_sys_maxsize_is_refused_before_any_draw(call, stage):
         call(_NoDraws())
 
 
+def test_a_refused_stage_shows_its_draw_count_by_bit_length():
+    # n = 1.69e308 used to be written in all 309 digits, 403 characters
+    with pytest.raises(ValueError, match=r"^stage 2: the draw count, a 1024-bit integer, exceeds") as refused:
+        stage2_estimate(SampleSource(Normal(1, 1), 0), 1.0, HUGE)
+    assert len(str(refused.value)) < 200
+
+
 def test_a_stage_of_sys_maxsize_draws_reaches_its_source():
     # the closed end: the first take is made, and fails at once
     with pytest.raises(LookupError):

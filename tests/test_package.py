@@ -152,20 +152,37 @@ def test_intervals_are_stated_only_by_the_one_real_check():
     # sources._real is the one range check of real arguments and
     # sources._integer of integer ones: no other function raises an error
     # that states an interval, finiteness or an integer's range, and every
-    # interval passed to either is a literal that parses
+    # interval passed to either is a literal that parses.  A law's field
+    # states its interval in its sources._param call, which _real checks
+    # in _Law.__post_init__: the one _real call given a computed interval
     real_phrases = ("must lie in", "must be finite", "must be positive")
     integer_phrases = ("must be an integer", "nonnegative integer", "positive integer", "must be at most", "must be below")
     assert _scopes_holding(_raises_stating(real_phrases)) == {"sources._real"}
     assert _scopes_holding(_raises_stating(integer_phrases)) == {"sources._integer"}
+    first_interval = {"_real": 2, "_integer": 2, "_param": 1}
+
+    def interval_arguments(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in first_interval):
+            return []
+        keywords = [keyword.value for keyword in node.keywords if keyword.arg == "interval"]
+        return node.args[first_interval[node.func.id] :] + keywords
+
+    def computes_interval(node):
+        return any(not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)) for arg in interval_arguments(node))
+
+    assert _scopes_holding(computes_interval) == {"sources._Law.__post_init__"}
     root = Path(__file__).resolve().parent.parent
     intervals = {"_real": set(), "_integer": set()}
+    computed = []
     for path in sorted((root / "src" / "relmean").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in intervals:
-                for arg in node.args[2:] + [keyword.value for keyword in node.keywords if keyword.arg == "interval"]:
-                    assert isinstance(arg, ast.Constant) and isinstance(arg.value, str), f"{path.name}:{node.lineno}"
-                    intervals[node.func.id].add(arg.value)
-    assert {"(0, 1)", "(0, inf)", "[1, inf)"} <= intervals["_real"]
+            if computes_interval(node):
+                computed.append((path.name, node.func.id))
+                continue
+            for arg in interval_arguments(node):
+                intervals["_integer" if node.func.id == "_integer" else "_real"].add(arg.value)
+    assert computed == [("sources.py", "_real")]
+    assert {"(-inf, inf)", "(0, 1)", "(0, inf)", "[1, inf)"} <= intervals["_real"]
     assert {"[1, inf)", "[1, 1048576]", "[100, 4294967296)", "[1, 1.7976931348623157e+308]"} <= intervals["_integer"]
     for interval in sorted(intervals["_real"] | intervals["_integer"]):
         relmean.sources._interval(interval)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import MISSING, fields
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from relmean import (
     load_recorded,
     parse_distribution,
 )
-from relmean.sources import _replicate_seed_words
+from relmean.sources import _FORMS, _LAWS, _interval, _replicate_seed_words
 
 import oracles
 
@@ -267,8 +268,44 @@ def test_parse_distribution_errors():
 
 
 def test_parse_round_trips_spec_string():
-    for dist in [Constant(5.0), Normal(100.0, 50.0), LogNormal(1.0), ScaledBernoulli(0.2, 1.0), ParetoShape(2.5)]:
+    # 1/3 and 100.123456789 used to be written to six digits: another law
+    for dist in [Constant(5.0), Normal(100.0, 50.0), LogNormal(1.0), ScaledBernoulli(0.2, 1.0), ParetoShape(2.5),
+                 ScaledBernoulli(1 / 3), Normal(100.123456789, 1e6), Constant(123456789.0)]:
         assert parse_distribution(dist.spec_string) == dist
+    assert Scaled(LogNormal(1.0), 1 / 3).spec_string == "scaled:0.3333333333333333:lognormal:1"
+
+
+# values that %g writes to six significant digits or in exponent form
+AWKWARD = [1 / 3, 0.1 + 0.2, 2.5e-7, 100.123456789, 1e6, 123456789.0]
+
+
+def _fitting(param, value: float) -> float:
+    """value, or 1 / value where the field's interval does not hold it."""
+    above, below = _interval(param.metadata["interval"])
+    return value if above(value) and below(value) else 1 / value
+
+
+@pytest.mark.parametrize("value", AWKWARD, ids=repr)
+@pytest.mark.parametrize("law", _LAWS.values(), ids=lambda law: law.form)
+def test_every_law_reads_back_from_its_spec_string(law, value):
+    dist = law(*(_fitting(param, value) for param in fields(law)))
+    assert dist.spec_string.startswith(f"{law.form}:")
+    assert parse_distribution(dist.spec_string) == dist
+
+
+@pytest.mark.parametrize("law", _LAWS.values(), ids=lambda law: law.form)
+def test_every_law_refuses_one_parameter_too_few_or_too_many(law):
+    required = sum(param.default is MISSING for param in fields(law))
+    for count in (required - 1, len(fields(law)) + 1):
+        text = f"{law.form}:" + ",".join(["0.5"] * count)
+        with pytest.raises(ValueError, match=rf"^unknown distribution {re.escape(repr(text))}; expected {re.escape(_FORMS)}$"):
+            parse_distribution(text)
+
+
+@pytest.mark.parametrize("law", _LAWS.values(), ids=lambda law: law.form)
+def test_the_form_list_names_every_law_and_its_fields(law):
+    forms = dict(entry.split(":") for entry in _FORMS.split(", "))
+    assert re.findall(r"\w+", forms[law.form]) == [param.name for param in fields(law)]
 
 
 def test_distribution_validation():
