@@ -16,6 +16,11 @@ m_per_level, the indicators a product estimate draws per level, lies in
 [1, 2**20]; a linear-extension level holds at most 2**20 indicators (about
 13.6 MB) at once, whatever the plan, and a count whose plan charges more
 than 2**36 indicators (draws times m_per_level) is refused on every host.
+
+A linear-extension level draws its uniform ranks in bulk from a PCG64's raw
+outputs, bit for bit the ranks Generator.integers draws there (Lemire's
+bounded method over buffered 32-bit halves).  So seeded counts rest on
+numpy's PCG64 bounded-integer stream as well as on its SeedSequence hash.
 """
 
 from __future__ import annotations
@@ -66,12 +71,16 @@ class PosetSizeError(ValueError):
 Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
 
 # A level counts its ranks in row groups of at most this many indicators, 13
-# bytes each: the int64 rank, its bool flag and the flag as float32.  A row's
-# float32 count (m_per_level <= 2**20 < 2**24 ones) is exact in any order.
+# bytes each at any time.  While a group is drawn it holds each rank's raw
+# 32-bit word, the int64 rank and a bool marking rejected words
+# (_uniform_ranks); while it is counted, the rank, its bool flag and the flag
+# as float32.  A row's float32 count (m_per_level <= 2**20 < 2**24 ones) is
+# exact in any order.
 _GROUP_INDICATORS = 2**20
 
 # The most indicators (plan draws times m_per_level) a count may charge: about
-# 45 minutes for 10 elements, at ~4.4 ns a rank on a 2-vCPU Xeon (9 levels draw).
+# 48 minutes for 10 elements, at ~4.7 ns a rank drawn, gathered and counted
+# (antichain(10) in full row groups, on a 2-vCPU Xeon; 9 levels draw).
 _INDICATOR_BUDGET = 2**36
 
 
@@ -146,8 +155,10 @@ class ProductEstimateSource:
     whose flags are all true draws its ranks but counts none
     (_level_sampler).  m_per_level is an integer in [1, 2**20].  take(n)
     runs the batch one level at a time, and a linear-extension level holds
-    at most 2**20 indicators (about 13.6 MB) at once, at any n.  Follows
-    the SampleSource protocol (take), so the stream can drive estimate_mean.
+    at most 2**20 indicators (about 13.6 MB) at once, at any n.  The ranks
+    come in bulk from the PCG64 stream's raw outputs, the same ranks
+    Generator.integers would draw (_uniform_ranks).  Follows the
+    SampleSource protocol (take), so the stream can drive estimate_mean.
     """
 
     def __init__(self, chain: NestedChain, m_per_level: int, seed: int, replicate_index: int = 0):
@@ -323,6 +334,49 @@ def linext_uniform_sample(p: Poset, seed: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _uniform_ranks(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
+    """rng.integers(0, size, count) for 2 <= size < 2**32, leaving the
+    generator as that call leaves it; a PCG64 is drawn in bulk, any other
+    bit generator through rng.integers.
+
+    numpy draws each rank by Lemire's method from 32-bit words: a buffered
+    high half first if there is one, then each 64-bit output's low half and
+    its high half.  It accepts a word w when (w * size) mod 2**32 >=
+    (2**32 - size) mod size, and the rank is (w * size) >> 32.  Here each
+    round reads the fewest words that can hold the ranks still missing,
+    from random_raw, and copies the runs between rejected words into the
+    ranks; then the generator's buffer is set to what the last word read
+    leaves.  The products mod 2**32 are made in the ranks not yet filled,
+    so a call holds 13 bytes a rank (its raw word, the rank and a bool),
+    plus the positions of the rejected words.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        return rng.integers(0, size, count)
+    state = bitgen.state
+    threshold = (2**32 - size) % size
+    ranks, filled = np.empty(count, dtype=np.uint64), 0
+    odd, last = state["has_uint32"], state["uinteger"]  # whether a high half waits; the last one made
+    while filled < count:
+        missing = count - filled
+        if odd:
+            words, odd = np.array([last], dtype="<u4"), 0
+        else:  # "<u4" halves put each low half first; an odd count leaves a high half waiting
+            words = bitgen.random_raw((missing + 1) // 2).astype("<u8", copy=False).view("<u4")
+            words, odd, last = words[:missing], missing % 2, int(words[-1])
+        products = np.multiply(words, np.uint32(size), out=ranks[filled:].view(np.uint32)[:len(words)])
+        bounds = [-1, *np.flatnonzero(products < threshold).tolist(), len(words)]
+        accepted = len(words) + 2 - len(bounds)
+        np.concatenate([words[a + 1:b] for a, b in zip(bounds, bounds[1:])], out=ranks[filled:filled + accepted])
+        filled += accepted
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = odd, last
+    bitgen.state = state
+    ranks *= size
+    ranks >>= 32
+    return ranks.view(np.int64)
+
+
 def _level_sampler(table: np.ndarray) -> Sampler:
     """Sampler for one chain level: uniform ranks into its bool flag `table`
     (linext_chain says what it holds), averaged per row.
@@ -330,11 +384,13 @@ def _level_sampler(table: np.ndarray) -> Sampler:
     A level draws its (n, m) ranks in consecutive row groups of at most
     2**20 indicators (m <= 2**20, checked by ProductEstimateSource), each
     counted before the next is drawn: a call holds about 13.6 MB at any n,
-    plus 4 bytes per m of float32 ones, and moves the stream as one
-    integers call for the whole block would.  A level with one extension
-    left draws nothing (numpy consumes no bits for a one-value range), and
-    a level whose flags are all true draws its ranks but skips the gather;
-    both return ones.
+    plus 4 bytes per m of float32 ones.  A group's ranks come from
+    _uniform_ranks, in bulk from a PCG64's raw outputs, bit for bit what
+    rng.integers draws; so the groups draw the ranks that one integers
+    call for the whole (n, m) block would, and leave the stream where it
+    would.  A level with one extension left draws nothing (numpy consumes
+    no bits for a one-value range), and a level whose flags are all true
+    draws its ranks but skips the gather; both return ones.
     """
     sure = bool(table.all())
 
@@ -344,7 +400,8 @@ def _level_sampler(table: np.ndarray) -> Sampler:
         rows, ones = max(1, _GROUP_INDICATORS // m), np.ones(m, dtype=np.float32)
         counts = np.empty(n, dtype=np.float32)
         for start in range(0, n, rows):
-            ranks = rng.integers(0, len(table), size=(min(rows, n - start), m))
+            group = min(rows, n - start)
+            ranks = _uniform_ranks(rng, len(table), group * m).reshape(group, m)
             if not sure:  # the ranks lie in range by construction
                 np.matmul(table.take(ranks, mode="clip").astype(np.float32), ones, out=counts[start:start + rows])
             del ranks  # before the next group's are drawn, so one group is held at a time

@@ -364,12 +364,14 @@ def test_level_counts_in_row_groups_equal_one_block(monkeypatch, limit):
     assert kinds == {"single", "sure", "mixed"}
 
 
-@pytest.mark.parametrize("n, m", [(512, 2**14), (3, 2**20)])
-def test_a_level_call_holds_at_most_one_row_group(n, m):
+@pytest.mark.parametrize("elements, n, m", [(4, 512, 2**14), (4, 3, 2**20), (10, 512, 2**14)])
+def test_a_level_call_holds_at_most_one_row_group(elements, n, m):
     # 512 rows of 2**14 indicators are 109 MB as one block; in row groups of
     # 2**20 indicators, 13 bytes each, a call holds about 13.6 MB, plus the m
-    # float32 ones it counts against, its n counts and means, and 64 kB
-    sampler = linext_chain(Poset.antichain(4)).samplers[0]
+    # float32 ones it counts against, its n counts and means, and 64 kB.  The
+    # first level of antichain(10) ranks 10! extensions, where about one word
+    # in 2048 is rejected and its group is drawn in runs
+    sampler = linext_chain(Poset.antichain(elements)).samplers[0]
     rng = np.random.default_rng(3)
     sampler(rng, 2, 8)
     tracemalloc.start()
@@ -380,6 +382,62 @@ def test_a_level_call_holds_at_most_one_row_group(n, m):
         tracemalloc.stop()
     assert means.shape == (n,) and 0.0 < means.mean() < 1.0
     assert peak <= 2**20 * 13 + 4 * m + 16 * n + 2**16, peak
+
+
+def _antichain_first_level_flags(n: int) -> np.ndarray:
+    """The first level's flags of antichain(n), without listing n! extensions:
+    the extensions are the permutations, and the one of lexicographic rank i
+    takes, at step j, the d_j-th smallest element left, d_j being i's j-th
+    factorial digit.  Element 1, the pinned one, stays the smallest left, so
+    it comes last exactly when no digit but the last is 0."""
+    ranks, flags = np.arange(math.factorial(n)), np.ones(math.factorial(n), dtype=bool)
+    for j in range(n - 1):
+        flags &= ranks // math.factorial(n - 1 - j) % (n - j) != 0
+    return flags
+
+
+def test_antichain_first_level_flags_oracle_lists_the_extensions():
+    for n in range(2, 7):
+        p = Poset.antichain(n)
+        assert _antichain_first_level_flags(n).tolist() == [ext[-1] == 1 for ext in oracles.linear_extensions_lex(p)]
+
+
+def test_a_level_with_rejected_words_equals_one_block():
+    # 10! ranks reject about one word in 2048, so the level's groups are
+    # drawn in runs between rejected words and in top-up rounds; the means
+    # and the stream are still those of one (n, m) integers block
+    sampler, flags = linext_chain(Poset.antichain(10)).samplers[0], _antichain_first_level_flags(10)
+    for seed, (n, m) in enumerate([(337, 100), (297, 100), (5, 7), (1, 1), (2, 2**20)]):
+        _assert_level_matches_flags(sampler, flags, n, m, seed)
+
+
+def test_a_level_on_another_bit_generator_draws_through_integers():
+    # only a PCG64 is drawn from its raw outputs; an MT19937's raw outputs are
+    # 32-bit, and its level equals its own integers block
+    sampler, flags = next((s, f) for s, f in _levels_with_flags(Poset.antichain(4)) if not f.all())
+    rng, ref = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+    drawn = sampler(rng, 9, 13)
+    assert drawn.tobytes() == flags[ref.integers(0, len(flags), size=(9, 13))].mean(axis=1).tobytes()
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize(
+    "size", [2, 3, 7, 66, 5040, 60480, math.factorial(10), 2**31 + 1, 3 * 2**30 + 7, 2**32 - 5]
+)
+def test_uniform_ranks_are_what_integers_draws(size, buffered):
+    # values, the whole bit generator state (has_uint32 and uinteger too) and
+    # the draws after it, with and without a high half buffered beforehand; the
+    # last three sizes reject up to about half of all words
+    for seed, count in itertools.product(range(3), [0, 1, 2, 3, 4, 1001, 33700]):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            rng.integers(0, 10), ref.integers(0, 10)
+        drawn, expected = counting._uniform_ranks(rng, size, count), ref.integers(0, size, count)
+        assert drawn.dtype == expected.dtype and np.array_equal(drawn, expected), (size, count, seed)
+        assert rng.bit_generator.state == ref.bit_generator.state, (size, count, seed)
+        assert rng.integers(0, size, 3).tolist() == ref.integers(0, size, 3).tolist(), (size, count, seed)
+        assert rng.random() == ref.random(), (size, count, seed)
 
 
 def test_antichain_at_the_size_cap():
